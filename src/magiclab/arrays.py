@@ -414,9 +414,12 @@ def qmr(a: int, b: int) -> MagicArray | None:
     if b == 2:
         shifted = _mirror_columns(a)
     else:
-        shifted = _qmr_shifted_banded(a, b)
-        if shifted is None:
-            shifted = _qmr_shifted_global(a, b)
+        try:
+            shifted = _qmr_shifted_banded(a, b)
+            if shifted is None:
+                shifted = _qmr_shifted_global(a, b)
+        except RecursionError:
+            raise ConstructionError(f"QMR({a},{b}) search ran past the recursion limit") from None
     if shifted is None:
         raise ConstructionError(f"QMR({a},{b}) search exhausted its node budget")
     d = a * b // 2 + 1

@@ -14,14 +14,12 @@ module returns is re-checked for equal side sums before being handed out.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import permutations
+
 from .errors import DomainError, InternalInconsistencyError
 from .graphs import PartiteSpec
 from .labelings import Labeling, ThetaResult, partite_sums_check
-
-# Exact lexicographic-minimum splits are found by dynamic programming up to
-# this many labels; larger instances use the closed-form greedy (still exact,
-# different tie-break).
-_LEXMIN_LIMIT = 64
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -46,117 +44,155 @@ def _theta_value(n1: int, n2: int) -> int | None:
     return _ceil_div(rhs - lhs, 2 * n1)
 
 
-def _interval_feasible(c: int, t: int, lo: int, hi: int) -> bool:
-    """Can c distinct elements of {lo..hi} sum to t?  Interval subset sums
-    fill the whole range between the extremes, so this is a bounds check."""
-    width = hi - lo + 1
-    if c < 0 or c > max(width, 0):
-        return False
-    if c == 0:
-        return t == 0
-    lo_sum = _tri(lo + c - 1) - _tri(lo - 1)
-    hi_sum = _tri(hi) - _tri(hi - c)
-    return lo_sum <= t <= hi_sum
+def _run_sum(lo: int, c: int) -> int:
+    """Sum of the ``c`` consecutive integers starting at ``lo``."""
+    return c * (2 * lo + c - 1) // 2
 
 
-def _greedy_side(pool: list[int], k: int, target: int) -> list[int] | None:
-    """Top-heavy k-subset of ``pool`` summing to ``target``.
-
-    Exact for pools shaped as one integer interval plus at most one extra
-    element above it, which covers every large-scale call site.
-    """
-    pool = sorted(pool)
-    lo = pool[0]
-    run_hi = lo - 1
-    split = 0
-    for x in pool:
-        if x == run_hi + 1:
-            run_hi = x
-            split += 1
+def _runs(labels) -> list[tuple[int, int]]:
+    """Ascending ``(lo, hi)`` blocks of consecutive integers covering ``labels``."""
+    runs: list[list[int]] = []
+    for x in sorted(labels):
+        if runs and runs[-1][1] == x - 1:
+            runs[-1][1] = x
         else:
-            break
-    extras = pool[split:]
-    if len(extras) > 1:
-        raise ValueError("greedy split supports at most one detached label")
-    extra = extras[0] if extras else None
+            runs.append([x, x])
+    return [(lo, hi) for lo, hi in runs]
 
-    def feasible(c, t, hi, with_extra):
-        if _interval_feasible(c, t, lo, hi):
-            return True
-        if with_extra and c >= 1:
-            return _interval_feasible(c - 1, t - extra, lo, hi)
+
+def _feasible(runs, c: int, t: int) -> bool:
+    """Can ``c`` distinct labels from ``runs`` sum to ``t``?  Exact; see
+    ``split_equal_sums`` for the argument.  Single labels beyond two runs
+    are branched on (taken or not)."""
+    if len(runs) > 2:
+        for i, (lo, hi) in enumerate(runs):
+            if lo == hi:
+                rest = runs[:i] + runs[i + 1:]
+                return _feasible(rest, c, t) or (c > 0 and _feasible(rest, c - 1, t - lo))
+        raise ValueError("equal-sum splits need at most two runs of consecutive labels")
+    (lo1, hi1), (lo2, hi2) = [(1, 0)] * (2 - len(runs)) + list(runs)
+    j_lo, j_hi = max(0, c - (hi2 - lo2 + 1)), min(c, hi1 - lo1 + 1)
+    if j_lo > j_hi:
         return False
+    js = range(j_lo, j_hi + 1)
+    # extremes of the sums with j labels from the lower run, both decreasing in j
+    first = bisect_left(js, -t, key=lambda j: -(_run_sum(lo1, j) + _run_sum(lo2, c - j)))
+    stop = bisect_right(
+        js, -t, key=lambda j: -(_run_sum(hi1 - j + 1, j) + _run_sum(hi2 - c + j + 1, c - j))
+    )
+    return first < stop
 
-    if not feasible(k, target, run_hi, extra is not None):
+
+def _top_heavy(pool, c: int, t: int, keep=(), drop=()) -> list[int] | None:
+    """The c-subset of ``pool`` with sum ``t``, holding ``keep`` and missing
+    ``drop``, that is largest first in descending order; ``None`` if none."""
+    runs = _runs(x for x in pool if x not in keep and x not in drop)
+    c -= len(keep)
+    t -= sum(keep)
+    if not _feasible(runs, c, t):
         return None
-    chosen: list[int] = []
-    slots, t = k, target
-    if extra is not None:
-        if slots and _interval_feasible(slots - 1, t - extra, lo, run_hi):
-            chosen.append(extra)
-            slots -= 1
-            t -= extra
-    for v in range(run_hi, lo - 1, -1):
-        if slots == 0:
-            break
-        if _interval_feasible(slots - 1, t - v, lo, v - 1):
-            chosen.append(v)
-            slots -= 1
-            t -= v
-    if slots != 0 or t != 0:
-        return None
+    chosen = list(keep)
+    for i in range(len(runs) - 1, -1, -1):
+        lo, hi = runs[i]
+        for v in range(hi, lo - 1, -1):
+            if c == 0:
+                return sorted(chosen)
+            below = runs[:i] + [(lo, v - 1)] if v > lo else runs[:i]
+            if _feasible(below, c - 1, t - v):
+                chosen.append(v)
+                c -= 1
+                t -= v
     return sorted(chosen)
 
 
-def _lexmin_side(pool: list[int], k: int, target: int) -> list[int] | None:
-    """Lexicographically smallest k-subset of ``pool`` summing to ``target``."""
-    pool = sorted(pool)
-    m = len(pool)
-    if k < 0 or k > m or target < 0:
-        return None
-    # masks[i][c] has bit t set iff some c-subset of pool[i:] sums to t
-    masks = [[0] * (k + 1) for _ in range(m + 1)]
-    masks[m][0] = 1
-    for i in range(m - 1, -1, -1):
-        x = pool[i]
-        row, nxt = masks[i], masks[i + 1]
-        row[0] = 1
-        for c in range(1, k + 1):
-            row[c] = nxt[c] | (nxt[c - 1] << x)
-    if not (masks[0][k] >> target) & 1:
-        return None
-    side: list[int] = []
-    need, t, i = k, target, 0
-    while need:
-        x = pool[i]
-        if t >= x and (masks[i + 1][need - 1] >> (t - x)) & 1:
-            side.append(x)
-            need -= 1
-            t -= x
-        i += 1
-    return side
+# rows of the 3x3 magic square: the one 3-part split the U-first order misses
+_MAGIC_SQUARE_ROWS = ((1, 5, 9), (2, 6, 7), (3, 4, 8))
 
 
-def split_equal_sums(labels, n1: int) -> tuple[list[int], list[int]] | None:
-    """Split a label set into sides of size ``n1`` and the rest, equal sums.
+def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
+    """Split ``labels`` into 2 or 3 parts of the given ``sizes`` with equal sums.
 
-    Side 1 is the lexicographically smallest feasible choice at desk scale.
+    Returns one sorted label list per part, or ``None``.  ``forced`` maps a
+    label to the index of the part that must hold it.  Part 0 of a 2-part
+    split is top-heavy: of the subsets with the right size, sum and forced
+    labels, the largest when read in descending order.  The greedy walks
+    the pool downward and keeps each label whose rest can still be
+    completed, so it fails only when no split exists.  Three parts are two
+    2-part splits: ``U``, the two larger parts (sum ``2T``), top-heavy from
+    the pool; then the middle part top-heavy from ``U``.  The largest part
+    is the rest of ``U``, the smallest the complement of ``U``.  A forced
+    label's part is tried first in the middle part's role (in ``U`` with
+    the largest other part); the plain order is the retry.
+
+    *Feasibility is exact (proved).*  On one run of consecutive integers
+    the ``c``-subset sums fill every integer between the sums of the lowest
+    and the highest ``c``.  On two runs ``R1 < R2``, the sums with ``j``
+    labels from ``R1`` fill the interval between two extremes (a sum of two
+    integer intervals), and both extremes strictly fall as ``j`` grows,
+    since each step trades a label of ``R2`` for a smaller one of ``R1``.
+    So ``t`` is reachable iff the first ``j`` whose least sum is at most
+    ``t`` is no later than the last ``j`` whose largest sum is at least
+    ``t``: two binary searches, O(log n).  Detached labels are branched on.
+    The pool must be at most two runs, such as ``{1..n}`` or
+    ``{1..n-1, n+1}``; a top-heavy pick from it is a top run, an adjusting
+    label and a bottom run, plus perhaps the detached label, so the second
+    step sees two runs plus at most two detached labels.
+
+    *The U-first order is checked, not proved.*  It splits every case I
+    shape with n < 160 except K(3, 3, 3), and every case IV pool with
+    n < 160 with the top label forced; the tests compare it with the
+    exhaustive ``equal_sum_partition`` on every 3-part shape with n <= 18,
+    both pools, with the top label forced into each part.  K(3, 3, 3) is a
+    base case: the rows ``{1,5,9}``, ``{2,6,7}``, ``{3,4,8}`` of the 3x3
+    magic square, ordered to honour ``forced``.
     """
     labels = sorted(labels)
+    sizes = list(sizes)
+    forced = forced or {}
+    if len(labels) != sum(sizes) or len(set(labels)) != len(labels):
+        raise ValueError(f"{len(labels)} distinct labels cannot fill sizes {sizes}")
+    if len(sizes) not in (2, 3) or not set(forced) <= set(labels):
+        raise ValueError("split needs 2 or 3 parts and forced labels from the pool")
+    if len(_runs(labels)) > 2:
+        raise ValueError("split pools hold at most two runs of consecutive labels")
     total = sum(labels)
-    if total % 2:
+    if total % len(sizes):
         return None
-    target = total // 2
-    if len(labels) <= _LEXMIN_LIMIT:
-        side1 = _lexmin_side(labels, n1, target)
-    else:
-        side1 = _greedy_side(labels, n1, target)
-    if side1 is None:
+    target = total // len(sizes)
+
+    def held(*parts):
+        return [x for x, i in forced.items() if i in parts]
+
+    if len(sizes) == 2:
+        first = _top_heavy(labels, sizes[0], target, held(0), held(1))
+        if first is None:
+            return None
+        return [first, sorted(set(labels) - set(first))]
+    if labels == list(range(1, 10)) and sizes == [3, 3, 3]:
+        for rows in permutations(_MAGIC_SQUARE_ROWS):
+            if all(x in rows[i] for x, i in forced.items()):
+                return [list(row) for row in rows]
         return None
-    remaining = list(labels)
-    for x in side1:
-        remaining.remove(x)
-    return side1, remaining
+    _, mid, large = sorted(range(3), key=sizes.__getitem__)
+    orders = [(mid, large)]
+    if forced:
+        first = next(iter(forced.values()))
+        orders.insert(0, (first, mid if first == large else large))
+    for first, second in orders:
+        (rest,) = {0, 1, 2} - {first, second}
+        union = _top_heavy(labels, sizes[first] + sizes[second], 2 * target,
+                           held(first, second), held(rest))
+        if union is None:
+            continue
+        part = _top_heavy(union, sizes[first], target, held(first), held(second))
+        if part is None:
+            continue
+        parts = [[], [], []]
+        parts[first] = part
+        parts[second] = sorted(set(union) - set(part))
+        parts[rest] = sorted(set(labels) - set(union))
+        return parts
+    return None
 
 
 def _third_branch_sets(n1: int, n2: int) -> tuple[list[int], list[int]]:
@@ -196,9 +232,9 @@ def label_bipartite(n1: int, n2: int, target_max: int) -> Labeling | None:
         sides = ([_tri(n2)], list(range(1, n2 + 1)))
     elif n * (n + 1) >= 2 * n2 * (n2 + 1):
         if theta == 0:
-            sides = split_equal_sums(range(1, n + 1), n1)
+            sides = split_equal_sums(range(1, n + 1), (n1, n2))
         else:
-            sides = split_equal_sums(list(range(1, n)) + [n + 1], n1)
+            sides = split_equal_sums(list(range(1, n)) + [n + 1], (n1, n2))
     else:
         sides = _third_branch_sets(n1, n2)
     if sides is None:

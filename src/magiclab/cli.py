@@ -4,10 +4,12 @@ Subcommands: ``index``, ``label``, ``verify``, ``qmr``, ``kotzig``,
 ``oracle``, ``tables``.  All output is machine-readable (JSON with sorted
 keys, or CSV for arrays) and deterministic across runs and worker counts.
 
-Exit codes: 0 success; 2 malformed input or domain error; 3 family not
-covered by a closed form (rerun with ``--oracle``); 4 no constructive
+Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
+malformed input, a missing or unreadable file, or a domain error; 3 family
+not covered by a closed form (rerun with ``--oracle``); 4 no constructive
 labeling path; 5 the requested array provably does not exist; 6 an
-exhaustive search exceeded its size cap or time budget.
+exhaustive search exceeded its size cap or time budget; 7 a construction
+failed or produced an object that failed its own check.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ EXIT_UNSUPPORTED = 3
 EXIT_NO_CONSTRUCTION = 4
 EXIT_NOT_EXISTS = 5
 EXIT_BUDGET = 6
+EXIT_CONSTRUCTION = 7
 
 
 def _emit(payload) -> None:
@@ -73,8 +76,16 @@ class _Unsupported(Exception):
     pass
 
 
+def _unwrap(ast):
+    """Strip the one-copy unions and one-vertex blow-ups around a spec."""
+    while (isinstance(ast, UNode) and ast.m == 1) or (isinstance(ast, LexNode) and ast.a == 1):
+        ast = ast.inner
+    return ast
+
+
 def _plan(ast):
     """Map a spec AST onto the most specific closed-form module."""
+    ast = _unwrap(ast)
     if isinstance(ast, KNode):
         sizes = tuple(sorted(ast.sizes))
         r = len(sizes)
@@ -88,8 +99,6 @@ def _plan(ast):
             return ("Kab", (sizes[0], r))
         raise _Unsupported(f"no closed form for parts {sizes}")
     if isinstance(ast, UNode):
-        if ast.m == 1:
-            return _plan(ast.inner)
         inner = ast.inner
         if isinstance(inner, KNode):
             sizes = tuple(sorted(inner.sizes))
@@ -99,8 +108,6 @@ def _plan(ast):
             return ("mClex", (ast.m, inner.a, inner.inner.b))
         raise _Unsupported("no closed form for this disjoint union")
     if isinstance(ast, LexNode):
-        if ast.a == 1:
-            return _plan(ast.inner)
         if isinstance(ast.inner, CNode):
             return ("mClex", (1, ast.a, ast.inner.b))
         base = build_from_ast(ast.inner)
@@ -129,17 +136,16 @@ def _theta_for_plan(plan) -> ThetaResult:
     raise AssertionError(kind)
 
 
-def _run_oracle(args, ast):
-    graph = build_from_ast(ast)
+def _run_oracle(args, graph, max_excess):
     spec = graph.partite_spec
     if spec is not None and spec.n <= MAX_MULTIPARTITE_N:
         return oracle_theta_multipartite(
-            spec, args.max_excess, budget_seconds=args.budget_seconds,
+            spec, max_excess, budget_seconds=args.budget_seconds,
             jobs=args.jobs, seed=args.seed,
         )
     if graph.vertex_count <= MAX_GENERAL_N:
         return oracle_theta_general(
-            graph, args.max_excess, budget_seconds=args.budget_seconds,
+            graph, max_excess, budget_seconds=args.budget_seconds,
             jobs=args.jobs, seed=args.seed,
         )
     raise DomainError(
@@ -156,51 +162,35 @@ def cmd_index(args) -> int:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        result = _run_oracle(args, ast)
+        result = _run_oracle(args, build_from_ast(ast), args.max_excess)
     payload = result.to_payload()
     payload.pop("witness", None)
     _emit(payload)
     return EXIT_OK
 
 
-def _witness_for_plan(plan, args):
-    """(graph, labeling or None, ThetaResult) for the label command."""
+def _witness_for_plan(plan, ast, args):
+    """(labeling or None, graph or None, ThetaResult) for the label command.
+
+    ``ast`` is the unwrapped spec the plan describes.  The graph comes back
+    only when building the witness needed it.
+    """
     kind, params = plan
     result = _theta_for_plan(plan)
-    graph = None
-    labeling = None
     if kind == "edgeless":
-        n = sum(params)
-        labeling = Labeling(tuple(range(1, n + 1)))
-        graph = build_from_ast(KNode(params))
-    elif kind == "bipartite":
-        graph = build_from_ast(KNode(params))
-        labeling = result.witness
-    elif kind == "tripartite":
-        graph = build_from_ast(KNode(params))
-        labeling = label_tripartite(*params)
-    elif result.theta == 1:
+        return Labeling(tuple(range(1, sum(params) + 1))), None, result
+    if kind == "bipartite":
+        return result.witness, None, result
+    if kind == "tripartite":
+        return label_tripartite(*params), None, result
+    if result.theta == 1:
         family_params = dict(zip(_FAMILY_ARGS[kind], params))
         graph, labeling, _ = families.label_family_via_qmr(kind, **family_params)
-    elif result.theta == 0 and args.certify:
-        graph = _family_graph(kind, params)
-        spec = graph.partite_spec
-        if spec is not None and spec.n <= MAX_MULTIPARTITE_N:
-            oracle_result = oracle_theta_multipartite(
-                spec, 0, budget_seconds=args.budget_seconds,
-                jobs=args.jobs, seed=args.seed,
-            )
-        elif graph.vertex_count <= MAX_GENERAL_N:
-            oracle_result = oracle_theta_general(
-                graph, 0, budget_seconds=args.budget_seconds,
-                jobs=args.jobs, seed=args.seed,
-            )
-        else:
-            raise DomainError("instance too large to certify by oracle")
-        labeling = oracle_result.witness
-    else:
-        graph = _family_graph(kind, params)
-    return graph, labeling, result
+        return labeling, graph, result
+    if result.theta == 0 and args.certify:
+        graph = build_from_ast(ast)
+        return _run_oracle(args, graph, 0).witness, graph, result
+    return None, None, result
 
 
 _FAMILY_ARGS = {
@@ -209,30 +199,6 @@ _FAMILY_ARGS = {
     "mClex": ("m", "a", "b"),
     "lex": ("g", "a"),
 }
-
-
-def _family_graph(kind, params):
-    from .graphs import (
-        PartiteSpec,
-        build_complete_multipartite,
-        build_cycle,
-        disjoint_union,
-        lex_blowup,
-    )
-
-    if kind == "Kab":
-        a, b = params
-        return build_complete_multipartite(PartiteSpec((a,) * b))
-    if kind == "mKab":
-        m, a, b = params
-        return disjoint_union(m, build_complete_multipartite(PartiteSpec((a,) * b)))
-    if kind == "mClex":
-        m, a, b = params
-        return disjoint_union(m, lex_blowup(build_cycle(b), a))
-    if kind == "lex":
-        g, a = params
-        return lex_blowup(g, a)
-    raise AssertionError(kind)
 
 
 def cmd_label(args) -> int:
@@ -246,18 +212,21 @@ def cmd_label(args) -> int:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
         graph = build_from_ast(ast)
-        result = _run_oracle(args, ast)
+        result = _run_oracle(args, graph, args.max_excess)
         labeling = result.witness
         if labeling is None:
             _emit(result.to_payload())
             return EXIT_NO_CONSTRUCTION
         return _print_certified(graph, labeling)
-    graph, labeling, result = _witness_for_plan(plan, args)
+    ast = _unwrap(ast)
+    labeling, graph, result = _witness_for_plan(plan, ast, args)
     if labeling is None:
         payload = result.to_payload()
         payload.pop("witness", None)
         _emit(payload)
         return EXIT_NO_CONSTRUCTION
+    if graph is None:
+        graph = build_from_ast(ast)
     return _print_certified(graph, labeling)
 
 
@@ -276,7 +245,11 @@ def _print_certified(graph, labeling) -> int:
 def cmd_verify(args, labeling_path=None) -> int:
     path = labeling_path or args.labeling
     graph = build_from_ast(parse_spec_ast(args.spec))
-    labeling = Labeling.from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(f"cannot read labeling file {path}: {exc.strerror}") from None
+    labeling = Labeling.from_json(text)
     if labeling.n != graph.vertex_count:
         raise DomainError(
             f"labeling covers {labeling.n} vertices, graph has {graph.vertex_count}"
@@ -329,7 +302,7 @@ def cmd_kotzig(args) -> int:
 
 def cmd_oracle(args) -> int:
     ast = parse_spec_ast(args.spec)
-    result = _run_oracle(args, ast)
+    result = _run_oracle(args, build_from_ast(ast), args.max_excess)
     _emit(result.to_payload())
     return EXIT_OK
 
@@ -414,7 +387,7 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (ConstructionError, InternalInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_CONSTRUCTION
     except MagiclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

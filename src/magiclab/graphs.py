@@ -99,24 +99,6 @@ class Graph:
             return None
         return PartiteSpec(tuple(len(p) for p in self.parts))
 
-    def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.vertex_count
-        comps = []
-        for start in range(self.vertex_count):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in self.neighbors[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
-
 
 def build_complete_multipartite(spec: PartiteSpec) -> Graph:
     """Complete multipartite graph; part ``i`` occupies a consecutive id block."""
@@ -192,7 +174,12 @@ def read_adjacency_file(path: str | Path) -> Graph:
     ignored; the list must describe a symmetric loop-free graph.
     """
     adj: dict[int, set[int]] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise GraphSpecError(
+            f"cannot read adjacency file: {exc.strerror}", position=str(path)
+        ) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

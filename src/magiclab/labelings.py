@@ -76,7 +76,11 @@ class Labeling:
     @classmethod
     def from_json(cls, text: str) -> "Labeling":
         payload = json.loads(text)
-        return cls.from_dict({int(v): int(lab) for v, lab in payload["labels"].items()})
+        try:
+            mapping = {int(v): int(lab) for v, lab in payload["labels"].items()}
+        except (KeyError, TypeError, AttributeError):
+            raise ValueError('labeling JSON needs a "labels" object mapping ids to ints') from None
+        return cls.from_dict(mapping)
 
 
 @dataclass(frozen=True)

@@ -17,22 +17,25 @@ every instance falls in exactly one case:
     V    B <= A, B < C                 -> exact when the top-set deficit
                                           dominates the index of K(n2, n3)
 
-Witness constructions follow the label-shift scheme: keep the bottom labels
-on V3, re-balance V2 through a labeling of the subgraph K(n2, n3), and slide
-the top ``n1`` labels upward by a quotient, repairing the remainder by
-bumping a single label.  Every witness is re-verified before being returned;
-an internal contradiction raises instead of emitting an uncertified object.
+Case I witnesses split ``{1..n}`` into three equal-sum parts with
+``split_equal_sums``; case IV splits ``{1..n+1}`` for the enlarged graph
+K(n1+1, n2, n3) and merges its top label away.  Cases II and V follow the
+label-shift scheme: keep the bottom labels on V3, re-balance V2 through a
+labeling of the subgraph K(n2, n3), and slide the top ``n1`` labels upward
+by a quotient, repairing the remainder by bumping a single label.  Every
+witness has its part sums checked before being returned (on a complete
+multipartite graph, equal part sums are exactly the magic property); an
+internal contradiction raises instead of emitting an uncertified object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipartite import label_bipartite
+from .bipartite import label_bipartite, split_equal_sums
 from .errors import DomainError, InternalInconsistencyError
-from .graphs import PartiteSpec, build_complete_multipartite
-from .labelings import Labeling, ThetaResult, verify_s_magic
-from .oracle import equal_sum_partition
+from .graphs import PartiteSpec
+from .labelings import Labeling, ThetaResult, partite_sums_check
 
 
 def zeta(i: int, j: int) -> int:
@@ -207,38 +210,26 @@ def _label_case5(n1, n2, n3):
 def _label_case4(n1, n2, n3):
     """Witness from the one-vertex-larger distance magic graph.
 
-    Label K(n1+1, n2, n3), then delete the top-labeled vertex of the enlarged
-    part and add its label onto a co-part vertex.  Part sums are unchanged,
-    so the result is magic; the merged label must exceed every remaining one.
+    Split ``{1..n+1}`` for K(n1+1, n2, n3) with the top label forced into
+    the enlarged part, then delete that vertex and add its label onto the
+    part's smallest label ``x``.  Part sums are unchanged, so the result is
+    magic, and the merged label ``n+1+x`` exceeds every remaining one, so
+    the top label is at most ``2n+1``.
     """
     n = n1 + n2 + n3
     enlarged = sorted([n1 + 1, n2, n3])
     if not is_distance_magic_tripartite(*enlarged):
         return None
     idx = enlarged.index(n1 + 1)
-    parts = equal_sum_partition(range(1, n + 2), enlarged, forced={n + 1: idx})
-    if parts is None:
-        parts = equal_sum_partition(range(1, n + 2), enlarged)
+    parts = split_equal_sums(range(1, n + 2), enlarged, forced={n + 1: idx})
     if parts is None:
         raise InternalInconsistencyError(
-            f"K{tuple(enlarged)} is distance magic but no partition was found"
+            f"K{tuple(enlarged)} is distance magic but the forced split failed"
         )
-    merge = list(parts[idx])
-    u = max(merge)
-    merge.remove(u)
-    others = [list(parts[i]) for i in range(3) if i != idx]
-    label_pool = set(merge)
-    for part in others:
-        label_pool.update(part)
-    for x in sorted(merge):
-        if u + x > n and (u + x) not in (label_pool - {x}):
-            merged_part = sorted(set(merge) - {x} | {u + x})
-            break
-    else:
-        return None
-    final = [merged_part] + others
-    final.sort(key=lambda part: (len(part), sorted(part)))
-    return final
+    merge = parts[idx]  # sorted, so it ends with the forced label n + 1
+    parts[idx] = merge[1:-1] + [n + 1 + merge[0]]
+    parts.sort(key=lambda part: (len(part), part))
+    return parts
 
 
 def label_tripartite(n1: int, n2: int, n3: int) -> Labeling | None:
@@ -251,12 +242,11 @@ def label_tripartite(n1: int, n2: int, n3: int) -> Labeling | None:
     case = classify_tripartite(n1, n2, n3)
     n = n1 + n2 + n3
     if case.tag == "I":
-        parts = equal_sum_partition(range(1, n + 1), (n1, n2, n3))
-        if parts is None:
+        label_sets = split_equal_sums(range(1, n + 1), (n1, n2, n3))
+        if label_sets is None:
             raise InternalInconsistencyError(
                 f"case I instance K({n1},{n2},{n3}) has no equal partition"
             )
-        label_sets = [list(p) for p in parts]
     elif case.tag == "II":
         label_sets = _label_case2(n1, n2, n3)
     elif case.tag == "III":
@@ -267,14 +257,11 @@ def label_tripartite(n1: int, n2: int, n3: int) -> Labeling | None:
         label_sets = _label_case5(n1, n2, n3)
     if label_sets is None:
         return None
-    spec = PartiteSpec((n1, n2, n3))
-    graph = build_complete_multipartite(spec)
-    labeling = Labeling.from_parts(graph.parts, label_sets)
-    report = verify_s_magic(graph, labeling)
-    if not report.is_magic:
+    parts = [range(0, n1), range(n1, n1 + n2), range(n1 + n2, n)]
+    labeling = Labeling.from_parts(parts, label_sets)
+    if not partite_sums_check(PartiteSpec((n1, n2, n3)), labeling):
         raise InternalInconsistencyError(
-            f"case {case.tag} construction for K({n1},{n2},{n3}) is not magic: "
-            f"violations {report.violations[:3]}"
+            f"case {case.tag} construction for K({n1},{n2},{n3}) has unequal part sums"
         )
     result = theta_tripartite(n1, n2, n3)
     if result.exact and labeling.eta != n + result.theta:

@@ -69,7 +69,7 @@ def test_label_singleton_side():
 
 
 def test_witnesses_beyond_the_lexmin_threshold():
-    # large instances take the closed-form greedy split instead of the DP
+    # large instances split by the same top-heavy greedy as small ones
     res = theta_bipartite(300, 400)
     assert res.theta == 0 and res.witness.eta == 700
     spec = PartiteSpec((300, 400))

@@ -1,8 +1,13 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
+from magiclab import arrays, cli
 from magiclab.cli import main
+from magiclab.errors import ConstructionError, InternalInconsistencyError
 
 from conftest import petersen
 
@@ -165,3 +170,56 @@ def test_cli_outputs_are_deterministic_across_jobs():
         one = run_cli(*argv, "--jobs", "1") if takes_jobs else run_cli(*argv)
         four = run_cli(*argv, "--jobs", "4") if takes_jobs else run_cli(*argv)
         assert one == four, argv
+
+
+# sha256 of the ``label`` stdout; bipartite, case II and family witnesses
+# keep their bytes when the splitter changes
+LABEL_GOLDEN_SHA256 = {
+    "K(2,2)": "0ebc2109db37189287c9b5683c20faed67f4f6727a3f7195dee310fffd4a6dee",
+    "K(4,7)": "80d6749eea6c19c5ebaabe216c635d29d98f0d9ef67d7eb9d11d6565706e01af",
+    "K(6,7)": "aa0349f4288623c511e78954c12806bd6d53198d531437b06c7ae262d38127f3",
+    "K(20,30)": "4e56cf0f933198e6c3b34fddd8c2f436ac020ac45d7a63f2829e49ebf576f208",
+    "K(3,8,9)": "73c1cee10ba18f668a9ba836d8a40cee3c3543998ac7ba7719b1e78db4185441",
+    "U(2,K(3,3))": "5585ff41784a1656a12679a2573905b7ba0139df0c2654ab6c14703a1dd165b5",
+}
+
+
+def test_label_stdout_goldens():
+    for spec, digest in LABEL_GOLDEN_SHA256.items():
+        code, out, _ = run_cli("label", spec)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
+
+
+def test_label_tripartite_cases_one_and_four_at_depth():
+    # case I and case IV at n ~ 1000, deeper than a recursive search can go
+    for spec, eta in (("K(330,340,350)", 1020), ("K(331,340,350)", 1023)):
+        code, out, _ = run_cli("label", spec)
+        assert code == 0 and json.loads(out)["eta"] == eta
+
+
+def test_unreadable_files_exit_2(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    assert run_cli("verify", "K(3,3)", missing)[0] == 2
+    assert run_cli("label", "K(3,3)", "--verify-only", missing)[0] == 2
+    assert run_cli("index", f"FILE({missing})", "--oracle")[0] == 2
+    assert run_cli("verify", f"FILE({missing})", missing)[0] == 2
+    assert run_cli("verify", "K(3,3)", str(tmp_path))[0] == 2  # a directory
+    nolabels = tmp_path / "nolabels.json"
+    nolabels.write_text(json.dumps({"weights": {}}))
+    code, _, err = run_cli("verify", "K(3,3)", str(nolabels))
+    assert code == 2 and '"labels"' in err
+
+
+@pytest.mark.parametrize("error", [ConstructionError, InternalInconsistencyError, RecursionError])
+def test_construction_failures_exit_7(monkeypatch, error):
+    def fail(*args):
+        raise error("forced failure")
+
+    if error is RecursionError:
+        monkeypatch.setattr(arrays, "_qmr_shifted_banded", fail)  # qmr maps it
+        argv = ("qmr", "3", "8")
+    else:
+        monkeypatch.setattr(cli, "label_tripartite", fail)
+        argv = ("label", "K(5,6,7)")
+    code, out, err = run_cli(*argv)
+    assert code == 7 and out == "" and err.startswith("error:")

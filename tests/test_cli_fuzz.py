@@ -1,0 +1,119 @@
+"""Desk-scale fuzz of the spec grammar and the CLI arguments.
+
+Every generated command line must end in a documented exit code, never in
+an exception escaping ``main``.  Graphs stay at 40 vertices or fewer,
+arrays at 200 entries or fewer, and searches at excess 2 or less under a
+one-second budget, so the whole run takes a few seconds.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from magiclab.cli import main
+from magiclab.errors import GraphSpecError
+from magiclab.graphs import _ast_vertex_count, parse_spec_ast
+
+from conftest import petersen
+
+DOCUMENTED_CODES = {0, 1, 2, 3, 4, 5, 6, 7}
+MAX_VERTICES = 40
+
+
+def _specs():
+    leaves = st.one_of(
+        st.lists(st.integers(0, 12), min_size=1, max_size=5).map(
+            lambda sizes: "K(" + ",".join(map(str, sizes)) + ")"
+        ),
+        st.integers(0, 12).map(lambda b: f"C({b})"),
+        st.sampled_from(["FILE(@adj)", "FILE(@missing)"]),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(st.integers(0, 3), inner).map(lambda t: f"U({t[0]},{t[1]})"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"LEX({t[0]},E({t[1]}))"),
+        ),
+        max_leaves=3,
+    )
+
+
+def _small(text):
+    """Keep well-formed specs within the vertex bound; malformed ones pass."""
+    text = text.replace("FILE(@adj)", "C(10)")  # the file holds the Petersen graph
+    try:
+        return _ast_vertex_count(parse_spec_ast(text)) <= MAX_VERTICES
+    except GraphSpecError:
+        return True
+
+
+# a well-formed spec, or a prefix of one plus a stray character
+SPECS = (_specs() | st.tuples(
+    _specs(), st.integers(0, 30), st.sampled_from("(),KE9")
+).map(lambda t: t[0][: t[1]] + t[2])).filter(_small)
+SEARCH_FLAGS = st.tuples(st.integers(-1, 2), st.integers(0, 3)).map(
+    lambda t: ["--max-excess", str(t[0]), "--seed", str(t[1]), "--budget-seconds", "1"]
+)
+ARRAY_DIMS = st.tuples(st.integers(0, 200), st.integers(0, 200)).filter(
+    lambda t: t[0] * t[1] <= 200
+)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(
+        ["index", "label", "oracle", "verify", "qmr", "kotzig", "tables"]
+    ))
+    if command in ("qmr", "kotzig"):
+        a, b = draw(ARRAY_DIMS)
+        return [command, str(a), str(b), "--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "tables":
+        return [command]
+    spec = draw(SPECS)
+    if command == "verify":
+        labeling = draw(st.sampled_from(["@good", "@nolabels", "@garbage", "@missing"]))
+        return [command, spec, labeling]
+    argv = [command, spec] + draw(SEARCH_FLAGS)
+    if command in ("index", "label") and draw(st.booleans()):
+        argv.append("--oracle")
+    if command == "label":
+        if draw(st.booleans()):
+            argv.append("--certify")
+        if draw(st.integers(0, 4)) == 0:
+            argv += ["--verify-only", draw(st.sampled_from(["@good", "@missing"]))]
+    return argv
+
+
+def _files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    adj = root / "petersen.adj"
+    adj.write_text("\n".join(
+        f"{v}: {' '.join(str(u) for u in sorted(petersen().neighbors[v]))}" for v in range(10)
+    ))
+    good = root / "good.json"
+    good.write_text(json.dumps({"labels": {str(v): v + 1 for v in range(4)}}))
+    (root / "nolabels.json").write_text(json.dumps({"weights": {}}))
+    (root / "garbage.json").write_text("{labels: 1")
+    return {
+        "adj": str(adj), "good": str(good), "missing": str(root / "missing"),
+        "nolabels": str(root / "nolabels.json"), "garbage": str(root / "garbage.json"),
+    }
+
+
+def test_cli_exits_with_documented_codes(tmp_path_factory):
+    files = _files(tmp_path_factory)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(command_lines())
+    def check(argv):
+        for name, path in files.items():
+            argv = [arg.replace("@" + name, path) for arg in argv]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in DOCUMENTED_CODES, argv
+
+    check()
