@@ -15,6 +15,7 @@ failed or produced an object that failed its own check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -335,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="fall back to exhaustive search for uncovered families")
     _add_search_flags(p)
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("label", help="emit a certified S-magic labeling")
     p.add_argument("spec")
@@ -345,40 +345,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-only", metavar="LABELFILE",
                    help="verify a labeling file instead of constructing one")
     _add_search_flags(p)
-    p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("verify", help="verify a labeling file against a graph spec")
     p.add_argument("spec")
     p.add_argument("labeling")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("qmr", help="construct a quasimagic rectangle")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_qmr)
 
     p = sub.add_parser("kotzig", help="construct a Kotzig array")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_kotzig)
 
     p = sub.add_parser("oracle", help="exhaustive index search on a small graph")
     p.add_argument("spec")
     _add_search_flags(p)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("tables", help="print the distance-magicness decision tables")
-    p.set_defaults(func=cmd_tables)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a rebinding of a ``cmd_*`` name takes effect
+    handler = {
+        "index": cmd_index,
+        "label": cmd_label,
+        "verify": cmd_verify,
+        "qmr": cmd_qmr,
+        "kotzig": cmd_kotzig,
+        "oracle": cmd_oracle,
+        "tables": cmd_tables,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (GraphSpecError, SizeLimitError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

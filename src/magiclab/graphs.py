@@ -1,8 +1,19 @@
 """Graph families and the textual graph-spec language.
 
-Vertices are dense integers ``0..n-1``.  Partite sets, blow-up layers and
-disjoint-union copies are kept as side metadata so the adjacency structure
-stays generic for the verifier and the oracle.
+Vertices are dense integers ``0..n-1``.  A graph is stored as *blocks*:
+consecutive vertex-id ranges that tile ``0..n-1``, each an independent set
+whose vertices share one neighbourhood, plus the list of neighbouring
+blocks of each block.  Every family of the spec language is built in
+O(#blocks + block edges), never per vertex pair:
+
+* ``K(n1..nr)`` has one block per part, each adjacent to every other block;
+* ``C(b)`` and ``FILE(...)`` have one singleton block per vertex, so their
+  block adjacency is the explicit adjacency list;
+* ``U(m, G)`` is ``m`` offset copies of the blocks of ``G``;
+* ``LEX(G, E(a))`` turns block ``[s, e)`` of ``G`` into ``[s*a, e*a)``.
+
+Partite sets and blow-up layers are kept as side metadata for the family
+constructors.
 
 The closed spec grammar::
 
@@ -15,7 +26,11 @@ The closed spec grammar::
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import GraphSpecError, SizeLimitError
@@ -48,46 +63,98 @@ class PartiteSpec:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph with optional structural metadata.
+    """Immutable simple graph stored as blocks of vertices with one shared
+    neighbourhood.
 
-    ``parts``/``layers``/``copies`` list the vertex ids of each partite set,
-    blow-up layer, or disjoint-union copy when the graph was built by the
-    corresponding constructor.
+    ``blocks[i] = (start, end)`` is the id range ``[start, end)``; the
+    blocks tile ``0..n-1`` in order.  ``adjacent[i]`` lists the indices of
+    the blocks every vertex of block ``i`` is adjacent to.  ``parts`` and
+    ``layers`` list the vertex ids of each partite set or blow-up layer
+    when the graph was built by the corresponding constructor.
     """
 
-    neighbors: tuple[frozenset[int], ...]
-    parts: tuple[tuple[int, ...], ...] | None = None
-    layers: tuple[tuple[int, ...], ...] | None = None
-    copies: tuple[tuple[int, ...], ...] | None = None
+    blocks: tuple[tuple[int, int], ...]
+    adjacent: tuple[tuple[int, ...], ...]
+    parts: tuple[range, ...] | None = None
+    layers: tuple[range, ...] | None = None
 
     def __post_init__(self):
-        for u, nbrs in enumerate(self.neighbors):
-            if u in nbrs:
-                raise ValueError(f"self-loop at vertex {u}")
-            for v in nbrs:
-                if not 0 <= v < len(self.neighbors):
-                    raise ValueError(f"neighbor {v} of {u} out of range")
-                if u not in self.neighbors[v]:
-                    raise ValueError(f"adjacency not symmetric at ({u},{v})")
+        expected = 0
+        for start, end in self.blocks:
+            if start != expected or end <= start:
+                raise ValueError(f"blocks must tile 0..n-1, got block [{start}, {end})")
+            expected = end
+        if len(self.adjacent) != len(self.blocks):
+            raise ValueError(
+                f"{len(self.adjacent)} adjacency lists for {len(self.blocks)} blocks"
+            )
+        k = len(self.blocks)
+        sets = [frozenset(adj) for adj in self.adjacent]
+        for i, adj in enumerate(self.adjacent):
+            if len(sets[i]) != len(adj):
+                raise ValueError(f"block {i} lists a neighbouring block twice")
+            if i in sets[i]:
+                raise ValueError(f"block {i} is adjacent to itself (a self-loop)")
+            for j in adj:
+                if not 0 <= j < k:
+                    raise ValueError(f"neighbouring block {j} of block {i} out of range")
+                if i not in sets[j]:
+                    raise ValueError(f"adjacency not symmetric between blocks {i} and {j}")
+
+    @classmethod
+    def from_neighbors(cls, neighbors) -> "Graph":
+        """Graph with one singleton block per vertex, from per-vertex
+        neighbour collections: an explicit adjacency list."""
+        return cls(
+            blocks=tuple((v, v + 1) for v in range(len(neighbors))),
+            adjacent=tuple(tuple(sorted(nbrs)) for nbrs in neighbors),
+        )
 
     @property
     def vertex_count(self) -> int:
-        return len(self.neighbors)
+        return self.blocks[-1][1] if self.blocks else 0
+
+    @cached_property
+    def _block_degrees(self) -> tuple[int, ...]:
+        """Degree of the vertices of each block."""
+        sizes = [end - start for start, end in self.blocks]
+        return tuple(sum(sizes[j] for j in adj) for adj in self.adjacent)
+
+    def block_of(self, v: int) -> int:
+        """Index of the block holding vertex ``v``."""
+        if not 0 <= v < self.vertex_count:
+            raise IndexError(f"vertex {v} out of range")
+        return bisect_right(self.blocks, v, key=itemgetter(0)) - 1
+
+    @cached_property
+    def neighbors(self) -> tuple[frozenset[int], ...]:
+        """Per-vertex neighbour sets, derived from the blocks.
+
+        This materialises every adjacency entry, O(n^2) on dense graphs, so
+        only desk-scale code (the general oracle) and tests read it.
+        """
+        out = []
+        for (start, end), adj in zip(self.blocks, self.adjacent):
+            nbrs = frozenset(v for j in adj for v in range(*self.blocks[j]))
+            out.extend(repeat(nbrs, end - start))
+        return tuple(out)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.neighbors) // 2
+        return sum(
+            (end - start) * d for (start, end), d in zip(self.blocks, self._block_degrees)
+        ) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return self._block_degrees[self.block_of(v)]
 
     @property
     def min_degree(self) -> int:
-        return min(len(nbrs) for nbrs in self.neighbors)
+        return min(self._block_degrees)
 
     @property
     def max_degree(self) -> int:
-        return max(len(nbrs) for nbrs in self.neighbors)
+        return max(self._block_degrees)
 
     @property
     def is_regular(self) -> bool:
@@ -101,70 +168,60 @@ class Graph:
 
 
 def build_complete_multipartite(spec: PartiteSpec) -> Graph:
-    """Complete multipartite graph; part ``i`` occupies a consecutive id block."""
-    n = spec.n
-    parts = []
+    """Complete multipartite graph; part ``i`` is the consecutive id block ``i``."""
+    blocks = []
     start = 0
     for size in spec.sizes:
-        parts.append(tuple(range(start, start + size)))
+        blocks.append((start, start + size))
         start += size
-    part_of = [0] * n
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
-    all_vertices = frozenset(range(n))
-    neighbors = tuple(
-        all_vertices - frozenset(parts[part_of[v]]) for v in range(n)
+    r = len(blocks)
+    return Graph(
+        blocks=tuple(blocks),
+        adjacent=tuple(tuple(j for j in range(r) if j != i) for i in range(r)),
+        parts=tuple(range(s, e) for s, e in blocks),
     )
-    return Graph(neighbors=neighbors, parts=tuple(parts))
 
 
 def build_cycle(b: int) -> Graph:
     if b < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {b}")
-    neighbors = tuple(
-        frozenset(((v - 1) % b, (v + 1) % b)) for v in range(b)
-    )
-    return Graph(neighbors=neighbors)
+    return Graph.from_neighbors([((v - 1) % b, (v + 1) % b) for v in range(b)])
 
 
 def disjoint_union(m: int, g: Graph) -> Graph:
     """``m`` vertex-disjoint copies of ``g``; copy ``c`` is offset by ``c*|V(g)|``."""
     if m < 1:
         raise ValueError(f"need at least one copy, got {m}")
-    n = g.vertex_count
-    neighbors = []
-    copies = []
-    for c in range(m):
-        off = c * n
-        neighbors.extend(frozenset(v + off for v in nbrs) for nbrs in g.neighbors)
-        copies.append(tuple(range(off, off + n)))
+    n, k = g.vertex_count, len(g.blocks)
+    blocks = tuple((s + c * n, e + c * n) for c in range(m) for s, e in g.blocks)
+    adjacent = tuple(
+        tuple(j + c * k for j in adj) for c in range(m) for adj in g.adjacent
+    )
     layers = None
     if g.layers is not None:
         layers = tuple(
-            tuple(v + c * n for v in layer)
+            range(layer.start + c * n, layer.stop + c * n)
             for c in range(m)
             for layer in g.layers
         )
-    return Graph(neighbors=tuple(neighbors), copies=tuple(copies), layers=layers)
+    return Graph(blocks=blocks, adjacent=adjacent, layers=layers)
 
 
 def lex_blowup(g: Graph, a: int) -> Graph:
     """Blow-up of ``g`` by an empty graph on ``a`` vertices.
 
     Vertex ``u`` of ``g`` becomes the independent layer ``{u*a, .., u*a+a-1}``;
-    two vertices are adjacent iff their layers' originals were.
+    two vertices are adjacent iff their layers' originals were.  Twins stay
+    twins, so block ``[s, e)`` of ``g`` becomes block ``[s*a, e*a)`` with the
+    same neighbouring blocks.
     """
     if a < 1:
         raise ValueError(f"layer size must be >= 1, got {a}")
-    neighbors = []
-    for u in range(g.vertex_count):
-        nbr_ids = frozenset(
-            w * a + i for w in g.neighbors[u] for i in range(a)
-        )
-        neighbors.extend(nbr_ids for _ in range(a))
-    layers = tuple(tuple(range(u * a, (u + 1) * a)) for u in range(g.vertex_count))
-    return Graph(neighbors=tuple(neighbors), layers=layers)
+    return Graph(
+        blocks=tuple((s * a, e * a) for s, e in g.blocks),
+        adjacent=g.adjacent,
+        layers=tuple(range(u * a, (u + 1) * a) for u in range(g.vertex_count)),
+    )
 
 
 def read_adjacency_file(path: str | Path) -> Graph:
@@ -201,7 +258,7 @@ def read_adjacency_file(path: str | Path) -> Graph:
     if set(adj) != set(range(n)):
         raise GraphSpecError(f"vertex ids must be exactly 0..{n - 1}", position=str(path))
     try:
-        return Graph(neighbors=tuple(frozenset(adj[v]) for v in range(n)))
+        return Graph.from_neighbors([adj[v] for v in range(n)])
     except ValueError as exc:
         raise GraphSpecError(str(exc), position=str(path)) from None
 

@@ -9,8 +9,10 @@ the exact index.
 
 All pruning is by necessary conditions only (divisibility of the total,
 per-part sum bounds from the smallest/largest remaining labels, partial
-weight bounds), so a pruned branch never hides a solution.  Searches carry a
-wall-clock budget and report exhaustion rather than guessing.
+weight bounds, and for general graphs no two adjacent vertices with equal
+closed neighbourhoods), so a pruned branch never hides a solution.
+Searches carry a wall-clock budget and report exhaustion rather than
+guessing.
 """
 
 from __future__ import annotations
@@ -365,6 +367,21 @@ def _general_worker(args):
     return ("done", out)
 
 
+def _has_adjacent_closed_twins(g: Graph) -> bool:
+    """True when two adjacent vertices have equal closed neighbourhoods.
+
+    Their weights then differ by the difference of their own labels, which
+    is never 0, so the graph has no S-magic labeling at any excess.
+    """
+    nbrs = g.neighbors
+    return any(
+        nbrs[u] | {u} == nbrs[v] | {v}
+        for u in range(g.vertex_count)
+        for v in nbrs[u]
+        if u < v
+    )
+
+
 def _label_sets(n, e):
     if e == 0:
         yield tuple(range(1, n + 1))
@@ -387,6 +404,11 @@ def oracle_theta_general(
         raise DomainError(f"general oracle capped at n={MAX_GENERAL_N}, got {n}")
     if max_excess > MAX_EXCESS:
         raise DomainError(f"max_excess capped at {MAX_EXCESS}, got {max_excess}")
+    exhausted = ThetaResult(
+        lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
+    )
+    if _has_adjacent_closed_twins(g):
+        return exhausted  # what the full scan proves, without scanning
     budget = default_budget_seconds() if budget_seconds is None else budget_seconds
     deadline = time.monotonic() + budget
     regular_degree = g.max_degree if g.is_regular else None
@@ -426,6 +448,4 @@ def oracle_theta_general(
             raise BudgetExceededError(
                 f"general oracle out of budget at excess {e}", lower=e
             )
-    return ThetaResult(
-        lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
-    )
+    return exhausted

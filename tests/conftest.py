@@ -37,7 +37,7 @@ def petersen() -> Graph:
         0: (1, 4, 5), 1: (0, 2, 6), 2: (1, 3, 7), 3: (2, 4, 8), 4: (0, 3, 9),
         5: (0, 7, 8), 6: (1, 8, 9), 7: (2, 5, 9), 8: (3, 5, 6), 9: (4, 6, 7),
     }
-    return Graph(neighbors=tuple(frozenset(adj[v]) for v in range(10)))
+    return Graph.from_neighbors(tuple(frozenset(adj[v]) for v in range(10)))
 
 
 def circulant(b: int, jumps) -> Graph:
@@ -46,7 +46,7 @@ def circulant(b: int, jumps) -> Graph:
         frozenset(((v + j) % b for j in jumps)) | frozenset(((v - j) % b for j in jumps))
         for v in range(b)
     )
-    return Graph(neighbors=neighbors)
+    return Graph.from_neighbors(neighbors)
 
 
 def condition_values(cond, pool):

@@ -1,10 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import magiclab
 from magiclab import arrays, cli
 from magiclab.cli import main
 from magiclab.errors import ConstructionError, InternalInconsistencyError
@@ -223,3 +228,43 @@ def test_construction_failures_exit_7(monkeypatch, error):
         argv = ("label", "K(5,6,7)")
     code, out, err = run_cli(*argv)
     assert code == 7 and out == "" and err.startswith("error:")
+
+
+# The child reports its own peak RSS, so other children of the test process
+# (oracle worker pools) do not count.
+_RSS_CHILD = """
+import resource, sys
+from magiclab.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _run_child(*argv):
+    """(exit code, stdout, peak RSS in MB) of the CLI in a fresh process."""
+    src = Path(magiclab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, int(proc.stderr.split()[-1]) / 1024
+
+
+@pytest.mark.parametrize("spec, groups", [
+    ("K(50000,50000)", [(0, 50000), (50000, 100000)]),
+    ("LEX(C(10),E(9999))", [(u * 9999, (u + 1) * 9999) for u in range(10)]),
+])
+def test_cap_scale_label_and_verify_in_bounded_memory(tmp_path, spec, groups):
+    code, out, rss_mb = _run_child("label", spec)
+    assert code == 0 and rss_mb < 200, (code, rss_mb)
+    labels = json.loads(out)["labels"]
+    # equal sums per part (per layer for the blow-up) make the labeling magic
+    sums = {sum(labels[str(v)] for v in range(s, e)) for s, e in groups}
+    assert len(labels) == groups[-1][1] and len(sums) == 1
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(out)
+    code, out, rss_mb = _run_child("verify", spec, str(labfile))
+    assert code == 0 and json.loads(out)["is_magic"] and rss_mb < 200, (code, rss_mb)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from magiclab import (
     GraphSpecError,
+    Labeling,
     PartiteSpec,
     SizeLimitError,
     build_complete_multipartite,
@@ -10,6 +13,8 @@ from magiclab import (
     lex_blowup,
     parse_graph_spec,
     read_adjacency_file,
+    verify_s_magic,
+    weight,
 )
 from magiclab.graphs import parse_spec_ast, KNode, UNode, LexNode, CNode
 
@@ -64,7 +69,6 @@ def test_disjoint_union():
     assert g.vertex_count == 12
     assert g.edge_count == 18
     assert g.is_regular and g.max_degree == 3
-    assert g.copies == (tuple(range(6)), tuple(range(6, 12)))
     three = disjoint_union(3, build_cycle(4))
     assert three.vertex_count == 12 and three.edge_count == 12
     assert disjoint_union(1, k33).edge_count == k33.edge_count
@@ -153,3 +157,120 @@ def test_adjacency_file_rejects_asymmetry(tmp_path):
     path.write_text("0: 1\n3: 1\n1: 0 3\n")
     with pytest.raises(GraphSpecError):
         read_adjacency_file(path)
+
+
+# ---------------------------------------------------------------------------
+# Block structure against the definitions
+
+MAX_PROPERTY_VERTICES = 60
+
+
+def _order(node):
+    kind = node[0]
+    if kind == "K":
+        return sum(node[1])
+    if kind == "C":
+        return node[1]
+    if kind == "U":
+        return node[1] * _order(node[2])
+    if kind == "LEX":
+        return node[2] * _order(node[1])
+    return node[1]  # FILE: (kind, n, edges)
+
+
+def _adjacent(node, u, v):
+    """Adjacency of u and v straight from the family definitions."""
+    kind = node[0]
+    if kind == "K":
+        bounds, start = [], 0
+        for size in sorted(node[1]):
+            start += size
+            bounds.append(start)
+        part = lambda x: next(i for i, end in enumerate(bounds) if x < end)  # noqa: E731
+        return part(u) != part(v)
+    if kind == "C":
+        return (u - v) % node[1] in (1, node[1] - 1)
+    if kind == "U":
+        n = _order(node[2])
+        return u // n == v // n and _adjacent(node[2], u % n, v % n)
+    if kind == "LEX":
+        a = node[2]
+        return _adjacent(node[1], u // a, v // a)
+    return (min(u, v), max(u, v)) in node[2]
+
+
+def _render(node, files):
+    kind = node[0]
+    if kind == "K":
+        return "K(" + ",".join(map(str, node[1])) + ")"
+    if kind == "C":
+        return f"C({node[1]})"
+    if kind == "U":
+        return f"U({node[1]},{_render(node[2], files)})"
+    if kind == "LEX":
+        return f"LEX({_render(node[1], files)},E({node[2]}))"
+    n, edges = node[1], node[2]
+    lines = [
+        f"{u}: " + " ".join(str(v) for v in range(n) if (min(u, v), max(u, v)) in edges)
+        for u in range(n)
+    ]
+    path = files / f"g{len(list(files.iterdir()))}.adj"
+    path.write_text("\n".join(lines) + "\n")
+    return f"FILE({path})"
+
+
+@st.composite
+def _file_graphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ("FILE", n, frozenset(chosen))
+
+
+_SPEC_TREES = st.recursive(
+    st.one_of(
+        st.lists(st.integers(1, 6), min_size=1, max_size=4).map(lambda s: ("K", tuple(s))),
+        st.integers(3, 9).map(lambda b: ("C", b)),
+        _file_graphs(),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.just("U"), st.integers(1, 3), inner),
+        st.tuples(st.just("LEX"), inner, st.integers(1, 3)),
+    ),
+    max_leaves=3,
+).filter(lambda node: _order(node) <= MAX_PROPERTY_VERTICES)
+
+
+@st.composite
+def _graph_and_labels(draw):
+    node = draw(_SPEC_TREES)
+    n = _order(node)
+    labels = draw(st.lists(st.integers(1, 4 * n), min_size=n, max_size=n, unique=True))
+    return node, labels
+
+
+def test_block_weights_agree_with_explicit_adjacency(tmp_path_factory):
+    files = tmp_path_factory.mktemp("blocks")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(_graph_and_labels())
+    def check(case):
+        node, labels = case
+        g = parse_graph_spec(_render(node, files))
+        n = g.vertex_count
+        assert n == len(labels)
+        expected = [
+            frozenset(v for v in range(n) if v != u and _adjacent(node, u, v))
+            for u in range(n)
+        ]
+        assert g.neighbors == tuple(expected)
+        assert [g.degree(u) for u in range(n)] == [len(nbrs) for nbrs in expected]
+        assert g.edge_count * 2 == sum(len(nbrs) for nbrs in expected)
+        lab = Labeling(tuple(labels))
+        report = verify_s_magic(g, lab)
+        for u in range(n):
+            assert report.weights[u] == sum(lab[v] for v in expected[u]), (node, u)
+            assert weight(g, lab, u) == report.weights[u]
+
+    check()

@@ -83,6 +83,23 @@ def test_general_oracle_regression_fixtures():
     assert oracle_theta_general(parse_graph_spec("LEX(C(3),E(2))"), 3).theta == 0
 
 
+def test_adjacent_closed_twin_prune(monkeypatch):
+    from magiclab import oracle
+
+    twins = ["K(1,1)", "K(1,1,1)", "K(1,1,2)", "K(1,1,3)", "K(1,1,4)", "U(2,K(1,1))", "C(3)"]
+    twin_free = ["C(4)", "C(5)", "C(6)", "K(2,2)", "K(1,2)", "K(1,2,3)", "LEX(C(3),E(2))"]
+    for text in twins:
+        assert oracle._has_adjacent_closed_twins(parse_graph_spec(text)), text
+    for text in twin_free:
+        assert not oracle._has_adjacent_closed_twins(parse_graph_spec(text)), text
+    specs = ["C(4)", "C(5)", "C(6)", "K(1,1)", "K(1,1,1)", "K(1,1,2)", "K(1,1,3)", "K(1,1,4)"]
+    pruned = [oracle_theta_general(parse_graph_spec(t), 3) for t in specs]
+    monkeypatch.setattr(oracle, "_has_adjacent_closed_twins", lambda g: False)
+    full = [oracle_theta_general(parse_graph_spec(t), 3) for t in specs]
+    assert pruned == full
+    assert [r.case_tag for r in full[3:]] == ["oracle-exhausted"] * 5
+
+
 def test_two_oracles_agree_on_multipartite():
     # every partite shape up to 8 vertices; the larger order gets a smaller
     # excess cap to keep the general oracle's infeasibility proofs quick
