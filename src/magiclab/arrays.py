@@ -11,30 +11,93 @@ constant column sums ``sigma = a(ab+2)/2``; here always ``d = ab/2 + 1``.
 For odd ``a >= 3`` and even ``b`` it exists except when ``b = 2`` and
 ``a = 1 (mod 4)``.
 
-Construction works in the hole-centred coordinates ``entry - d``, where the
-problem becomes: arrange ``+-1..+-ab/2`` so all rows and columns sum to zero.
-Entries pair off as ``{x, ab+2-x}``; each column takes ``(a-3)/2`` such pairs
-plus one zero-sum triple built from the middle magnitudes.  Signs of the
-pair rows balance via an exact subset-sum split, and the triple rows by a
-small arrangement search.  Every array is certified by its verifier before
-being returned; the searches are deterministic.
+Both are explicit constructions.  A QMR is built in the hole-centred
+coordinates ``entry - d``: with ``b = 2m``, place ``+-1..+-am`` so that
+every row and column sums to zero.  For ``b = 2`` the rows are ``(x, -x)``
+with the column signed greedily.  Otherwise three rows form a block of m
+column pairs, and the other ``a - 3`` rows are ``c = (a - 3)/2`` bands,
+each a row and its negation.  ``verify_qmr`` checks every array before it
+is returned.
+
+*Column pair.*  For ``d`` in a set ``D``, the columns
+``A_d = (-d, -alpha_d, alpha_d + d)`` and
+``B_d = (d, K - d - alpha_d, alpha_d - K)`` sum to zero.  Suppose the
+pairs ``{alpha_d, K - alpha_d}`` partition a set ``H`` disjoint from
+``D``, and so do the pairs ``{alpha_d + d, K - alpha_d - d}``.  Then the
+entries are ``+-(D u H)``, each once: ``-d, d``, then ``-H``, then ``+H``.
+
+*Rows.*  Row 0 holds ``-d`` and ``d``.  In rows 1 and 2, ``A_d`` beside
+``B_d`` with rows 1, 2 swapped adds ``(-K, K)``; ``A_d`` swapped beside
+``B_d`` adds ``(K, -K)``.  Alternating the two cancels an even number of
+pairs.  For odd ``|D|``, the three smallest ``d1 < d2 < d3`` go first as
+six columns: ``A_d1``; ``A_d2`` rotated up one row; ``A_d3`` rotated up
+two rows; ``B_d1`` with rows 1, 2 swapped; ``B_d2`` with rows 0, 2
+swapped; ``B_d3`` with rows 0, 1 swapped.  Every row then cancels for any
+alpha and K; row 0, for one, is
+``-d1 - alpha2 + (alpha3 + d3) + d1 + (alpha2 - K) + (K - d3 - alpha3)``.
+
+*The alpha tables.*  The bands below need an even total.  The magnitudes
+``3m+1..am`` sum to ``c m ((a + 3)m + 1)``, which is odd exactly when
+``m`` is odd and ``a = 1 (mod 4)``.  Then the block *trades*: it takes
+``3m + 1`` and leaves out a spare magnitude ``s`` (last column).
+
+=================  =====  ===========================================  ================
+case               K      alpha_d                                      D u H
+no trade           4m+1   m + d; D = 1..m                              1..3m
+trade, m = 4t+1    4m+3   m + 1 + d; D = 1..m+1 but 2t+1; except       1..3m+1 but 2t+1
+                          alpha_t = m+5t+3, alpha_3t+1 = m+t+1,
+                          alpha_m+1 = m+2t+2
+trade, m = 4t+3    4m+2   3m+2-2d if d > h = (m+1)/2, else 3m+1-2d;    1..3m+1 but 2m+1
+                          D = 1..m; except alpha_h/2 = m+1,
+                          alpha_h = 3m+1-h
+=================  =====  ===========================================  ================
+
+Proof for the first two tables.  ``H = [h0+1, h0+2m]`` with
+``K = 2 h0 + 2m + 1``, so ``{y, K - y}`` is ``h0 + {x, 2m + 1 - x}`` for
+``y = h0 + x``.  With ``fold(x) = min(x, 2m + 1 - x)`` and
+``alpha_d = h0 + x_d``, the condition is that ``fold(x_d)`` and
+``fold(x_d + d)`` each run over ``1..m``.  No trade (``h0 = m``,
+``x_d = d``): ``d`` folds to itself, and ``2d`` to the evens up to ``m``
+and the odds ``2m + 1 - 2d`` above.  ``m = 4t+1`` (``h0 = m + 1``,
+``x_d = d`` but ``x_t = 5t+2``, ``x_3t+1 = t``, ``x_m+1 = 2t+1``): the
+plain ``d`` fold to ``1..m`` but ``t, 2t+1, 3t+1``, which the exceptions
+fill.  Their ``2d`` fold to the evens up to ``4t`` but ``2t`` and the odds
+up to ``4t - 1`` but ``2t + 1``; the exceptions' ``6t+2, 4t+1, 6t+3``
+fold to ``2t+1, 4t+1, 2t``.
+
+Proof for the third table.  Here ``min(y, K - y)`` must run over ``m+1..2m``
+for ``y = alpha_d`` and for ``y = alpha_d + d``.  For ``alpha_d``: the
+plain ``d > h`` give the odds ``m+2..2m-1``; the plain ``d < h`` give
+``m + 1 + 2d``, the evens ``m+3..2m`` but ``m + 1 + h`` (at ``d = h/2``);
+the exceptions give ``m + 1`` and ``m + 1 + h``.  For ``alpha_d + d``:
+the plain ``d > h`` give ``m + d``, that is ``m+h+1..2m``; the plain
+``d < h`` give ``m + 1 + d``, that is ``m+2..m+h`` but ``m + 1 + h/2``;
+the exceptions give ``m + 1 + h/2`` and ``m + 1``.
+
+*Bands.*  ``_deal_bands`` cuts the outer magnitudes (``3m+1..am``, or
+``s`` and ``3m+2..am``) into c bands of b consecutive values.  A run of
+2m consecutive values has the parity of m.  So for even m every band is
+even.  For odd m there are an even number of odd bands: c is even without
+a trade; with one, the first band ``{s} u 3m+2..5m`` is even (``s`` is
+odd) and ``c - 1`` is even.  An odd band swaps its top value with the next
+band's bottom value, which makes both even.  Each band then is a run
+``R = r..r+2m-2`` plus one value ``e`` with
+``r - (m-1)^2 <= e <= r + m^2 - 1``.  The m-subset sums of R fill the
+interval between its least and largest m-sums, and these bounds on ``e``
+put half the band total inside it.  So an equal split into halves of m
+exists, and the exact ``bipartite.split_equal_sums`` finds it.  The band
+row signs the halves + and -, followed by its negation.  Halves of equal
+size stay equal when every value shifts by the same amount, so bands with
+the same offsets from their least value share one split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from random import Random
 
-from .errors import (
-    ConstructionError,
-    DomainError,
-    InternalInconsistencyError,
-    SizeLimitError,
-)
-
-_ARRANGE_NODE_CAP = 400_000
-_GLOBAL_NODE_CAP = 4_000_000
+from .bipartite import split_equal_sums
+from .errors import DomainError, InternalInconsistencyError, SizeLimitError
 
 
 @dataclass(frozen=True)
@@ -149,159 +212,58 @@ def kotzig_array(a: int, b: int) -> MagicArray | None:
 
 
 # ---------------------------------------------------------------------------
-# Zero-sum machinery (hole-centred QMR coordinates)
+# QMR construction (hole-centred coordinates; the proofs are in the module
+# docstring)
 
 
-def _zero_sum_triple_partition(magnitudes, attempts: int = 40) -> list[tuple[int, int, int]] | None:
-    """Partition {+-x : x in magnitudes} into zero-sum triples.
-
-    Depth-first search on the largest remaining magnitude; stuck runs are
-    retried with the partner order reshuffled by a fixed seed sequence, so
-    the output is deterministic.
-    """
-    magnitudes = list(magnitudes)
-    if (2 * len(magnitudes)) % 3:
-        raise ValueError(f"need 2*{len(magnitudes)} divisible by 3")
-    for attempt in range(attempts):
-        rng = Random(attempt) if attempt else None
-        result = _triple_partition_once(magnitudes, rng, node_cap=30_000)
-        if result is not None:
-            return result
-    return None
+def _block_table(m: int, trade: bool) -> tuple[int, dict[int, int], int | None]:
+    """``(K, {d: alpha_d}, spare)`` of the 3-row block, ``d`` increasing."""
+    if not trade:
+        return 4 * m + 1, {d: m + d for d in range(1, m + 1)}, None
+    if m % 4 == 1:
+        t = m // 4
+        alpha = {d: m + 1 + d for d in range(1, m + 2) if d != 2 * t + 1}
+        alpha.update({t: m + 5 * t + 3, 3 * t + 1: m + t + 1, m + 1: m + 2 * t + 2})
+        return 4 * m + 3, alpha, 2 * t + 1
+    h = (m + 1) // 2
+    alpha = {d: 3 * m + 2 - 2 * d if d > h else 3 * m + 1 - 2 * d for d in range(1, m + 1)}
+    alpha.update({h // 2: m + 1, h: 3 * m + 1 - h})
+    return 4 * m + 2, alpha, 2 * m + 1
 
 
-def _triple_partition_once(magnitudes, rng, node_cap):
-    remaining = set(magnitudes) | {-x for x in magnitudes}
-    triples: list[tuple[int, int, int]] = []
-    nodes = 0
-
-    def rec() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            return False
-        if not remaining:
-            return True
-        z = max(remaining, key=lambda v: (abs(v), v))
-        remaining.discard(z)
-        # partners x < y with x + y = -z
-        candidates = sorted(v for v in remaining if 2 * v < -z)
-        if rng is not None:
-            rng.shuffle(candidates)
-        for x in candidates:
-            y = -z - x
-            if y in remaining and y != x:
-                remaining.discard(x)
-                remaining.discard(y)
-                triples.append((z, x, y))
-                if rec():
-                    return True
-                triples.pop()
-                remaining.add(x)
-                remaining.add(y)
-        remaining.add(z)
-        return False
-
-    if rec():
-        return triples
-    return None
-
-
-def _arrange_zero_rows(cols: list[list[int]], node_cap: int = _ARRANGE_NODE_CAP) -> list[list[int]] | None:
-    """Order each column's entries so every row sums to zero.
-
-    Columns all sum to zero already; the search permutes entries within
-    columns, branching on the most balanced partial row sums first.  Columns
-    are processed heaviest first, and the first column is pinned to one
-    canonical order (rows start interchangeable, so this loses nothing).
-    """
-    height = len(cols[0])
-    order = sorted(range(len(cols)), key=lambda j: (-max(abs(v) for v in cols[j]), j))
-    cols = [cols[j] for j in order]
-    width = len(cols)
-    suffix_max = [0] * (width + 1)
-    for j in range(width - 1, -1, -1):
-        suffix_max[j] = suffix_max[j + 1] + max(abs(v) for v in cols[j])
-    grid: list[list[int] | None] = [None] * width
-    partial = [0] * height
-    nodes = 0
-
-    def rec(j: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            return False
-        if j == width:
-            return all(p == 0 for p in partial)
-        if any(abs(p) > suffix_max[j] for p in partial):
-            return False
-        if j == 0:
-            choices = [tuple(sorted(cols[0]))]
+def _three_row_block(k_const: int, alpha: dict[int, int]) -> list[list[int]]:
+    """The three zero-sum rows of the column pairs of one ``_block_table``."""
+    pairs = [
+        ((-d, -x, x + d), (d, k_const - d - x, x - k_const)) for d, x in alpha.items()
+    ]
+    cols = []
+    if len(pairs) % 2:
+        (a1, b1), (a2, b2), (a3, b3) = pairs[:3]
+        cols += [
+            a1, (a2[1], a2[2], a2[0]), (a3[2], a3[0], a3[1]),
+            (b1[0], b1[2], b1[1]), (b2[2], b2[1], b2[0]), (b3[1], b3[0], b3[2]),
+        ]
+        pairs = pairs[3:]
+    for k, (col_a, col_b) in enumerate(pairs):
+        if k % 2:
+            cols += [(col_a[0], col_a[2], col_a[1]), col_b]
         else:
-            scored = []
-            for perm in set(permutations(cols[j])):
-                score = sum((p + v) * (p + v) for p, v in zip(partial, perm))
-                scored.append((score, perm))
-            choices = [perm for _, perm in sorted(scored)]
-        for perm in choices:
-            grid[j] = list(perm)
-            for i in range(height):
-                partial[i] += perm[i]
-            if rec(j + 1):
-                return True
-            for i in range(height):
-                partial[i] -= perm[i]
-            grid[j] = None
-        return False
-
-    if not rec(0):
-        return None
-    undo = [0] * width
-    for slot, j in enumerate(order):
-        undo[j] = slot
-    return [[grid[undo[j]][i] for j in range(width)] for i in range(height)]
+            cols += [col_a, (col_b[0], col_b[2], col_b[1])]
+    return [list(row) for row in zip(*cols)]
 
 
-def _signed_zero_split(values: list[int]) -> set[int] | None:
-    """Subset of ``values`` summing to half the total (exact bitmask DP)."""
-    total = sum(values)
-    if total % 2:
-        return None
-    target = total // 2
-    masks = [1]
-    for v in values:
-        masks.append(masks[-1] | (masks[-1] << v))
-    if not (masks[-1] >> target) & 1:
-        return None
-    chosen = set()
-    t = target
-    for i in range(len(values) - 1, -1, -1):
-        v = values[i]
-        if t >= v and (masks[i] >> (t - v)) & 1:
-            chosen.add(values[i])
-            t -= v
-    return chosen
+def _deal_bands(outer: list[int], b: int) -> list[list[int]]:
+    """Cut the outer magnitudes into consecutive bands of b with even sums.
 
-
-def _deal_bands(outer: list[int], band_count: int, b: int) -> list[list[int]] | None:
-    """Split the detached pair magnitudes into bands of b with even sums.
-
-    Consecutive blocks keep subset sums dense; when adjacent blocks both
-    have odd totals (the b = 2 mod 4 shape) a boundary swap fixes the pair.
+    A band with an odd sum swaps its top value for the next band's bottom
+    value, which moves the odd parity on; the module docstring shows that
+    it always cancels.
     """
-    if band_count == 0:
-        return [] if not outer else None
-    if len(outer) != band_count * b:
-        return None
-    blocks = [outer[i * b:(i + 1) * b] for i in range(band_count)]
-    # an odd block passes its parity right through a boundary swap of two
-    # consecutive values; with an even grand total everything cancels
-    for i in range(band_count - 1):
-        if sum(blocks[i]) % 2:
-            blocks[i][-1], blocks[i + 1][0] = blocks[i + 1][0], blocks[i][-1]
-    if any(sum(block) % 2 for block in blocks):
-        return None
-    return [sorted(block) for block in blocks]
+    bands = [outer[i:i + b] for i in range(0, len(outer), b)]
+    for low, high in zip(bands, bands[1:]):
+        if sum(low) % 2:
+            low[-1], high[0] = high[0], low[-1]
+    return [sorted(band) for band in bands]
 
 
 def _mirror_columns(a: int) -> list[list[int]]:
@@ -317,88 +279,29 @@ def _mirror_columns(a: int) -> list[list[int]]:
     return [[v, -v] for v in col]
 
 
-def _qmr_shifted_banded(a: int, b: int) -> list[list[int]] | None:
-    k = 3 * b // 2
-    m = a * b // 2
-    tri_set = list(range(1, k + 1))
-    outer = list(range(k + 1, m + 1))
-    if sum(outer) % 2:
-        # trade magnitude k for k+1 so the pair bands can all balance
-        # (happens exactly for a = 1 mod 4, b = 2 mod 4)
-        tri_set = list(range(1, k)) + [k + 1]
-        outer = [k] + list(range(k + 2, m + 1))
-    triples = _zero_sum_triple_partition(tri_set)
-    if triples is None:
-        return None
-    bands = _deal_bands(outer, (a - 3) // 2, b)
-    if bands is None:
-        return None
-    block = _arrange_zero_rows([list(t) for t in triples])
-    if block is None:
-        return None
-    rows = list(block)
-    for band in bands:
-        chosen = _signed_zero_split(band)
-        if chosen is None:
-            return None
-        top = [v if v in chosen else -v for v in band]
+def _qmr_shifted_banded(a: int, b: int) -> list[list[int]]:
+    """Hole-centred rows of QMR(a, b) for b >= 4: the 3-row block, then bands."""
+    m = b // 2
+    trade = m % 2 == 1 and a % 4 == 1
+    k_const, alpha, spare = _block_table(m, trade)
+    rows = _three_row_block(k_const, alpha)
+    if trade:
+        outer = [spare, *range(3 * m + 2, a * m + 1)]
+    else:
+        outer = list(range(3 * m + 1, a * m + 1))
+    signs = {}  # band shape -> which entries are positive
+    for band in _deal_bands(outer, b):
+        shape = tuple(v - band[0] for v in band)
+        if shape not in signs:
+            halves = split_equal_sums(band, (m, m))
+            if halves is None:
+                raise InternalInconsistencyError(f"QMR({a},{b}): a band has no equal split")
+            plus = set(halves[0])
+            signs[shape] = [v in plus for v in band]
+        top = [v if positive else -v for v, positive in zip(band, signs[shape])]
         rows.append(top)
         rows.append([-v for v in top])
     return rows
-
-
-def _qmr_shifted_global(a: int, b: int) -> list[list[int]] | None:
-    """Direct search over hole-centred entries; last-resort for small sizes."""
-    m = a * b // 2
-    values = sorted(
-        set(range(1, m + 1)) | set(range(-m, 0)), key=lambda v: (-abs(v), -v)
-    )
-    grid = [[0] * b for _ in range(a)]
-    col_sum = [0] * b
-    row_sum = [0] * a
-    col_fill = [0] * b
-    row_fill = [0] * a
-    used = set()
-    nodes = 0
-    order = [(i, j) for j in range(b) for i in range(a)]
-
-    def rec(pos: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _GLOBAL_NODE_CAP:
-            return False
-        if pos == len(values):
-            return True
-        i, j = order[pos]
-        rest_col = a - col_fill[j] - 1
-        rest_row = b - row_fill[i] - 1
-        for v in values:
-            if v in used:
-                continue
-            if rest_col == 0 and col_sum[j] + v != 0:
-                continue
-            if rest_row == 0 and row_sum[i] + v != 0:
-                continue
-            if abs(col_sum[j] + v) > rest_col * m or abs(row_sum[i] + v) > rest_row * m:
-                continue
-            used.add(v)
-            grid[i][j] = v
-            col_sum[j] += v
-            row_sum[i] += v
-            col_fill[j] += 1
-            row_fill[i] += 1
-            if rec(pos + 1):
-                return True
-            used.discard(v)
-            col_sum[j] -= v
-            row_sum[i] -= v
-            col_fill[j] -= 1
-            row_fill[i] -= 1
-        return False
-
-    if rec(0):
-        return grid
-    return None
 
 
 def qmr(a: int, b: int) -> MagicArray | None:
@@ -411,17 +314,7 @@ def qmr(a: int, b: int) -> MagicArray | None:
         return None  # columns are single distinct entries, never constant
     if b == 2 and a % 4 == 1:
         return None
-    if b == 2:
-        shifted = _mirror_columns(a)
-    else:
-        try:
-            shifted = _qmr_shifted_banded(a, b)
-            if shifted is None:
-                shifted = _qmr_shifted_global(a, b)
-        except RecursionError:
-            raise ConstructionError(f"QMR({a},{b}) search ran past the recursion limit") from None
-    if shifted is None:
-        raise ConstructionError(f"QMR({a},{b}) search exhausted its node budget")
+    shifted = _mirror_columns(a) if b == 2 else _qmr_shifted_banded(a, b)
     d = a * b // 2 + 1
     entries = tuple(tuple(v + d for v in row) for row in shifted)
     arr = MagicArray(rows=a, cols=b, entries=entries, kind="qmr", hole=d)

@@ -137,6 +137,11 @@ def _theta_for_plan(plan) -> ThetaResult:
     raise AssertionError(kind)
 
 
+def _oracle_graph(ast):
+    """Build a graph for the oracles, rejecting a spec over their caps unbuilt."""
+    return build_from_ast(ast, max_vertices=MAX_MULTIPARTITE_N)
+
+
 def _run_oracle(args, graph, max_excess):
     spec = graph.partite_spec
     if spec is not None and spec.n <= MAX_MULTIPARTITE_N:
@@ -163,7 +168,7 @@ def cmd_index(args) -> int:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        result = _run_oracle(args, build_from_ast(ast), args.max_excess)
+        result = _run_oracle(args, _oracle_graph(ast), args.max_excess)
     payload = result.to_payload()
     payload.pop("witness", None)
     _emit(payload)
@@ -189,7 +194,7 @@ def _witness_for_plan(plan, ast, args):
         graph, labeling, _ = families.label_family_via_qmr(kind, **family_params)
         return labeling, graph, result
     if result.theta == 0 and args.certify:
-        graph = build_from_ast(ast)
+        graph = _oracle_graph(ast)
         return _run_oracle(args, graph, 0).witness, graph, result
     return None, None, result
 
@@ -212,7 +217,7 @@ def cmd_label(args) -> int:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        graph = build_from_ast(ast)
+        graph = _oracle_graph(ast)
         result = _run_oracle(args, graph, args.max_excess)
         labeling = result.witness
         if labeling is None:
@@ -303,7 +308,7 @@ def cmd_kotzig(args) -> int:
 
 def cmd_oracle(args) -> int:
     ast = parse_spec_ast(args.spec)
-    result = _run_oracle(args, build_from_ast(ast), args.max_excess)
+    result = _run_oracle(args, _oracle_graph(ast), args.max_excess)
     _emit(result.to_payload())
     return EXIT_OK
 

@@ -1,7 +1,14 @@
+import time
+
 import pytest
 
 from magiclab import DomainError, MagicArray, kotzig_array, qmr, verify_kotzig, verify_qmr
-from magiclab.arrays import kotzig_exists_exhaustive, qmr_exists_exhaustive
+from magiclab.arrays import (
+    _block_table,
+    _three_row_block,
+    kotzig_exists_exhaustive,
+    qmr_exists_exhaustive,
+)
 
 # the published QMR(3,10) instance; the verifier must accept it verbatim
 PRINTED_QMR_3_10 = (
@@ -87,8 +94,8 @@ def test_qmr_domain_errors():
 
 
 def test_qmr_existence_grid():
-    for a in (1, 3, 5):
-        for b in (2, 4, 6, 8):
+    for a in range(1, 1001, 2):
+        for b in range(2, 1000 // a + 1, 2):
             arr = qmr(a, b)
             if a == 1 or (a % 4 == 1 and b == 2):
                 assert arr is None, (a, b)
@@ -116,3 +123,34 @@ def test_qmr_3_2_matches_hand_computation():
 def test_qmr_is_deterministic():
     assert qmr(5, 6).entries == qmr(5, 6).entries
     assert qmr(3, 10).entries == qmr(3, 10).entries
+
+
+def _block_magnitudes(m, trade):
+    """The magnitudes each alpha table promises the 3-row block."""
+    if not trade:
+        return set(range(1, 3 * m + 1))
+    spare = (m + 1) // 2 if m % 4 == 1 else 2 * m + 1
+    return set(range(1, 3 * m + 2)) - {spare}
+
+
+@pytest.mark.parametrize("table", ["no trade", "m = 1 (mod 4)", "m = 3 (mod 4)"])
+def test_three_row_block_tables(table):
+    if table == "no trade":
+        sizes, trade = range(2, 401), False
+    else:
+        sizes, trade = range(5 if table == "m = 1 (mod 4)" else 3, 401, 4), True
+    for m in sizes:
+        rows = _three_row_block(*_block_table(m, trade)[:2])
+        assert len(rows) == 3 and all(len(row) == 2 * m for row in rows), m
+        assert all(sum(row) == 0 for row in rows), m
+        assert all(sum(col) == 0 for col in zip(*rows)), m
+        mags = _block_magnitudes(m, trade)
+        assert sorted(v for row in rows for v in row) == sorted(mags | {-x for x in mags}), m
+
+
+@pytest.mark.parametrize("a, b", [(3, 33332), (5, 20000), (5, 19998), (9, 11106), (12499, 6)])
+def test_qmr_at_the_entry_cap(a, b):
+    start = time.perf_counter()
+    arr = qmr(a, b)
+    check = verify_qmr(arr)
+    assert check.valid and time.perf_counter() - start < 1.0, (check.violation, a, b)

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import magiclab
-from magiclab import arrays, cli
+from magiclab import cli
 from magiclab.cli import main
 from magiclab.errors import ConstructionError, InternalInconsistencyError
 
@@ -178,14 +179,15 @@ def test_cli_outputs_are_deterministic_across_jobs():
 
 
 # sha256 of the ``label`` stdout; bipartite, case II and family witnesses
-# keep their bytes when the splitter changes
+# keep their bytes when the splitter changes.  U(2,K(3,3)) labels its parts
+# with the columns {4,6,11}, {1,8,12}, {3,5,13}, {2,9,10} of QMR(3,4).
 LABEL_GOLDEN_SHA256 = {
     "K(2,2)": "0ebc2109db37189287c9b5683c20faed67f4f6727a3f7195dee310fffd4a6dee",
     "K(4,7)": "80d6749eea6c19c5ebaabe216c635d29d98f0d9ef67d7eb9d11d6565706e01af",
     "K(6,7)": "aa0349f4288623c511e78954c12806bd6d53198d531437b06c7ae262d38127f3",
     "K(20,30)": "4e56cf0f933198e6c3b34fddd8c2f436ac020ac45d7a63f2829e49ebf576f208",
     "K(3,8,9)": "73c1cee10ba18f668a9ba836d8a40cee3c3543998ac7ba7719b1e78db4185441",
-    "U(2,K(3,3))": "5585ff41784a1656a12679a2573905b7ba0139df0c2654ab6c14703a1dd165b5",
+    "U(2,K(3,3))": "656f745977fc3328e523ee9b8c152baf9470c22f47110591689295ab1e345d97",
 }
 
 
@@ -193,6 +195,16 @@ def test_label_stdout_goldens():
     for spec, digest in LABEL_GOLDEN_SHA256.items():
         code, out, _ = run_cli("label", spec)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
+
+
+def test_family_label_keeps_constant_and_eta(tmp_path):
+    code, out, _ = run_cli("label", "U(2,K(3,3))")
+    payload = json.loads(out)
+    assert code == 0 and payload["constant"] == 21 and payload["eta"] == 13
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(out)
+    code, out, _ = run_cli("verify", "U(2,K(3,3))", str(labfile))
+    assert code == 0 and json.loads(out)["is_magic"] and json.loads(out)["constant"] == 21
 
 
 def test_label_tripartite_cases_one_and_four_at_depth():
@@ -215,19 +227,23 @@ def test_unreadable_files_exit_2(tmp_path):
     assert code == 2 and '"labels"' in err
 
 
-@pytest.mark.parametrize("error", [ConstructionError, InternalInconsistencyError, RecursionError])
+@pytest.mark.parametrize("error", [ConstructionError, InternalInconsistencyError])
 def test_construction_failures_exit_7(monkeypatch, error):
     def fail(*args):
         raise error("forced failure")
 
-    if error is RecursionError:
-        monkeypatch.setattr(arrays, "_qmr_shifted_banded", fail)  # qmr maps it
-        argv = ("qmr", "3", "8")
-    else:
-        monkeypatch.setattr(cli, "label_tripartite", fail)
-        argv = ("label", "K(5,6,7)")
-    code, out, err = run_cli(*argv)
+    monkeypatch.setattr(cli, "label_tripartite", fail)
+    code, out, err = run_cli("label", "K(5,6,7)")
     assert code == 7 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("a, b", [(3, 400), (3, 1000), (5, 2000)])
+def test_qmr_with_many_columns_exits_0_with_header(a, b):
+    code, out, _ = run_cli("qmr", str(a), str(b))
+    ab = a * b
+    header = f"# d={ab // 2 + 1} rho={b * (ab + 2) // 2} sigma={a * (ab + 2) // 2}"
+    assert code == 0 and out.splitlines()[0] == header
+    assert len(out.splitlines()) == a + 1
 
 
 # The child reports its own peak RSS, so other children of the test process
@@ -242,12 +258,25 @@ sys.exit(code)
 """
 
 
-def _run_child(*argv):
+# ru_maxrss of a spawned process starts at the spawning process's peak, so a
+# bound below the test process's own size reads the new image's VmHWM instead.
+_HWM_CHILD = """
+import sys
+from magiclab.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _run_child(*argv, script=_RSS_CHILD):
     """(exit code, stdout, peak RSS in MB) of the CLI in a fresh process."""
     src = Path(magiclab.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", _RSS_CHILD, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stdout, int(proc.stderr.split()[-1]) / 1024
@@ -268,3 +297,14 @@ def test_cap_scale_label_and_verify_in_bounded_memory(tmp_path, spec, groups):
     labfile.write_text(out)
     code, out, rss_mb = _run_child("verify", spec, str(labfile))
     assert code == 0 and json.loads(out)["is_magic"] and rss_mb < 200, (code, rss_mb)
+
+
+@pytest.mark.parametrize("command, flags", [("oracle", ()), ("label", ("--certify",))])
+def test_oracle_caps_reject_before_building(command, flags):
+    # 3 000 parts: the r(r-1) block adjacency of a built graph would take
+    # hundreds of MB; the declared vertex count is rejected first
+    spec = "K(" + ",".join(["2"] * 3000) + ")"
+    start = time.perf_counter()
+    code, out, rss_mb = _run_child(command, spec, *flags, script=_HWM_CHILD)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
