@@ -9,7 +9,6 @@ from .arrays import MagicArray, kotzig_array, qmr, verify_kotzig, verify_qmr
 from .bipartite import label_bipartite, split_equal_sums, theta_bipartite
 from .errors import (
     BudgetExceededError,
-    ConstructionError,
     DomainError,
     GraphSpecError,
     InternalInconsistencyError,

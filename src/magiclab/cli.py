@@ -2,14 +2,14 @@
 
 Subcommands: ``index``, ``label``, ``verify``, ``qmr``, ``kotzig``,
 ``oracle``, ``tables``.  All output is machine-readable (JSON with sorted
-keys, or CSV for arrays) and deterministic across runs and worker counts.
+keys, or CSV for arrays) and deterministic across runs.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input, a missing or unreadable file, or a domain error; 3 family
 not covered by a closed form (rerun with ``--oracle``); 4 no constructive
 labeling path; 5 the requested array provably does not exist; 6 an
 exhaustive search exceeded its size cap or time budget; 7 a construction
-failed or produced an object that failed its own check.
+produced an object that failed its own check.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .arrays import kotzig_array, qmr
 from .bipartite import theta_bipartite
 from .errors import (
     BudgetExceededError,
-    ConstructionError,
     DomainError,
     GraphSpecError,
     InternalInconsistencyError,
@@ -38,6 +37,7 @@ from .graphs import (
     KNode,
     LexNode,
     UNode,
+    _ast_vertex_count,
     build_from_ast,
     parse_spec_ast,
 )
@@ -145,15 +145,9 @@ def _oracle_graph(ast):
 def _run_oracle(args, graph, max_excess):
     spec = graph.partite_spec
     if spec is not None and spec.n <= MAX_MULTIPARTITE_N:
-        return oracle_theta_multipartite(
-            spec, max_excess, budget_seconds=args.budget_seconds,
-            jobs=args.jobs, seed=args.seed,
-        )
+        return oracle_theta_multipartite(spec, max_excess, budget_seconds=args.budget_seconds)
     if graph.vertex_count <= MAX_GENERAL_N:
-        return oracle_theta_general(
-            graph, max_excess, budget_seconds=args.budget_seconds,
-            jobs=args.jobs, seed=args.seed,
-        )
+        return oracle_theta_general(graph, max_excess, budget_seconds=args.budget_seconds)
     raise DomainError(
         f"graph too large for the oracle "
         f"(multipartite cap {MAX_MULTIPARTITE_N}, general cap {MAX_GENERAL_N})"
@@ -250,16 +244,22 @@ def _print_certified(graph, labeling) -> int:
 
 def cmd_verify(args, labeling_path=None) -> int:
     path = labeling_path or args.labeling
-    graph = build_from_ast(parse_spec_ast(args.spec))
+    ast = parse_spec_ast(args.spec)
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DomainError(f"cannot read labeling file {path}: {exc.strerror}") from None
     labeling = Labeling.from_json(text)
-    if labeling.n != graph.vertex_count:
-        raise DomainError(
-            f"labeling covers {labeling.n} vertices, graph has {graph.vertex_count}"
-        )
+
+    def check_size(n):
+        if labeling.n != n:
+            raise DomainError(f"labeling covers {labeling.n} vertices, graph has {n}")
+
+    declared = _ast_vertex_count(ast)
+    if declared:  # 0 for a FILE spec, whose size is known only once it is read
+        check_size(declared)
+    graph = build_from_ast(ast)
+    check_size(graph.vertex_count)
     report = verify_s_magic(graph, labeling)
     print(report.to_json())
     return EXIT_OK if report.is_magic else 1
@@ -324,9 +324,8 @@ def _add_search_flags(parser):
     parser.add_argument("--budget-seconds", type=float, default=None,
                         help="search budget (default MAGICLAB_BUDGET_SECONDS or 60)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers; results are identical for any value")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="search iteration order; never affects computed values")
+                        help="accepted and ignored: the oracle runs in one process, "
+                             "since worker processes did not make it faster")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +398,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConstructionError, InternalInconsistencyError) as exc:
+    except InternalInconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except MagiclabError as exc:

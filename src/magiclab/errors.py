@@ -35,14 +35,6 @@ class BudgetExceededError(MagiclabError):
         self.lower = lower
 
 
-class ConstructionError(MagiclabError):
-    """A certified combinatorial object could not be built.
-
-    Raised only after all construction strategies fail; never used to signal
-    proven non-existence (that is a ``None`` return at the API surface).
-    """
-
-
 class InternalInconsistencyError(MagiclabError):
     """A construction produced an object that failed its own verifier.
 

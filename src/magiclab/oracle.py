@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
-from random import Random
+from itertools import accumulate, combinations
 
 from .errors import BudgetExceededError, DomainError
 from .graphs import Graph, PartiteSpec
@@ -180,55 +178,23 @@ def _candidate_targets(sizes, n, e):
     return list(range(lo, hi + 1))
 
 
-def _mp_level_worker(args):
-    sizes, n, e, targets, deadline = args
-    labels_desc = list(range(n + e, 0, -1))
-    asc_prefix = [0]
-    for x in range(1, n + e + 1):
-        asc_prefix.append(asc_prefix[-1] + x)
-    ticker = _Ticker(deadline)
-    out = []
-    for pos, target in targets:
-        try:
-            parts = _pack(
-                labels_desc, asc_prefix, sizes, target,
-                [e], frozenset({n + e}), {}, ticker,
-            )
-        except _OutOfTime:
-            return ("timeout", out)
-        if parts is not None:
-            out.append((pos, parts))
-            break  # targets are scanned in index order, so this is the chunk minimum
-    return ("done", out)
+def _scan_level(sizes, n, e, ticker):
+    """First equal-sum packing of a label set with max exactly n+e, or None.
 
-
-def _scan_level(sizes, n, e, deadline, jobs, rng):
+    Targets are tried in increasing order, so the witness is deterministic.
+    """
     targets = _candidate_targets(sizes, n, e)
-    if rng is not None:
-        rng.shuffle(targets)
-    indexed = list(enumerate(targets))
-    if not indexed:
+    if not targets:  # common for shapes with a singleton part; skip the set-up
         return None
-    if jobs <= 1:
-        status, hits = _mp_level_worker((sizes, n, e, indexed, deadline))
-        if status == "timeout" and not hits:
-            raise _OutOfTime
-        return min(hits)[1] if hits else None
-    chunks = [indexed[i::jobs] for i in range(jobs)]
-    chunks = [c for c in chunks if c]
-    hits = []
-    timed_out = False
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for status, found in pool.map(
-            _mp_level_worker, [(sizes, n, e, c, deadline) for c in chunks]
-        ):
-            if status == "timeout":
-                timed_out = True
-            hits.extend(found)
-    if hits:
-        return min(hits)[1]
-    if timed_out:
-        raise _OutOfTime
+    labels_desc = list(range(n + e, 0, -1))
+    asc_prefix = list(accumulate(range(n + e + 1)))  # asc_prefix[k] = 1 + ... + k
+    for target in targets:
+        parts = _pack(
+            labels_desc, asc_prefix, sizes, target,
+            [e], frozenset({n + e}), {}, ticker,
+        )
+        if parts is not None:
+            return parts
     return None
 
 
@@ -236,8 +202,6 @@ def oracle_theta_multipartite(
     spec: PartiteSpec,
     max_excess: int,
     budget_seconds: float | None = None,
-    jobs: int = 1,
-    seed: int = 0,
     max_n: int = MAX_MULTIPARTITE_N,
 ) -> ThetaResult:
     """Exact index of the complete multipartite graph of ``spec`` by search.
@@ -253,12 +217,11 @@ def oracle_theta_multipartite(
     if max_excess > MAX_EXCESS:
         raise DomainError(f"max_excess capped at {MAX_EXCESS}, got {max_excess}")
     budget = default_budget_seconds() if budget_seconds is None else budget_seconds
-    deadline = time.monotonic() + budget
+    ticker = _Ticker(time.monotonic() + budget)
     sizes = list(spec.sizes)
-    rng = Random(seed) if seed else None
     for e in range(max_excess + 1):
         try:
-            parts = _scan_level(sizes, n, e, deadline, jobs, rng)
+            parts = _scan_level(sizes, n, e, ticker)
         except _OutOfTime:
             raise BudgetExceededError(
                 f"multipartite oracle out of budget at excess {e}", lower=e
@@ -296,75 +259,57 @@ def _bijection_search(g: Graph, labels, ticker):
     unlabeled = [g.degree(v) for v in range(n)]
     pool = sorted(labels, reverse=True)
     used: set[int] = set()
+    nbrs = g.neighbors
+    mu = None  # the common weight, once some vertex has all neighbours labelled
 
-    def remaining_bounds(k):
-        free = [x for x in pool if x not in used]
-        return sum(free[-k:]), sum(free[:k])
-
-    mu_holder = [None]
-
-    def rec(k):
+    def rec(depth):
+        nonlocal mu
         ticker.tick()
-        if k == n:
+        if depth == n:
             return True
-        v = order[k]
+        v = order[depth]
         for label in pool:
             if label in used:
                 continue
             ok = True
-            mu_before = mu_holder[0]
+            mu_before = mu
             touched = []
-            for u in g.neighbors[v]:
+            for u in nbrs[v]:
                 partial[u] += label
                 unlabeled[u] -= 1
                 touched.append(u)
                 if unlabeled[u] == 0:
-                    if mu_holder[0] is None:
-                        mu_holder[0] = partial[u]
-                    elif partial[u] != mu_holder[0]:
+                    if mu is None:
+                        mu = partial[u]
+                    elif partial[u] != mu:
                         ok = False
                         break
-            if ok and mu_holder[0] is not None:
-                used.add(label)
-                mu = mu_holder[0]
+            if ok and mu is not None:
+                # each open weight must still reach mu with its smallest or
+                # largest free labels; top[c] sums the c largest
+                free = [x for x in pool if x != label and x not in used]
+                top = list(accumulate(free, initial=0))
                 for u in range(n):
-                    if unlabeled[u] > 0:
-                        lo, hi = remaining_bounds(unlabeled[u])
-                        if not partial[u] + lo <= mu <= partial[u] + hi:
-                            ok = False
-                            break
-                used.discard(label)
+                    c = unlabeled[u]
+                    if c and not top[-1] - top[-1 - c] <= mu - partial[u] <= top[c]:
+                        ok = False
+                        break
             if ok:
                 used.add(label)
                 assignment[v] = label
-                if rec(k + 1):
+                if rec(depth + 1):
                     return True
                 assignment[v] = None
                 used.discard(label)
             for u in touched:
                 partial[u] -= label
                 unlabeled[u] += 1
-            mu_holder[0] = mu_before
+            mu = mu_before
         return False
 
     if rec(0):
         return list(assignment)
     return None
-
-
-def _general_worker(args):
-    g, subsets, deadline = args
-    ticker = _Ticker(deadline)
-    out = []
-    for pos, labels in subsets:
-        try:
-            found = _bijection_search(g, labels, ticker)
-        except _OutOfTime:
-            return ("timeout", out)
-        if found is not None:
-            out.append((pos, found))
-            break  # subsets are scanned in index order, so this is the chunk minimum
-    return ("done", out)
 
 
 def _has_adjacent_closed_twins(g: Graph) -> bool:
@@ -395,8 +340,6 @@ def oracle_theta_general(
     g: Graph,
     max_excess: int,
     budget_seconds: float | None = None,
-    jobs: int = 1,
-    seed: int = 0,
 ) -> ThetaResult:
     """Exact index of an arbitrary graph by exhaustive bijection search."""
     n = g.vertex_count
@@ -410,42 +353,21 @@ def oracle_theta_general(
     if _has_adjacent_closed_twins(g):
         return exhausted  # what the full scan proves, without scanning
     budget = default_budget_seconds() if budget_seconds is None else budget_seconds
-    deadline = time.monotonic() + budget
-    regular_degree = g.max_degree if g.is_regular else None
-    rng = Random(seed) if seed else None
+    ticker = _Ticker(time.monotonic() + budget)
+    regular_degree = g.max_degree if g.is_regular else 0
     for e in range(max_excess + 1):
-        subsets = list(_label_sets(n, e))
-        if regular_degree is not None and regular_degree > 0:
-            # every weight equals r*sum(S)/n, which must be an integer
-            subsets = [s for s in subsets if (regular_degree * sum(s)) % n == 0]
-        if rng is not None:
-            rng.shuffle(subsets)
-        indexed = list(enumerate(subsets))
-        if not indexed:
-            continue
-        hits = []
-        timed_out = False
-        if jobs <= 1:
-            status, hits = _general_worker((g, indexed, deadline))
-            timed_out = status == "timeout"
-        else:
-            chunks = [indexed[i::jobs] for i in range(jobs)]
-            chunks = [c for c in chunks if c]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                for status, found in pool.map(
-                    _general_worker, [(g, c, deadline) for c in chunks]
-                ):
-                    if status == "timeout":
-                        timed_out = True
-                    hits.extend(found)
-        if hits:
-            assignment = min(hits)[1]
-            return ThetaResult(
-                lower=e, upper=e, case_tag="oracle", provenance="oracle",
-                witness=Labeling(tuple(assignment)),
-            )
-        if timed_out:
-            raise BudgetExceededError(
-                f"general oracle out of budget at excess {e}", lower=e
-            )
+        for labels in _label_sets(n, e):
+            if regular_degree and (regular_degree * sum(labels)) % n:
+                continue  # every weight equals r*sum(S)/n, which must be an integer
+            try:
+                assignment = _bijection_search(g, labels, ticker)
+            except _OutOfTime:
+                raise BudgetExceededError(
+                    f"general oracle out of budget at excess {e}", lower=e
+                ) from None
+            if assignment is not None:
+                return ThetaResult(
+                    lower=e, upper=e, case_tag="oracle", provenance="oracle",
+                    witness=Labeling(tuple(assignment)),
+                )
     return exhausted

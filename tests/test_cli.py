@@ -13,7 +13,7 @@ import pytest
 import magiclab
 from magiclab import cli
 from magiclab.cli import main
-from magiclab.errors import ConstructionError, InternalInconsistencyError
+from magiclab.errors import InternalInconsistencyError
 
 from conftest import petersen
 
@@ -227,7 +227,7 @@ def test_unreadable_files_exit_2(tmp_path):
     assert code == 2 and '"labels"' in err
 
 
-@pytest.mark.parametrize("error", [ConstructionError, InternalInconsistencyError])
+@pytest.mark.parametrize("error", [InternalInconsistencyError])
 def test_construction_failures_exit_7(monkeypatch, error):
     def fail(*args):
         raise error("forced failure")
@@ -246,20 +246,8 @@ def test_qmr_with_many_columns_exits_0_with_header(a, b):
     assert len(out.splitlines()) == a + 1
 
 
-# The child reports its own peak RSS, so other children of the test process
-# (oracle worker pools) do not count.
-_RSS_CHILD = """
-import resource, sys
-from magiclab.cli import main
-code = main(sys.argv[1:])
-sys.stdout.flush()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
-sys.exit(code)
-"""
-
-
-# ru_maxrss of a spawned process starts at the spawning process's peak, so a
-# bound below the test process's own size reads the new image's VmHWM instead.
+# The child reports its own VmHWM: ru_maxrss of a spawned process starts at
+# the spawning process's peak, so it would partly measure the test process.
 _HWM_CHILD = """
 import sys
 from magiclab.cli import main
@@ -271,12 +259,12 @@ sys.exit(code)
 """
 
 
-def _run_child(*argv, script=_RSS_CHILD):
+def _run_child(*argv):
     """(exit code, stdout, peak RSS in MB) of the CLI in a fresh process."""
     src = Path(magiclab.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, "-c", _HWM_CHILD, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stdout, int(proc.stderr.split()[-1]) / 1024
@@ -305,6 +293,18 @@ def test_oracle_caps_reject_before_building(command, flags):
     # hundreds of MB; the declared vertex count is rejected first
     spec = "K(" + ",".join(["2"] * 3000) + ")"
     start = time.perf_counter()
-    code, out, rss_mb = _run_child(command, spec, *flags, script=_HWM_CHILD)
+    code, out, rss_mb = _run_child(command, spec, *flags)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
+
+
+@pytest.mark.parametrize("command, flags", [("verify", ()), ("label", ("--verify-only",))])
+def test_labeling_size_rejected_before_building(tmp_path, command, flags):
+    # 1 500 parts: the size mismatch is caught from the spec, unbuilt
+    spec = "K(" + ",".join(["2"] * 1500) + ")"
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(json.dumps({"labels": {"0": 1}}))
+    start = time.perf_counter()
+    code, out, rss_mb = _run_child(command, spec, *flags, str(labfile))
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)

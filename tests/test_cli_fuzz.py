@@ -55,7 +55,7 @@ SPECS = (_specs() | st.tuples(
     _specs(), st.integers(0, 30), st.sampled_from("(),KE9")
 ).map(lambda t: t[0][: t[1]] + t[2])).filter(_small)
 SEARCH_FLAGS = st.tuples(st.integers(-1, 2), st.integers(0, 3)).map(
-    lambda t: ["--max-excess", str(t[0]), "--seed", str(t[1]), "--budget-seconds", "1"]
+    lambda t: ["--max-excess", str(t[0]), "--jobs", str(t[1]), "--budget-seconds", "1"]
 )
 ARRAY_DIMS = st.tuples(st.integers(0, 200), st.integers(0, 200)).filter(
     lambda t: t[0] * t[1] <= 200

@@ -51,7 +51,7 @@ def test_multipartite_oracle_golden_values():
 
 
 def test_oracle_witnesses_verify():
-    for sizes in [(2, 3), (2, 2, 2), (3, 3, 4), (2, 2, 6)]:
+    for sizes in [(2, 3), (2, 2, 2), (3, 3, 4), (2, 2, 6), (2, 3, 5)]:
         res = oracle_theta_multipartite(PartiteSpec(sizes), 8)
         g = build_complete_multipartite(PartiteSpec(sizes))
         assert verify_s_magic(g, res.witness).is_magic
@@ -133,26 +133,3 @@ def test_budget_env_var_sets_default(monkeypatch):
     assert default_budget_seconds() == 60.0
     monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", "0.25")
     assert default_budget_seconds() == 0.25
-
-
-def test_jobs_do_not_change_results():
-    for jobs in (1, 2, 4):
-        res = oracle_theta_multipartite(PartiteSpec((2, 2, 6)), 4, jobs=jobs)
-        assert res.theta == 2
-        assert res.witness.labels == oracle_theta_multipartite(
-            PartiteSpec((2, 2, 6)), 4, jobs=1
-        ).witness.labels
-    general = [
-        oracle_theta_general(parse_graph_spec("K(3,3)"), 2, jobs=jobs).witness.labels
-        for jobs in (1, 3)
-    ]
-    assert general[0] == general[1]
-
-
-def test_seed_shuffles_order_but_not_theta():
-    base = oracle_theta_multipartite(PartiteSpec((2, 3, 5)), 4, seed=0)
-    for seed in (1, 7):
-        res = oracle_theta_multipartite(PartiteSpec((2, 3, 5)), 4, seed=seed)
-        assert res.theta == base.theta
-        g = build_complete_multipartite(PartiteSpec((2, 3, 5)))
-        assert verify_s_magic(g, res.witness).is_magic
