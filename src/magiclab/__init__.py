@@ -17,7 +17,7 @@ from .errors import (
 )
 from .families import (
     DECISION_TABLES,
-    label_family_via_qmr,
+    label_by_qmr_columns,
     theta_K_ab,
     theta_lex_regular,
     theta_mC_lex,

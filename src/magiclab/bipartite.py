@@ -252,7 +252,7 @@ def label_bipartite(n1: int, n2: int, target_max: int) -> Labeling | None:
 
 
 def theta_bipartite(n1: int, n2: int) -> ThetaResult:
-    """Exact index of K(n1, n2) for ``2 <= n1 <= n2``, with witness."""
+    """Exact index of K(n1, n2) for ``2 <= n1 <= n2``, without a witness."""
     if not 2 <= n1 <= n2:
         raise DomainError(f"formula needs 2 <= n1 <= n2, got ({n1}, {n2})")
     n = n1 + n2
@@ -261,5 +261,4 @@ def theta_bipartite(n1: int, n2: int) -> ThetaResult:
     else:
         tag = "bipartite-deficit"
     theta = _theta_value(n1, n2)
-    witness = label_bipartite(n1, n2, n + theta)
-    return ThetaResult(lower=theta, upper=theta, case_tag=tag, witness=witness)
+    return ThetaResult(lower=theta, upper=theta, case_tag=tag)

@@ -5,10 +5,11 @@ Subcommands: ``index``, ``label``, ``verify``, ``qmr``, ``kotzig``,
 keys, or CSV for arrays) and deterministic across runs.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
-malformed input, a missing or unreadable file, or a domain error; 3 family
-not covered by a closed form (rerun with ``--oracle``); 4 no constructive
-labeling path; 5 the requested array provably does not exist; 6 an
-exhaustive search exceeded its size cap or time budget; 7 a construction
+malformed input, a missing or unreadable file, a domain error, or a size
+cap exceeded (vertices, block adjacency, QMR entries or the oracle caps);
+3 family not covered by a closed form (rerun with ``--oracle``); 4 no
+constructive labeling path; 5 the requested array provably does not exist;
+6 an exhaustive search ran out of its time budget; 7 a construction
 produced an object that failed its own check.
 """
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import families
 from .arrays import kotzig_array, qmr
-from .bipartite import theta_bipartite
+from .bipartite import label_bipartite, theta_bipartite
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -180,25 +181,16 @@ def _witness_for_plan(plan, ast, args):
     if kind == "edgeless":
         return Labeling(tuple(range(1, sum(params) + 1))), None, result
     if kind == "bipartite":
-        return result.witness, None, result
+        return label_bipartite(*params, sum(params) + result.theta), None, result
     if kind == "tripartite":
         return label_tripartite(*params), None, result
     if result.theta == 1:
-        family_params = dict(zip(_FAMILY_ARGS[kind], params))
-        graph, labeling, _ = families.label_family_via_qmr(kind, **family_params)
-        return labeling, graph, result
+        graph = build_from_ast(ast)
+        return families.label_by_qmr_columns(graph), graph, result
     if result.theta == 0 and args.certify:
         graph = _oracle_graph(ast)
         return _run_oracle(args, graph, 0).witness, graph, result
     return None, None, result
-
-
-_FAMILY_ARGS = {
-    "Kab": ("a", "b"),
-    "mKab": ("m", "a", "b"),
-    "mClex": ("m", "a", "b"),
-    "lex": ("g", "a"),
-}
 
 
 def cmd_label(args) -> int:
@@ -217,23 +209,27 @@ def cmd_label(args) -> int:
         if labeling is None:
             _emit(result.to_payload())
             return EXIT_NO_CONSTRUCTION
-        return _print_certified(graph, labeling)
+        return _print_certified(graph, labeling, result)
     ast = _unwrap(ast)
     labeling, graph, result = _witness_for_plan(plan, ast, args)
     if labeling is None:
-        payload = result.to_payload()
-        payload.pop("witness", None)
-        _emit(payload)
+        _emit(result.to_payload())
         return EXIT_NO_CONSTRUCTION
     if graph is None:
         graph = build_from_ast(ast)
-    return _print_certified(graph, labeling)
+    return _print_certified(graph, labeling, result)
 
 
-def _print_certified(graph, labeling) -> int:
+def _print_certified(graph, labeling, result) -> int:
+    """Print ``labeling`` once it is magic on ``graph`` and, when ``result`` is
+    exact, has top label n + theta."""
     report = verify_s_magic(graph, labeling)
     if not report.is_magic:
         raise InternalInconsistencyError("labeling failed verification before printing")
+    if result.exact and labeling.eta != graph.vertex_count + result.theta:
+        raise InternalInconsistencyError(
+            f"top label {labeling.eta} is not n + theta = {graph.vertex_count + result.theta}"
+        )
     _emit({
         "constant": report.constant,
         "eta": labeling.eta,

@@ -16,17 +16,10 @@ exactly 1.  With column sum ``sigma`` the magic constants are
 
 from __future__ import annotations
 
-from .arrays import MagicArray, qmr
-from .errors import DomainError, InternalInconsistencyError, SizeLimitError
-from .graphs import (
-    Graph,
-    PartiteSpec,
-    build_complete_multipartite,
-    build_cycle,
-    disjoint_union,
-    lex_blowup,
-)
-from .labelings import Labeling, ThetaResult, verify_s_magic
+from .arrays import qmr
+from .errors import DomainError
+from .graphs import Graph
+from .labelings import Labeling, ThetaResult
 
 
 def theta_K_ab(a: int, b: int) -> ThetaResult:
@@ -102,103 +95,28 @@ def theta_lex_regular(g: Graph, a: int) -> ThetaResult:
 # Column-based witness labelings
 
 
-def _column_sets(arr: MagicArray) -> list[list[int]]:
-    return [sorted(row[j] for row in arr.entries) for j in range(arr.cols)]
+def label_by_qmr_columns(graph: Graph) -> Labeling:
+    """Label group ``j`` of ``graph`` with the sorted column ``j`` of
+    QMR(a, #groups), where ``a`` is the common group size.
 
-
-def _check_size(vertices: int, what: str):
-    from .graphs import DEFAULT_MAX_VERTICES
-
-    if vertices > DEFAULT_MAX_VERTICES:
-        raise SizeLimitError(f"{what} has {vertices} vertices, cap is {DEFAULT_MAX_VERTICES}")
-
-
-def _certify(graph: Graph, groups, columns, constant: int, what: str):
-    labeling = Labeling.from_parts(groups, columns)
-    report = verify_s_magic(graph, labeling)
-    if not report.is_magic or report.constant != constant:
-        raise InternalInconsistencyError(
-            f"{what}: expected constant {constant}, verifier said "
-            f"{report.constant if report.is_magic else 'not magic'}"
-        )
-    if labeling.eta != graph.vertex_count + 1:
-        raise InternalInconsistencyError(
-            f"{what}: top label {labeling.eta} is not vertex count + 1"
-        )
-    return labeling
-
-
-def label_K_ab(a: int, b: int) -> tuple[Graph, Labeling, int]:
-    result = theta_K_ab(a, b)
-    if result.theta != 1:
-        raise DomainError(f"K({a},{b}) is not on the column-labeling path")
-    _check_size(a * b, f"K({a},{b})")
-    arr = qmr(a, b)
-    graph = build_complete_multipartite(PartiteSpec((a,) * b))
-    constant = arr.sigma * (b - 1)
-    labeling = _certify(graph, graph.parts, _column_sets(arr), constant, f"K({a},{b})")
-    return graph, labeling, constant
-
-
-def label_mK_ab(m: int, a: int, b: int) -> tuple[Graph, Labeling, int]:
-    result = theta_mK_ab(m, a, b)
-    if result.theta != 1:
-        raise DomainError(f"{m}K({a},{b}) is not on the column-labeling path")
-    _check_size(m * a * b, f"{m}K({a},{b})")
-    arr = qmr(a, m * b)
-    base = build_complete_multipartite(PartiteSpec((a,) * b))
-    graph = disjoint_union(m, base)
-    groups = [
-        tuple(c * a * b + i * a + t for t in range(a))
-        for c in range(m)
-        for i in range(b)
-    ]
-    constant = arr.sigma * (b - 1)
-    labeling = _certify(graph, groups, _column_sets(arr), constant, f"{m}K({a},{b})")
-    return graph, labeling, constant
-
-
-def label_mC_lex(m: int, a: int, b: int) -> tuple[Graph, Labeling, int]:
-    result = theta_mC_lex(m, a, b)
-    if result.theta != 1:
-        raise DomainError(f"{m}(C_{b} o E_{a}) is not on the column-labeling path")
-    _check_size(m * a * b, f"{m}(C_{b} o E_{a})")
-    arr = qmr(a, m * b)
-    graph = disjoint_union(m, lex_blowup(build_cycle(b), a))
-    constant = 2 * arr.sigma
-    labeling = _certify(
-        graph, graph.layers, _column_sets(arr), constant, f"{m}(C_{b} o E_{a})"
-    )
-    return graph, labeling, constant
-
-
-def label_lex_regular(g: Graph, a: int) -> tuple[Graph, Labeling, int]:
-    result = theta_lex_regular(g, a)
-    if result.theta != 1:
-        raise DomainError("blow-up instance is not on the column-labeling path")
-    _check_size(a * g.vertex_count, "the blow-up")
-    arr = qmr(a, g.vertex_count)
-    graph = lex_blowup(g, a)
-    constant = g.max_degree * arr.sigma
-    labeling = _certify(graph, graph.layers, _column_sets(arr), constant, "G o E_a")
-    return graph, labeling, constant
-
-
-def label_family_via_qmr(family: str, **params) -> tuple[Graph, Labeling, int]:
-    """Dispatch to the column-labeling construction for one family.
-
-    ``family`` is one of ``Kab``, ``mKab``, ``mClex``, ``lex``; raises
-    ``DomainError`` when the instance's index is not 1 by the family rules.
+    The groups are ``graph.layers`` when set, else the blocks, so a part of
+    ``K(...)`` or ``U(m, K(...))`` is one group.  On the family members of
+    index 1 this is the column construction of the module docstring.  Raises
+    ``DomainError`` on groups of unequal size or when no such QMR exists.
+    The labeling is not verified here.
     """
-    builders = {
-        "Kab": label_K_ab,
-        "mKab": label_mK_ab,
-        "mClex": label_mC_lex,
-        "lex": label_lex_regular,
-    }
-    if family not in builders:
-        raise DomainError(f"unknown family {family!r}")
-    return builders[family](**params)
+    groups = graph.layers
+    if groups is None:
+        groups = [range(start, end) for start, end in graph.blocks]
+    sizes = {len(group) for group in groups}
+    if len(sizes) != 1:
+        raise DomainError(f"column labeling needs groups of one size, got {sorted(sizes)}")
+    (a,) = sizes
+    arr = qmr(a, len(groups))
+    if arr is None:
+        raise DomainError(f"no QMR({a},{len(groups)}) exists")
+    columns = [[row[j] for row in arr.entries] for j in range(arr.cols)]
+    return Labeling.from_parts(groups, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ from pathlib import Path
 from .errors import GraphSpecError, SizeLimitError
 
 DEFAULT_MAX_VERTICES = 100_000
+# K(...) with r parts stores r(r-1) block adjacency entries: within the vertex
+# cap that can reach gigabytes
+MAX_BLOCK_ADJACENCY = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -416,10 +419,28 @@ def _ast_vertex_count(node: SpecNode) -> int:
     return 0  # FILE size is only known after reading
 
 
+def _ast_block_adjacency(node: SpecNode) -> int:
+    """Number of block adjacency entries the built graph of ``node`` stores."""
+    if isinstance(node, KNode):
+        return len(node.sizes) * (len(node.sizes) - 1)
+    if isinstance(node, CNode):
+        return 2 * node.b
+    if isinstance(node, UNode):
+        return node.m * _ast_block_adjacency(node.inner)
+    if isinstance(node, LexNode):
+        return _ast_block_adjacency(node.inner)
+    return 0  # a FILE graph is as large as the file that lists it
+
+
 def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     declared = _ast_vertex_count(node)
     if declared > max_vertices:
         raise SizeLimitError(f"spec declares {declared} vertices, cap is {max_vertices}")
+    entries = _ast_block_adjacency(node)
+    if entries > MAX_BLOCK_ADJACENCY:
+        raise SizeLimitError(
+            f"spec declares {entries} block adjacency entries, cap is {MAX_BLOCK_ADJACENCY}"
+        )
     graph = _build(node)
     if graph.vertex_count > max_vertices:
         raise SizeLimitError(f"graph has {graph.vertex_count} vertices, cap is {max_vertices}")

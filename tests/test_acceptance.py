@@ -19,7 +19,8 @@ from magiclab import (
     g_function,
     gap_lower_bound,
     kotzig_array,
-    label_family_via_qmr,
+    label_by_qmr_columns,
+    lex_blowup,
     multipartite_distance_magic_check,
     oracle_theta_multipartite,
     qmr,
@@ -27,6 +28,7 @@ from magiclab import (
     theta_tripartite,
     verify_kotzig,
     verify_qmr,
+    verify_s_magic,
 )
 from magiclab.arrays import kotzig_exists_exhaustive, qmr_exists_exhaustive
 from magiclab.cli import main
@@ -185,30 +187,28 @@ def test_criterion_8_family_rules_and_witnesses():
     cells = sum(check_decision_table_row(row) for row in DECISION_TABLES)
     assert cells > 150
     witnesses = 0
+
+    def certify(g, constant):
+        nonlocal witnesses
+        lab = label_by_qmr_columns(g)
+        report = verify_s_magic(g, lab)
+        assert report.is_magic and report.constant == constant
+        assert lab.eta == g.vertex_count + 1 <= 31
+        witnesses += 1
+
     for a, b in _KAB:
-        g, lab, constant = label_family_via_qmr("Kab", a=a, b=b)
         sigma = a * (a * b + 2) // 2
-        assert constant == sigma * (b - 1)
-        assert lab.eta == g.vertex_count + 1 <= 31
-        witnesses += 1
+        certify(build_complete_multipartite(PartiteSpec((a,) * b)), sigma * (b - 1))
     for m, a, b in _MKAB:
-        g, lab, constant = label_family_via_qmr("mKab", m=m, a=a, b=b)
         sigma = a * (a * m * b + 2) // 2
-        assert constant == sigma * (b - 1)
-        assert lab.eta == g.vertex_count + 1 <= 31
-        witnesses += 1
+        k_ab = build_complete_multipartite(PartiteSpec((a,) * b))
+        certify(disjoint_union(m, k_ab), sigma * (b - 1))
     for m, a, b in _MCLEX:
-        g, lab, constant = label_family_via_qmr("mClex", m=m, a=a, b=b)
         sigma = a * (a * m * b + 2) // 2
-        assert constant == 2 * sigma
-        assert lab.eta == g.vertex_count + 1 <= 31
-        witnesses += 1
+        certify(disjoint_union(m, lex_blowup(build_cycle(b), a)), 2 * sigma)
     for base, a in _lex_instances():
-        g, lab, constant = label_family_via_qmr("lex", g=base, a=a)
         sigma = a * (a * base.vertex_count + 2) // 2
-        assert constant == base.max_degree * sigma
-        assert lab.eta == g.vertex_count + 1 <= 31
-        witnesses += 1
+        certify(lex_blowup(base, a), base.max_degree * sigma)
     elapsed = time.monotonic() - start
     assert elapsed <= 120
     report("criterion-8", f"{witnesses} certified index-1 witnesses ({elapsed:.2f}s)")

@@ -31,7 +31,7 @@ def test_formula_rejects_singleton_side():
 def test_witnesses_verify_and_realize_eta():
     for n1, n2 in [(2, 2), (2, 3), (2, 6), (3, 8), (4, 7), (5, 5), (2, 9)]:
         res = theta_bipartite(n1, n2)
-        lab = res.witness
+        lab = label_bipartite(n1, n2, n1 + n2 + res.theta)
         assert lab is not None and lab.eta == n1 + n2 + res.theta
         spec = PartiteSpec((n1, n2))
         assert partite_sums_check(spec, lab)
@@ -71,14 +71,17 @@ def test_label_singleton_side():
 def test_witnesses_beyond_the_lexmin_threshold():
     # large instances split by the same top-heavy greedy as small ones
     res = theta_bipartite(300, 400)
-    assert res.theta == 0 and res.witness.eta == 700
+    witness = label_bipartite(300, 400, 700 + res.theta)
+    assert res.theta == 0 and witness.eta == 700
     spec = PartiteSpec((300, 400))
-    assert partite_sums_check(spec, res.witness)
+    assert partite_sums_check(spec, witness)
     res = theta_bipartite(41, 60)  # near-balanced shape, one label stepped up
-    assert res.witness.eta == 101 + res.theta
-    assert partite_sums_check(PartiteSpec((41, 60)), res.witness)
+    witness = label_bipartite(41, 60, 101 + res.theta)
+    assert witness.eta == 101 + res.theta
+    assert partite_sums_check(PartiteSpec((41, 60)), witness)
     res = theta_bipartite(3, 300)  # deficit shape at scale
-    assert res.theta == 14748 and res.witness.eta == 303 + res.theta
+    witness = label_bipartite(3, 300, 303 + res.theta)
+    assert res.theta == 14748 and witness.eta == 303 + res.theta
 
 
 def test_zero_branch_agrees_with_characterization():

@@ -188,6 +188,11 @@ LABEL_GOLDEN_SHA256 = {
     "K(20,30)": "4e56cf0f933198e6c3b34fddd8c2f436ac020ac45d7a63f2829e49ebf576f208",
     "K(3,8,9)": "73c1cee10ba18f668a9ba836d8a40cee3c3543998ac7ba7719b1e78db4185441",
     "U(2,K(3,3))": "656f745977fc3328e523ee9b8c152baf9470c22f47110591689295ab1e345d97",
+    "K(3,3,3,3)": "fd125e8e6e4c889d24b6e03f6576e59bbd241603d574e025289f0617185e503b",
+    "U(3,K(3,3))": "4a4be71b24943e406572cf70e930fbceecad5941e318591b108ed1b5b7c7b766",
+    "LEX(C(6),E(5))": "d9c22581c63525801b2cba7d78e8f978941a77e00ffa2751a10e30db6f217198",
+    "U(2,LEX(C(5),E(3)))": "82af1f5b51f0e4c338af46652e15715fff26d9058d8c06ceadd244a4ab824177",
+    "LEX(U(2,K(3,3)),E(3))": "163f8a589173ffd8ce9d8926d3949f3b0250f9b0ec20a81eeb8eca1de41c857b",
 }
 
 
@@ -235,6 +240,26 @@ def test_construction_failures_exit_7(monkeypatch, error):
     monkeypatch.setattr(cli, "label_tripartite", fail)
     code, out, err = run_cli("label", "K(5,6,7)")
     assert code == 7 and out == "" and err.startswith("error:")
+
+
+def test_column_labeling_off_by_one_exits_7(monkeypatch):
+    # every label one higher: still magic on a uniform K(a,b), but the top
+    # label is n + 2 where the index says n + 1
+    column_labeling = magiclab.families.label_by_qmr_columns
+
+    def shifted(graph):
+        return magiclab.Labeling(tuple(x + 1 for x in column_labeling(graph).labels))
+
+    monkeypatch.setattr(magiclab.families, "label_by_qmr_columns", shifted)
+    code, out, err = run_cli("label", "K(3,3,3,3)")
+    assert code == 7 and out == "" and "top label 14" in err
+
+
+def test_budget_and_size_cap_exit_codes():
+    code, out, err = run_cli("oracle", "C(8)", "--max-excess", "6", "--budget-seconds", "0")
+    assert code == 6 and out == "" and "out of budget" in err
+    code, out, err = run_cli("qmr", "3", "40000")  # 120 000 entries, over the cap
+    assert code == 2 and out == "" and "cap" in err
 
 
 @pytest.mark.parametrize("a, b", [(3, 400), (3, 1000), (5, 2000)])
@@ -296,6 +321,18 @@ def test_oracle_caps_reject_before_building(command, flags):
     code, out, rss_mb = _run_child(command, spec, *flags)
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
+
+
+def test_block_adjacency_cap_rejects_before_building():
+    # 20 000 parts: inside the vertex cap, but r(r-1) = 4e8 block adjacency
+    # entries would take tens of GB
+    spec = "K(" + ",".join(["3"] * 20000) + ")"
+    start = time.perf_counter()
+    code, out, rss_mb = _run_child("label", spec)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
+    code, out, _ = run_cli("index", spec)  # the closed form builds nothing
+    assert code == 0 and json.loads(out)["theta"] == 1
 
 
 @pytest.mark.parametrize("command, flags", [("verify", ()), ("label", ("--verify-only",))])

@@ -6,7 +6,8 @@ from magiclab import (
     build_complete_multipartite,
     build_cycle,
     disjoint_union,
-    label_family_via_qmr,
+    label_by_qmr_columns,
+    lex_blowup,
     PartiteSpec,
     theta_K_ab,
     theta_lex_regular,
@@ -78,31 +79,34 @@ def test_every_decision_table_cell():
     assert checked > 150
 
 
+def _column_constant(g):
+    """Magic constant of the column labeling of ``g``, checking eta = n + 1."""
+    lab = label_by_qmr_columns(g)
+    report = verify_s_magic(g, lab)
+    assert report.is_magic and lab.eta == g.vertex_count + 1
+    return report.constant
+
+
 def test_family_witnesses():
-    g, lab, constant = label_family_via_qmr("Kab", a=3, b=2)
-    assert constant == 12 and verify_s_magic(g, lab).constant == 12
+    assert _column_constant(build_complete_multipartite(PartiteSpec((3, 3)))) == 12
 
-    g, lab, constant = label_family_via_qmr("mKab", m=2, a=3, b=3)
     sigma = 3 * (3 * 6 + 2) // 2  # column sum of QMR(3, 6)
-    assert constant == sigma * 2
-    assert verify_s_magic(g, lab).constant == constant
+    k333 = build_complete_multipartite(PartiteSpec((3, 3, 3)))
+    assert _column_constant(disjoint_union(2, k333)) == sigma * 2
 
-    g, lab, constant = label_family_via_qmr("lex", g=petersen(), a=3)
-    assert constant == 144
-    assert lab.eta == 31
+    assert _column_constant(lex_blowup(petersen(), 3)) == 144  # eta 31
 
-    g, lab, constant = label_family_via_qmr("mClex", m=2, a=3, b=5)
-    assert verify_s_magic(g, lab).is_magic
-    assert constant == 2 * (3 * (3 * 10 + 2) // 2)
+    c5_blowup = lex_blowup(build_cycle(5), 3)
+    assert _column_constant(disjoint_union(2, c5_blowup)) == 2 * (3 * (3 * 10 + 2) // 2)
 
 
 def test_family_witness_gate():
-    with pytest.raises(DomainError):
-        label_family_via_qmr("Kab", a=2, b=5)  # index 0: not on the QMR path
-    with pytest.raises(DomainError):
-        label_family_via_qmr("Kab", a=5, b=2)  # open cell
-    with pytest.raises(DomainError):
-        label_family_via_qmr("nope", a=1, b=1)
+    with pytest.raises(DomainError):  # index 0: no QMR with an even number of rows
+        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2,) * 5)))
+    with pytest.raises(DomainError):  # open cell: no QMR(5, 2)
+        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((5, 5))))
+    with pytest.raises(DomainError):  # unequal groups
+        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2, 3))))
 
 
 def test_family_values_match_the_oracle_on_small_instances():

@@ -5,6 +5,7 @@ import pytest
 from magiclab import (
     PartiteSpec,
     equal_sum_partition,
+    label_bipartite,
     label_tripartite,
     partite_sums_check,
     split_equal_sums,
@@ -58,8 +59,9 @@ def test_split_base_case_and_rejections():
 @pytest.mark.parametrize("sizes", [(2000, 3000), (2001, 3000), (700, 4300)])
 def test_bipartite_witnesses_at_scale(sizes):
     result = theta_bipartite(*sizes)
-    assert partite_sums_check(PartiteSpec(sizes), result.witness)
-    assert result.witness.eta == sum(sizes) + result.theta
+    witness = label_bipartite(*sizes, sum(sizes) + result.theta)
+    assert partite_sums_check(PartiteSpec(sizes), witness)
+    assert witness.eta == sum(sizes) + result.theta
 
 
 @pytest.mark.parametrize("sizes", [(1660, 1670, 1680), (425, 2050, 2525), (1661, 1670, 1680)])
