@@ -185,7 +185,8 @@ def _witness_for_plan(plan, ast, args):
     if kind == "tripartite":
         return label_tripartite(*params), None, result
     if result.theta == 1:
-        graph = build_from_ast(ast)
+        # a "lex" plan carries the base graph it built, so a FILE is read once
+        graph = build_from_ast(ast, inner=params[0] if kind == "lex" else None)
         return families.label_by_qmr_columns(graph), graph, result
     if result.theta == 0 and args.certify:
         graph = _oracle_graph(ast)

@@ -432,7 +432,14 @@ def _ast_block_adjacency(node: SpecNode) -> int:
     return 0  # a FILE graph is as large as the file that lists it
 
 
-def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
+def build_from_ast(
+    node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES, inner: Graph | None = None
+) -> Graph:
+    """Build the graph of ``node`` within the vertex and block adjacency caps.
+
+    ``inner``, for a ``LEX`` node, is the graph already built from
+    ``node.inner``; it is blown up instead of being built (or read) again.
+    """
     declared = _ast_vertex_count(node)
     if declared > max_vertices:
         raise SizeLimitError(f"spec declares {declared} vertices, cap is {max_vertices}")
@@ -441,7 +448,7 @@ def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> 
         raise SizeLimitError(
             f"spec declares {entries} block adjacency entries, cap is {MAX_BLOCK_ADJACENCY}"
         )
-    graph = _build(node)
+    graph = _build(node) if inner is None else lex_blowup(inner, node.a)
     if graph.vertex_count > max_vertices:
         raise SizeLimitError(f"graph has {graph.vertex_count} vertices, cap is {max_vertices}")
     return graph

@@ -8,9 +8,10 @@ only label sets with maximum exactly ``n + e`` are tried, so the first hit is
 the exact index.
 
 All pruning is by necessary conditions only (divisibility of the total,
-per-part sum bounds from the smallest/largest remaining labels, partial
-weight bounds, and for general graphs no two adjacent vertices with equal
-closed neighbourhoods), so a pruned branch never hides a solution.
+per-part sum bounds from the smallest/largest remaining labels, a joint
+bound on all open slots together from the same labels, partial weight
+bounds, and for general graphs no two adjacent vertices with equal closed
+neighbourhoods), so a pruned branch never hides a solution.
 Searches carry a wall-clock budget and report exhaustion rather than
 guessing.
 """
@@ -73,12 +74,14 @@ def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, forced, ticke
 
     def bounds_ok(remaining):
         slots = 0
+        need = 0
         for c, d in state:
             if c == 0:
                 if d != 0:
                     return False
                 continue
             slots += c
+            need += d
             if c > remaining:
                 return False
             lo = asc_prefix[c]
@@ -89,7 +92,11 @@ def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, forced, ticke
             return False
         if (remaining - slots) > skips[0]:
             return False
-        return True
+        # the open slots take distinct remaining labels, so together they
+        # sum between the `slots` smallest and the `slots` largest of them
+        lo = asc_prefix[slots]
+        hi = asc_prefix[remaining] - asc_prefix[remaining - slots]
+        return lo <= need <= hi
 
     def rec(idx):
         ticker.tick()

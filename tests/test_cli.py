@@ -105,6 +105,26 @@ def test_label_file_blowup(tmp_path):
     assert code == 0 and payload["constant"] == 144
 
 
+def test_label_file_blowup_reads_the_file_once(tmp_path, monkeypatch):
+    adj = tmp_path / "petersen.adj"
+    adj.write_text("\n".join(
+        f"{v}: {' '.join(str(u) for u in sorted(petersen().neighbors[v]))}" for v in range(10)
+    ))
+    reads = []
+    read = magiclab.graphs.read_adjacency_file
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(magiclab.graphs, "read_adjacency_file", counting_read)
+    code, out, _ = run_cli("label", f"LEX(FILE({adj}),E(3))")
+    assert code == 0 and len(reads) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d9e6063874f0d866b213b03ee598f294f535d10d403bcb7a49032135d6d20c8d"
+    )
+
+
 def test_label_no_construction_exits_4():
     code, out, _ = run_cli("label", "K(2,2,9)")
     assert code == 4
@@ -199,6 +219,24 @@ LABEL_GOLDEN_SHA256 = {
 def test_label_stdout_goldens():
     for spec, digest in LABEL_GOLDEN_SHA256.items():
         code, out, _ = run_cli("label", spec)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
+
+
+# sha256 of ``oracle <spec> --max-excess 16`` stdout, pinned before the
+# joint-slot prune: pruning only cuts subtrees without a packing, so the
+# first packing found, and every byte printed, stays the same.
+ORACLE_GOLDEN_SHA256 = {
+    "K(2,6,8)": "9983a9b641a48521d3f4c1abdc528f401b4933c5a21126d5630737f23d457ac9",
+    "K(2,7,7)": "e7fa186e04d36c7a750b95681dfdeb34bf560e923418a852da8a08e194f3a093",
+    "K(1,3,4,5)": "ad82db03c839725140669ee55c377e490b3cd9150877abdac40d2376b5fcb86a",
+    "K(2,4,5,5)": "967cc86614b79c12f3b91383a88253f28e82121940824d1dc25d663cc04b09f5",
+    "K(1,2,5,5)": "b558b5e00b202fc4d2f0dd4ea0faf9161637f17d0734fb3bf64fe3e93f98a5e4",
+}
+
+
+def test_oracle_stdout_goldens():
+    for spec, digest in ORACLE_GOLDEN_SHA256.items():
+        code, out, _ = run_cli("oracle", spec, "--max-excess", "16")
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
 
 

@@ -1,6 +1,9 @@
-from itertools import combinations
+import time
+from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magiclab import (
     BudgetExceededError,
@@ -11,8 +14,14 @@ from magiclab import (
     oracle_theta_general,
     oracle_theta_multipartite,
     parse_graph_spec,
+    theta_bipartite,
+    theta_tripartite,
     verify_s_magic,
 )
+from magiclab.families import theta_K_ab
+from magiclab.oracle import _pack, _scan_level, _Ticker
+
+from conftest import tripartite_instances
 
 
 def test_equal_sum_partition_examples():
@@ -40,6 +49,98 @@ def test_equal_sum_partition_matches_brute_force():
                     if got is not None:
                         assert sorted(got[0] + got[1]) == sorted(labels)
                         assert sum(got[0]) == sum(got[1])
+
+
+def test_joint_slot_bound_prunes_at_the_root():
+    # each part needs 4 from one label of {1..4}, which it can reach alone,
+    # but the two open slots together need 8 > 4 + 3
+    ticker = _Ticker(time.monotonic() + 60)
+    assert _pack([4, 3, 2, 1], [0, 1, 3, 6, 10], [1, 1], 4, [2], frozenset(), {}, ticker) is None
+    assert ticker.nodes == 1
+
+
+@st.composite
+def _pack_instances(draw):
+    # parts of two to four labels, so that draws with a packing are common
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4).filter(
+        lambda s: sum(s) <= 8
+    ))
+    skips = draw(st.integers(0, 3))
+    count = sum(sizes) + draw(st.integers(0, skips + 1))  # at times one label too many
+    pool = sorted(draw(st.sets(st.integers(1, 12), min_size=count, max_size=count)))
+    must_use = frozenset({pool[-1]}) if draw(st.booleans()) else frozenset()
+    # half the draws take a target that has a packing, when there is one
+    sums = sorted({sum(part) for part in combinations(pool, sizes[0])})
+    packable = [t for t in sums if _brute_pack_exists(pool, sizes, t, must_use)]
+    target = draw(st.sampled_from(packable if packable and draw(st.booleans()) else sums))
+    return pool, sizes, target, skips, must_use
+
+
+def _brute_pack_exists(pool, sizes, target, must_use):
+    """Whether disjoint subsets of ``pool`` of the given sizes, all summing
+    to ``target``, use every label of ``must_use``."""
+    def rec(free, i):
+        if i == len(sizes):
+            return must_use.isdisjoint(free)
+        return any(
+            rec(free - set(part), i + 1)
+            for part in combinations(sorted(free), sizes[i])
+            if sum(part) == target
+        )
+
+    return rec(set(pool), 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_pack_instances())
+def test_pack_finds_a_packing_exactly_when_one_exists(instance):
+    pool, sizes, target, skips, must_use = instance
+    asc_prefix = list(accumulate(pool, initial=0))
+    ticker = _Ticker(time.monotonic() + 60)
+    got = _pack(pool[::-1], asc_prefix, sizes, target, [skips], must_use, {}, ticker)
+    exists = len(pool) - sum(sizes) <= skips and _brute_pack_exists(pool, sizes, target, must_use)
+    assert (got is not None) == exists
+    if got is not None:
+        used = [x for part in got for x in part]
+        assert [len(part) for part in got] == sizes
+        assert all(sum(part) == target for part in got)
+        assert len(set(used)) == len(used) and set(used) <= set(pool)
+        assert must_use <= set(used)
+
+
+def test_infeasible_levels_are_proved_in_few_nodes():
+    ticker = _Ticker(time.monotonic() + 60)
+    assert _scan_level([2, 6, 8], 16, 11, ticker) is not None
+    # targets 49-52 have no packing and 53 does; the joint-slot bound
+    # refutes each empty target within a few dozen nodes
+    assert ticker.nodes < 1000
+
+
+def _closed_form(sizes):
+    if len(sizes) == 2:
+        return theta_bipartite(*sizes)
+    if len(sizes) == 3:
+        return theta_tripartite(*sizes)
+    return theta_K_ab(sizes[0], len(sizes))
+
+
+def test_closed_forms_agree_with_the_oracle_over_its_cap():
+    shapes = [(n1, n - n1) for n in range(4, 17) for n1 in range(2, n // 2 + 1)]
+    shapes += tripartite_instances(16)
+    shapes += [(a,) * r for a in range(2, 5) for r in range(4, 16 // a + 1)]
+    assert len(shapes) == 124
+    kinds = {"exact": 0, "bounded": 0, "exhausted": 0}
+    for sizes in shapes:
+        formula = _closed_form(sizes)
+        found = oracle_theta_multipartite(PartiteSpec(sizes), 16)
+        if found.exact:
+            assert formula.lower <= found.theta, sizes
+            assert formula.upper is None or found.theta <= formula.upper, sizes
+            kinds["exact" if formula.exact else "bounded"] += 1
+        else:
+            assert formula.upper is None or formula.upper >= found.lower, sizes
+            kinds["exhausted"] += 1
+    assert kinds == {"exact": 90, "bounded": 27, "exhausted": 7}
 
 
 def test_multipartite_oracle_golden_values():
