@@ -9,8 +9,8 @@ malformed input, a missing or unreadable file, a domain error, or a size
 cap exceeded (vertices, block adjacency, QMR entries or the oracle caps);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
 constructive labeling path; 5 the requested array provably does not exist;
-6 an exhaustive search ran out of its time budget; 7 a construction
-produced an object that failed its own check.
+6 an exhaustive search ran out of its time budget; 7 a construction or an
+oracle witness failed its check.
 """
 
 from __future__ import annotations
@@ -155,6 +155,16 @@ def _run_oracle(args, graph, max_excess):
     )
 
 
+def _certified_oracle(args, ast) -> ThetaResult:
+    """The oracle's result on ``ast`` up to ``--max-excess``, once ``_certify``
+    has passed its witness, if it has one."""
+    graph = _oracle_graph(ast)
+    result = _run_oracle(args, graph, args.max_excess)
+    if result.witness is not None:
+        _certify(graph, result.witness, result)
+    return result
+
+
 def cmd_index(args) -> int:
     ast = parse_spec_ast(args.spec)
     try:
@@ -163,7 +173,7 @@ def cmd_index(args) -> int:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        result = _run_oracle(args, _oracle_graph(ast), args.max_excess)
+        result = _certified_oracle(args, ast)
     payload = result.to_payload()
     payload.pop("witness", None)
     _emit(payload)
@@ -221,9 +231,10 @@ def cmd_label(args) -> int:
     return _print_certified(graph, labeling, result)
 
 
-def _print_certified(graph, labeling, result) -> int:
-    """Print ``labeling`` once it is magic on ``graph`` and, when ``result`` is
-    exact, has top label n + theta."""
+def _certify(graph, labeling, result):
+    """The verifier's report on ``labeling``, which must be magic on ``graph``
+    and, when ``result`` is exact, have top label n + theta; every labeling
+    or index backed by one passes here before anything is printed."""
     report = verify_s_magic(graph, labeling)
     if not report.is_magic:
         raise InternalInconsistencyError("labeling failed verification before printing")
@@ -231,6 +242,12 @@ def _print_certified(graph, labeling, result) -> int:
         raise InternalInconsistencyError(
             f"top label {labeling.eta} is not n + theta = {graph.vertex_count + result.theta}"
         )
+    return report
+
+
+def _print_certified(graph, labeling, result) -> int:
+    """Print ``labeling`` once ``_certify`` has passed it."""
+    report = _certify(graph, labeling, result)
     _emit({
         "constant": report.constant,
         "eta": labeling.eta,
@@ -304,9 +321,7 @@ def cmd_kotzig(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ast = parse_spec_ast(args.spec)
-    result = _run_oracle(args, _oracle_graph(ast), args.max_excess)
-    _emit(result.to_payload())
+    _emit(_certified_oracle(args, parse_spec_ast(args.spec)).to_payload())
     return EXIT_OK
 
 

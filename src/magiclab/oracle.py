@@ -10,10 +10,21 @@ the exact index.
 All pruning is by necessary conditions only (divisibility of the total,
 per-part sum bounds from the smallest/largest remaining labels, a joint
 bound on all open slots together from the same labels, partial weight
-bounds, and for general graphs no two adjacent vertices with equal closed
-neighbourhoods), so a pruned branch never hides a solution.
-Searches carry a wall-clock budget and report exhaustion rather than
-guessing.
+bounds, and the neighbourhood lemma below), so a pruned branch never hides
+a solution.  Searches carry a wall-clock budget and report exhaustion
+rather than guessing.
+
+Neighbourhood lemma.  Let u != v be vertices, A = N(u) - N(v) and
+B = N(v) - N(u).  Under any labeling l by distinct positive integers,
+w(u) - w(v) = l(A) - l(B).  If exactly one of A, B is empty, this is plus
+or minus a sum of positive labels; if A = {a} and B = {b}, then a != b
+since A and B are disjoint, and it is l(a) - l(b) != 0.  Either way
+w(u) != w(v), so the graph has no S-magic labeling for any label set S,
+at any excess.  Special cases: adjacent vertices with equal closed
+neighbourhoods (A = {v}, B = {u}), and an isolated vertex beside a
+non-isolated one (A empty, B not).  In a complete multipartite graph,
+vertices in parts P and Q != P have A = Q and B = P, so the lemma applies
+exactly when two parts are singletons.
 """
 
 from __future__ import annotations
@@ -223,9 +234,14 @@ def oracle_theta_multipartite(
         raise DomainError(f"multipartite oracle capped at n={max_n}, got {n}")
     if max_excess > MAX_EXCESS:
         raise DomainError(f"max_excess capped at {MAX_EXCESS}, got {max_excess}")
+    exhausted = ThetaResult(
+        lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
+    )
+    sizes = list(spec.sizes)
+    if sizes.count(1) >= 2:
+        return exhausted  # two singleton parts: the neighbourhood lemma refutes
     budget = default_budget_seconds() if budget_seconds is None else budget_seconds
     ticker = _Ticker(time.monotonic() + budget)
-    sizes = list(spec.sizes)
     for e in range(max_excess + 1):
         try:
             parts = _scan_level(sizes, n, e, ticker)
@@ -243,9 +259,7 @@ def oracle_theta_multipartite(
             return ThetaResult(
                 lower=e, upper=e, case_tag="oracle", provenance="oracle", witness=witness
             )
-    return ThetaResult(
-        lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
-    )
+    return exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +269,7 @@ def oracle_theta_multipartite(
 def _bijection_search(g: Graph, labels, ticker):
     """First S-magic bijection of ``labels`` onto V(g) in canonical DFS order."""
     n = g.vertex_count
-    isolated = [v for v in range(n) if g.degree(v) == 0]
-    if isolated and len(isolated) < n:
-        return None  # an isolated vertex forces constant 0, an edge forbids it
-    if len(isolated) == n:
+    if g.edge_count == 0:
         return list(sorted(labels))
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     assignment: list[int | None] = [None] * n
@@ -267,7 +278,9 @@ def _bijection_search(g: Graph, labels, ticker):
     pool = sorted(labels, reverse=True)
     used: set[int] = set()
     nbrs = g.neighbors
-    mu = None  # the common weight, once some vertex has all neighbours labelled
+    # the common weight, once some vertex has all neighbours labelled; an
+    # isolated vertex has them all from the start
+    mu = 0 if 0 in unlabeled else None
 
     def rec(depth):
         nonlocal mu
@@ -319,19 +332,17 @@ def _bijection_search(g: Graph, labels, ticker):
     return None
 
 
-def _has_adjacent_closed_twins(g: Graph) -> bool:
-    """True when two adjacent vertices have equal closed neighbourhoods.
-
-    Their weights then differ by the difference of their own labels, which
-    is never 0, so the graph has no S-magic labeling at any excess.
+def _refuted_by_neighbourhoods(nbrs) -> bool:
+    """True when two vertices meet the neighbourhood lemma (module docstring):
+    one of N(u) - N(v), N(v) - N(u) is empty and the other is not, or both
+    are single vertices.  Such a graph has no S-magic labeling at any excess.
     """
-    nbrs = g.neighbors
-    return any(
-        nbrs[u] | {u} == nbrs[v] | {v}
-        for u in range(g.vertex_count)
-        for v in nbrs[u]
-        if u < v
-    )
+    for u, v in combinations(range(len(nbrs)), 2):
+        only_u = len(nbrs[u] - nbrs[v])
+        only_v = len(nbrs[v] - nbrs[u])
+        if (only_u == 0) != (only_v == 0) or only_u == only_v == 1:
+            return True
+    return False
 
 
 def _label_sets(n, e):
@@ -357,7 +368,7 @@ def oracle_theta_general(
     exhausted = ThetaResult(
         lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
     )
-    if _has_adjacent_closed_twins(g):
+    if _refuted_by_neighbourhoods(g.neighbors):
         return exhausted  # what the full scan proves, without scanning
     budget = default_budget_seconds() if budget_seconds is None else budget_seconds
     ticker = _Ticker(time.monotonic() + budget)

@@ -293,8 +293,40 @@ def test_column_labeling_off_by_one_exits_7(monkeypatch):
     assert code == 7 and out == "" and "top label 14" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "C(5)", "--max-excess", "2"),  # the general oracle
+    ("oracle", "K(2,3)", "--max-excess", "3"),  # the multipartite oracle
+    ("index", "C(4)", "--oracle", "--max-excess", "2"),
+])
+def test_oracle_witness_is_certified_before_printing(monkeypatch, argv):
+    # an oracle that claims index 0 with a labeling no weight check passes
+    def wrong(graph, max_excess, budget_seconds=None):
+        n = graph.n if isinstance(graph, magiclab.PartiteSpec) else graph.vertex_count
+        return magiclab.ThetaResult(
+            lower=0, upper=0, case_tag="oracle", provenance="oracle",
+            witness=magiclab.Labeling(tuple(range(1, n + 1))),
+        )
+
+    monkeypatch.setattr(cli, "oracle_theta_general", wrong)
+    monkeypatch.setattr(cli, "oracle_theta_multipartite", wrong)
+    code, out, err = run_cli(*argv)
+    assert code == 7 and out == "" and "failed verification" in err
+
+
+def test_oracle_refutes_a_cycle_without_searching():
+    # C(8) has N(0) - N(2) = {7} and N(2) - N(0) = {3}, so the neighbourhood
+    # lemma answers before the search tries any of the 17 levels' label sets
+    start = time.perf_counter()
+    code, out, _ = run_cli("oracle", "C(8)", "--max-excess", "16")
+    elapsed = time.perf_counter() - start
+    payload = json.loads(out)
+    assert code == 0 and payload["case"] == "oracle-exhausted" and payload["lower"] == 17
+    assert payload["upper"] is None and "witness" not in payload
+    assert elapsed < 0.5
+
+
 def test_budget_and_size_cap_exit_codes():
-    code, out, err = run_cli("oracle", "C(8)", "--max-excess", "6", "--budget-seconds", "0")
+    code, out, err = run_cli("oracle", "U(2,C(4))", "--max-excess", "6", "--budget-seconds", "0")
     assert code == 6 and out == "" and "out of budget" in err
     code, out, err = run_cli("qmr", "3", "40000")  # 120 000 entries, over the cap
     assert code == 2 and out == "" and "cap" in err

@@ -1,5 +1,6 @@
 import time
 from itertools import accumulate, combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from magiclab import (
     verify_s_magic,
 )
 from magiclab.families import theta_K_ab
+from magiclab.graphs import Graph
 from magiclab.oracle import _pack, _scan_level, _Ticker
 
-from conftest import tripartite_instances
+from conftest import petersen, tripartite_instances
 
 
 def test_equal_sum_partition_examples():
@@ -188,17 +190,85 @@ def test_adjacent_closed_twin_prune(monkeypatch):
     from magiclab import oracle
 
     twins = ["K(1,1)", "K(1,1,1)", "K(1,1,2)", "K(1,1,3)", "K(1,1,4)", "U(2,K(1,1))", "C(3)"]
-    twin_free = ["C(4)", "C(5)", "C(6)", "K(2,2)", "K(1,2)", "K(1,2,3)", "LEX(C(3),E(2))"]
-    for text in twins:
-        assert oracle._has_adjacent_closed_twins(parse_graph_spec(text)), text
-    for text in twin_free:
-        assert not oracle._has_adjacent_closed_twins(parse_graph_spec(text)), text
+    refuted = twins + ["C(5)", "C(6)"]
+    admitted = ["C(4)", "K(2,2)", "K(1,2)", "K(1,2,3)", "LEX(C(3),E(2))"]
+    for text in refuted:
+        assert oracle._refuted_by_neighbourhoods(parse_graph_spec(text).neighbors), text
+    for text in admitted:
+        assert not oracle._refuted_by_neighbourhoods(parse_graph_spec(text).neighbors), text
     specs = ["C(4)", "C(5)", "C(6)", "K(1,1)", "K(1,1,1)", "K(1,1,2)", "K(1,1,3)", "K(1,1,4)"]
     pruned = [oracle_theta_general(parse_graph_spec(t), 3) for t in specs]
-    monkeypatch.setattr(oracle, "_has_adjacent_closed_twins", lambda g: False)
+    monkeypatch.setattr(oracle, "_refuted_by_neighbourhoods", lambda nbrs: False)
     full = [oracle_theta_general(parse_graph_spec(t), 3) for t in specs]
     assert pruned == full
     assert [r.case_tag for r in full[3:]] == ["oracle-exhausted"] * 5
+
+
+def _graph(n, edges):
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph.from_neighbors(tuple(map(frozenset, nbrs)))
+
+
+@pytest.mark.parametrize("graph, refuted", [
+    # subset, the path P4: N(0) = {1} lies inside N(2) = {1, 3}
+    (_graph(4, [(0, 1), (1, 2), (2, 3)]), True),
+    # subset: the pendant vertex 4 has N(4) = {0} inside N(1) = {0, 2}
+    (_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]), True),
+    # singleton differences, C(b): N(0) - N(2) = {b - 1} and N(2) - N(0) = {3}
+    (build_cycle(5), True),
+    (build_cycle(7), True),
+    # an isolated vertex beside an edge: N(2) is empty, N(0) is not
+    (_graph(3, [(0, 1)]), True),
+    (build_cycle(4), False),
+    (parse_graph_spec("K(3,3)"), False),
+    (petersen(), False),
+])
+def test_neighbourhood_lemma_cases(graph, refuted):
+    from magiclab import oracle
+
+    assert oracle._refuted_by_neighbourhoods(graph.neighbors) is refuted
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return _graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_small_graphs())
+def test_neighbourhood_lemma_matches_the_unpruned_search(graph):
+    from magiclab import oracle
+
+    pruned = oracle_theta_general(graph, 2)
+    with mock.patch.object(oracle, "_refuted_by_neighbourhoods", return_value=False):
+        full = oracle_theta_general(graph, 2)
+    assert pruned == full
+    if oracle._refuted_by_neighbourhoods(graph.neighbors):
+        assert full.witness is None
+
+
+def test_two_singleton_parts_match_the_unpruned_scan():
+    # the multipartite oracle answers these shapes before any level; the
+    # scan it skips must find no packing at any level either
+    shapes = [
+        sizes
+        for n in range(2, 11)
+        for r in range(2, n + 1)
+        for sizes in _partitions(n, r)
+        if sizes.count(1) >= 2
+    ]
+    for sizes in shapes:
+        n = sum(sizes)
+        res = oracle_theta_multipartite(PartiteSpec(sizes), 16)
+        assert (res.lower, res.upper, res.case_tag) == (17, None, "oracle-exhausted"), sizes
+        ticker = _Ticker(time.monotonic() + 60)
+        assert all(_scan_level(list(sizes), n, e, ticker) is None for e in range(17)), sizes
 
 
 def test_two_oracles_agree_on_multipartite():
