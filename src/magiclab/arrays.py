@@ -99,6 +99,8 @@ from itertools import permutations
 from .bipartite import split_equal_sums
 from .errors import DomainError, InternalInconsistencyError, SizeLimitError
 
+MAX_ARRAY_ENTRIES = 100_000  # largest Kotzig array or QMR the constructions build
+
 
 @dataclass(frozen=True)
 class MagicArray:
@@ -192,6 +194,10 @@ def kotzig_array(a: int, b: int) -> MagicArray | None:
     """KA(a, b), or ``None`` when none exists."""
     if a < 1 or b < 1:
         raise DomainError(f"need a, b >= 1, got ({a}, {b})")
+    if a * b > MAX_ARRAY_ENTRIES:
+        raise SizeLimitError(
+            f"KA({a},{b}) exceeds the {MAX_ARRAY_ENTRIES}-entry construction cap"
+        )
     if a == 1:
         if b > 1:
             return None  # one row cannot have constant distinct column sums
@@ -308,8 +314,10 @@ def qmr(a: int, b: int) -> MagicArray | None:
     """QMR(a, b : ab/2+1), or ``None`` for the proven non-existence cases."""
     if a < 1 or a % 2 == 0 or b < 2 or b % 2 == 1:
         raise DomainError(f"quasimagic rectangles need odd a >= 1, even b >= 2, got ({a}, {b})")
-    if a * b > 100_000:
-        raise SizeLimitError(f"QMR({a},{b}) exceeds the {100_000}-entry construction cap")
+    if a * b > MAX_ARRAY_ENTRIES:
+        raise SizeLimitError(
+            f"QMR({a},{b}) exceeds the {MAX_ARRAY_ENTRIES}-entry construction cap"
+        )
     if a == 1:
         return None  # columns are single distinct entries, never constant
     if b == 2 and a % 4 == 1:

@@ -8,8 +8,9 @@ For ``2 <= n1 <= n2`` and ``n = n1 + n2`` the index is
 
 The witness label sets realizing the first two branches are ``{1..n}`` and
 ``{1..n-1, n+1}``; the third branch keeps ``{1..n2}`` on the large side and
-shifts a run of ``n1`` labels upward on the small side.  Every labeling this
-module returns is re-checked for equal side sums before being handed out.
+shifts the run ``{n2+1..n}`` upward on the small side (``_shifted_run``).
+Every labeling this module returns is re-checked for equal side sums before
+being handed out.
 """
 
 from __future__ import annotations
@@ -195,21 +196,29 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     return None
 
 
+def _shifted_run(lo: int, c: int, delta: int) -> list[int]:
+    """The ``c`` consecutive labels from ``lo``, raised to a sum ``delta`` higher.
+
+    With ``q, r = divmod(delta, c)`` every label is raised by ``q``, then the
+    label ``r - 1`` below the new top is lifted by ``r``, just past the top
+    (no lift when ``r = 0``).  The labels stay distinct, and the top is
+    ``lo + c - 1 + q``, plus 1 when ``r > 0``.
+    """
+    q, r = divmod(delta, c)
+    top = lo + q + c - 1
+    return [x for x in range(lo + q, top + 2) if x != top + 1 - r]
+
+
 def _third_branch_sets(n1: int, n2: int) -> tuple[list[int], list[int]]:
     """Canonical label sets when the big side's floor exceeds half the total.
 
-    Side 2 takes ``{1..n2}``; side 1 takes a run of ``n1`` labels shifted up
-    until its sum reaches ``tri(n2)``, one label bumped to absorb the
-    remainder.  The top label lands exactly at ``n + theta``.
+    Side 2 takes ``{1..n2}``; side 1 takes the run ``{n2+1..n}`` shifted up
+    until its sum reaches ``tri(n2)``.  The top label lands exactly at
+    ``n + theta``.
     """
     n = n1 + n2
     deficit = 2 * _tri(n2) - _tri(n)  # side-2 sum minus the unshifted top run
-    q, r = divmod(deficit, n1)
-    if r == 0:
-        side1 = list(range(n2 + q + 1, n + q + 1))
-    else:
-        side1 = [x for x in range(n2 + q + 1, n + q + 2) if x != n + q + 1 - r]
-    return side1, list(range(1, n2 + 1))
+    return _shifted_run(n2 + 1, n1, deficit), list(range(1, n2 + 1))
 
 
 def label_bipartite(n1: int, n2: int, target_max: int) -> Labeling | None:
@@ -241,10 +250,8 @@ def label_bipartite(n1: int, n2: int, target_max: int) -> Labeling | None:
         raise InternalInconsistencyError(
             f"K({n1},{n2}): predicted index {theta} but split failed"
         )
-    spec = PartiteSpec((n1, n2))
-    parts = [list(range(n1)), list(range(n1, n))]
-    labeling = Labeling.from_parts(parts, sides)
-    if labeling.eta != eta or not partite_sums_check(spec, labeling):
+    labeling = Labeling.from_parts(sides)
+    if labeling.eta != eta or not partite_sums_check(PartiteSpec((n1, n2)), labeling):
         raise InternalInconsistencyError(
             f"K({n1},{n2}): constructed labeling failed verification"
         )

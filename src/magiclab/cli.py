@@ -5,8 +5,9 @@ Subcommands: ``index``, ``label``, ``verify``, ``qmr``, ``kotzig``,
 keys, or CSV for arrays) and deterministic across runs.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
-malformed input, a missing or unreadable file, a domain error, or a size
-cap exceeded (vertices, block adjacency, QMR entries or the oracle caps);
+malformed input (a spec nested too deep included), a missing or unreadable
+file, a domain error, or a size cap exceeded (vertices, block adjacency,
+QMR or Kotzig array entries, or the oracle caps);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
 constructive labeling path; 5 the requested array provably does not exist;
 6 an exhaustive search ran out of its time budget; 7 a construction or an
@@ -19,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import families
@@ -61,17 +61,7 @@ EXIT_CONSTRUCTION = 7
 
 
 def _emit(payload) -> None:
-    print(json.dumps(_jsonable(payload), sort_keys=True))
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    print(json.dumps(payload, sort_keys=True))
 
 
 class _Unsupported(Exception):
@@ -197,7 +187,8 @@ def _witness_for_plan(plan, ast, args):
     if result.theta == 1:
         # a "lex" plan carries the base graph it built, so a FILE is read once
         graph = build_from_ast(ast, inner=params[0] if kind == "lex" else None)
-        return families.label_by_qmr_columns(graph), graph, result
+        group = params[0] if kind == "Kab" else params[1]  # part or layer size
+        return families.label_by_qmr_columns(graph, group), graph, result
     if result.theta == 0 and args.certify:
         graph = _oracle_graph(ast)
         return _run_oracle(args, graph, 0).witness, graph, result

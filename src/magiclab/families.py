@@ -95,28 +95,23 @@ def theta_lex_regular(g: Graph, a: int) -> ThetaResult:
 # Column-based witness labelings
 
 
-def label_by_qmr_columns(graph: Graph) -> Labeling:
-    """Label group ``j`` of ``graph`` with the sorted column ``j`` of
-    QMR(a, #groups), where ``a`` is the common group size.
+def label_by_qmr_columns(graph: Graph, a: int) -> Labeling:
+    """Label vertex ``v`` of ``graph`` from the sorted column ``v // a`` of
+    QMR(a, n/a).
 
-    The groups are ``graph.layers`` when set, else the blocks, so a part of
-    ``K(...)`` or ``U(m, K(...))`` is one group.  On the family members of
-    index 1 this is the column construction of the module docstring.  Raises
-    ``DomainError`` on groups of unequal size or when no such QMR exists.
-    The labeling is not verified here.
+    The groups of ``a`` consecutive ids are the parts of ``K(...)`` and
+    ``U(m, K(...))`` and the layers of ``LEX(G, E(a))``, so on the family
+    members of index 1 this is the column construction of the module
+    docstring.  Raises ``DomainError`` when a block is not a whole number of
+    groups or when no such QMR exists.  The labeling is not verified here.
     """
-    groups = graph.layers
-    if groups is None:
-        groups = [range(start, end) for start, end in graph.blocks]
-    sizes = {len(group) for group in groups}
-    if len(sizes) != 1:
-        raise DomainError(f"column labeling needs groups of one size, got {sorted(sizes)}")
-    (a,) = sizes
-    arr = qmr(a, len(groups))
+    if any((end - start) % a for start, end in graph.blocks):
+        raise DomainError(f"column labeling needs blocks of whole groups of {a} vertices")
+    groups = graph.vertex_count // a
+    arr = qmr(a, groups)
     if arr is None:
-        raise DomainError(f"no QMR({a},{len(groups)}) exists")
-    columns = [[row[j] for row in arr.entries] for j in range(arr.cols)]
-    return Labeling.from_parts(groups, columns)
+        raise DomainError(f"no QMR({a},{groups}) exists")
+    return Labeling.from_parts([row[j] for row in arr.entries] for j in range(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ O(#blocks + block edges), never per vertex pair:
 * ``U(m, G)`` is ``m`` offset copies of the blocks of ``G``;
 * ``LEX(G, E(a))`` turns block ``[s, e)`` of ``G`` into ``[s*a, e*a)``.
 
-Partite sets and blow-up layers are kept as side metadata for the family
-constructors.
+No other vertex layout is kept: a witness labeling lists its labels block
+by block, and ``Graph.partite_spec`` reads a complete multipartite graph
+off the blocks, however the spec wrote it (``LEX(K(2,3),E(2))`` is
+K(4,6)).
 
 The closed spec grammar::
 
@@ -39,6 +41,9 @@ DEFAULT_MAX_VERTICES = 100_000
 # K(...) with r parts stores r(r-1) block adjacency entries: within the vertex
 # cap that can reach gigabytes
 MAX_BLOCK_ADJACENCY = 1_000_000
+# the parser and the builders recurse once or twice per nested U( or LEX(;
+# 200 levels stay well inside Python's default recursion limit of 1 000
+MAX_SPEC_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -71,15 +76,11 @@ class Graph:
 
     ``blocks[i] = (start, end)`` is the id range ``[start, end)``; the
     blocks tile ``0..n-1`` in order.  ``adjacent[i]`` lists the indices of
-    the blocks every vertex of block ``i`` is adjacent to.  ``parts`` and
-    ``layers`` list the vertex ids of each partite set or blow-up layer
-    when the graph was built by the corresponding constructor.
+    the blocks every vertex of block ``i`` is adjacent to.
     """
 
     blocks: tuple[tuple[int, int], ...]
     adjacent: tuple[tuple[int, ...], ...]
-    parts: tuple[range, ...] | None = None
-    layers: tuple[range, ...] | None = None
 
     def __post_init__(self):
         expected = 0
@@ -163,11 +164,19 @@ class Graph:
     def is_regular(self) -> bool:
         return self.min_degree == self.max_degree
 
-    @property
+    @cached_property
     def partite_spec(self) -> PartiteSpec | None:
-        if self.parts is None:
+        """The block sizes when every block is adjacent to every other block
+        (the graph is then complete multipartite, one part per block), else
+        ``None``.  Block sizes out of nondecreasing order, which no spec
+        builds, also give ``None``."""
+        k = len(self.blocks)
+        if any(len(adj) != k - 1 for adj in self.adjacent):
+            return None  # a block lists no duplicate and not itself
+        sizes = tuple(end - start for start, end in self.blocks)
+        if list(sizes) != sorted(sizes):
             return None
-        return PartiteSpec(tuple(len(p) for p in self.parts))
+        return PartiteSpec(sizes)
 
 
 def build_complete_multipartite(spec: PartiteSpec) -> Graph:
@@ -181,7 +190,6 @@ def build_complete_multipartite(spec: PartiteSpec) -> Graph:
     return Graph(
         blocks=tuple(blocks),
         adjacent=tuple(tuple(j for j in range(r) if j != i) for i in range(r)),
-        parts=tuple(range(s, e) for s, e in blocks),
     )
 
 
@@ -200,14 +208,7 @@ def disjoint_union(m: int, g: Graph) -> Graph:
     adjacent = tuple(
         tuple(j + c * k for j in adj) for c in range(m) for adj in g.adjacent
     )
-    layers = None
-    if g.layers is not None:
-        layers = tuple(
-            range(layer.start + c * n, layer.stop + c * n)
-            for c in range(m)
-            for layer in g.layers
-        )
-    return Graph(blocks=blocks, adjacent=adjacent, layers=layers)
+    return Graph(blocks=blocks, adjacent=adjacent)
 
 
 def lex_blowup(g: Graph, a: int) -> Graph:
@@ -223,7 +224,6 @@ def lex_blowup(g: Graph, a: int) -> Graph:
     return Graph(
         blocks=tuple((s * a, e * a) for s, e in g.blocks),
         adjacent=g.adjacent,
-        layers=tuple(range(u * a, (u + 1) * a) for u in range(g.vertex_count)),
     )
 
 
@@ -304,6 +304,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise GraphSpecError(message, position=self.pos)
@@ -341,10 +342,15 @@ class _Parser:
         return self.text[start:self.pos]
 
     def spec(self) -> SpecNode:
+        self.depth += 1
+        if self.depth > MAX_SPEC_DEPTH:
+            self.error(f"specs nest at most {MAX_SPEC_DEPTH} levels deep")
         for head in ("K(", "C(", "U(", "LEX(", "FILE("):
             if self.text.startswith(head, self.pos):
                 self.pos += len(head)
-                return getattr(self, "_" + head[:-1].lower())()
+                node = getattr(self, "_" + head[:-1].lower())()
+                self.depth -= 1
+                return node
         self.error("expected one of K(, C(, U(, LEX(, FILE(")
 
     def _k(self) -> KNode:

@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import ceil
 
 from .errors import DomainError
@@ -68,13 +68,12 @@ class Labeling:
         return cls(tuple(mapping[v] for v in range(n)))
 
     @classmethod
-    def from_parts(cls, parts: list[list[int]] | tuple, label_sets) -> "Labeling":
-        """Assemble a labeling from per-part label sets (sorted within a part)."""
-        mapping: dict[int, int] = {}
-        for part, labels in zip(parts, label_sets):
-            for v, lab in zip(sorted(part), sorted(labels)):
-                mapping[v] = lab
-        return cls.from_dict(mapping)
+    def from_parts(cls, label_sets) -> "Labeling":
+        """Labeling that concatenates the sorted label sets: the ids, in
+        order, take set 0, then set 1, and so on.  Since blocks tile the ids
+        in order, one set per part of a complete multipartite graph labels
+        each part with its set."""
+        return cls(tuple(chain.from_iterable(sorted(labels) for labels in label_sets)))
 
     def to_json(self) -> str:
         payload = {"labels": {str(v): lab for v, lab in enumerate(self.labels)}}

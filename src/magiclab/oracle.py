@@ -250,14 +250,9 @@ def oracle_theta_multipartite(
                 f"multipartite oracle out of budget at excess {e}", lower=e
             ) from None
         if parts is not None:
-            vertex_parts = []
-            start = 0
-            for size in sizes:
-                vertex_parts.append(list(range(start, start + size)))
-                start += size
-            witness = Labeling.from_parts(vertex_parts, parts)
             return ThetaResult(
-                lower=e, upper=e, case_tag="oracle", provenance="oracle", witness=witness
+                lower=e, upper=e, case_tag="oracle", provenance="oracle",
+                witness=Labeling.from_parts(parts),
             )
     return exhausted
 

@@ -14,25 +14,39 @@ every instance falls in exactly one case:
     II   B > A, B >= C                 -> exact ceiling formula
     III  A < B < C                     -> lower bound only
     IV   A >= B >= C, 2B = 2 (mod 6)   -> bounds [1, n+1]
-    V    B <= A, B < C                 -> exact when the top-set deficit
-                                          dominates the index of K(n2, n3)
+    V    B <= A, B < C                 -> bounds [1, theta(K(n2, n3)) + 1]
 
 Case I witnesses split ``{1..n}`` into three equal-sum parts with
 ``split_equal_sums``; case IV splits ``{1..n+1}`` for the enlarged graph
-K(n1+1, n2, n3) and merges its top label away.  Cases II and V follow the
-label-shift scheme: keep the bottom labels on V3, re-balance V2 through a
-labeling of the subgraph K(n2, n3), and slide the top ``n1`` labels upward
-by a quotient, repairing the remainder by bumping a single label.  Every
-witness has its part sums checked before being returned (on a complete
-multipartite graph, equal part sums are exactly the magic property); an
-internal contradiction raises instead of emitting an uncertified object.
+K(n1+1, n2, n3) and merges its top label away.  Case II follows the
+label-shift scheme: V3 and V2 take a labeling of the subgraph K(n2, n3),
+and V1 takes the top ``n1`` labels shifted upward (``_shifted_run``).
+Every witness has its part sums checked before being returned (on a
+complete multipartite graph, equal part sums are exactly the magic
+property); an internal contradiction raises instead of emitting an
+uncertified object.
+
+*Case V is never exact (proved).*  The shift scheme would give case V the
+exact index ``ceil((L - T) / n1)`` when ``L - T >= n1 * ceil((L - M) / n2)``,
+where T, M and L are the sums of the top n1, middle n2 and bottom n3
+labels of ``{1..n}`` and ``B = T + M + L``; no shape passes that test.
+Case V is ``B <= 3T`` and ``B < 3L``.
+
+* ``B <= 3T`` gives ``T - M >= L - T``, so ``L - M >= 2(L - T)``.
+* ``M = B - T - L < B - B/3 - B/3 = B/3 < L``, so ``ceil((L - M)/n2) >= 1``
+  and the test forces ``L - T >= n1 > 0``.  Then
+  ``L - T >= n1 (L - M)/n2 >= 2 n1 (L - T)/n2`` forces ``n2 >= 2 n1``.
+* ``B <= 3T <= 3 n1 n`` gives ``n1 >= (n+1)/6``, so
+  ``n3 <= n - 3 n1 <= (n-1)/2`` and
+  ``3L = 3 n3 (n3+1)/2 <= 3 (n^2-1)/8 < n(n+1)/2 = B``, contradicting
+  ``B < 3L``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipartite import label_bipartite, split_equal_sums
+from .bipartite import _shifted_run, label_bipartite, split_equal_sums
 from .errors import DomainError, InternalInconsistencyError
 from .graphs import PartiteSpec
 from .labelings import Labeling, ThetaResult, partite_sums_check
@@ -86,15 +100,6 @@ def is_distance_magic_tripartite(n1: int, n2: int, n3: int) -> bool:
     return n2 >= 2 and case.residue == 0 and case.top3 >= case.total >= case.bottom3
 
 
-def _case5_quantities(n1, n2, n3):
-    n = n1 + n2 + n3
-    m = n - n1
-    top_deficit = zeta(1, n3) - zeta(m + 1, n)  # what the top run misses
-    sub_deficit = 2 * zeta(1, n3) - zeta(1, m)  # what V2's run misses inside K(n2,n3)
-    theta_h = _ceil_div(sub_deficit, n2)
-    return top_deficit, sub_deficit, theta_h
-
-
 def theta_tripartite(n1: int, n2: int, n3: int) -> ThetaResult:
     """Exact index or bounds for K(n1, n2, n3), by case."""
     case = classify_tripartite(n1, n2, n3)
@@ -114,10 +119,7 @@ def theta_tripartite(n1: int, n2: int, n3: int) -> ThetaResult:
         return ThetaResult(lower=lower, upper=None, case_tag=tag)
     if case.tag == "IV":
         return ThetaResult(lower=1, upper=n + 1, case_tag=tag)
-    top_deficit, _, theta_h = _case5_quantities(n1, n2, n3)
-    if top_deficit >= n1 * theta_h:
-        theta = _ceil_div(top_deficit, n1)
-        return ThetaResult(lower=theta, upper=theta, case_tag=tag)
+    theta_h = _ceil_div(2 * zeta(1, n3) - zeta(1, n - n1), n2)  # index of K(n2, n3)
     return ThetaResult(lower=1, upper=theta_h + 1, case_tag=tag)
 
 
@@ -125,52 +127,34 @@ def theta_tripartite(n1: int, n2: int, n3: int) -> ThetaResult:
 # Witness constructions
 
 
-def _run_without(lo: int, hi: int, hole: int) -> list[int]:
-    return [x for x in range(lo, hi + 1) if x != hole]
-
-
 def _case2_top_labels(n1: int, n: int) -> tuple[list[int], int]:
     """Label set for V1 in case II and the top label of the bipartite part.
 
-    Returns (labels, H_target_max).  The quotient/remainder subcases mirror
-    the shift-and-repair scheme; the combination q=1, r=0 of the second
-    branch cannot occur (its defining equation has no integer solutions), so
-    hitting it means the classification itself broke.
+    Returns (labels, H_target_max).  V1 takes the run ``{m+1..n}`` with its
+    sum raised by ``lam``, or by ``lam - 1`` when ``m = 1, 2 (mod 4)``, where
+    the subgraph labeling ends at ``m + 1``.  With ``q = 0`` there, the
+    freed label ``m`` joins V1 instead.  The combination q=1, r=0 of the
+    second branch cannot occur (its defining equation has no integer
+    solutions), so hitting it means the classification itself broke.
     """
     m = n - n1
     total = zeta(1, n)
     zm = zeta(1, m)
     if m % 4 in (0, 3):
-        lam = (3 * zm - 2 * total) // 2
-        q, r = divmod(lam, n1)
-        if r == 0:
-            labels = list(range(m + q + 1, n + q + 1))
-        else:
-            labels = _run_without(m + q + 1, n + q + 1, n + q + 1 - r)
-        return labels, m
+        return _shifted_run(m + 1, n1, (3 * zm - 2 * total) // 2), m
     lam = (3 * zm - 2 * total + 3) // 2
     q, r = divmod(lam, n1)
-    if q > 1:
-        if r == 0:
-            labels = [m + q] + list(range(m + q + 2, n + q + 1))
-        elif r == 1:
-            labels = list(range(m + q + 1, n + q + 1))
-        else:
-            labels = _run_without(m + q + 1, n + q + 1, n + q + 2 - r)
-    elif q == 1:
-        if r == 0:
-            raise InternalInconsistencyError(
-                f"case II shift hit q=1, r=0 at n1={n1}, n={n}; this combination "
-                "has no integer solutions and should be unreachable"
-            )
-        if r == 1:
-            labels = list(range(m + 2, n + 2))
-        else:
-            labels = _run_without(m + 2, n + 2, n - r + 3)
-    else:
+    if q == 0:
         if r < 2:
             raise InternalInconsistencyError("case II shift needs r >= 2 when q = 0")
-        labels = [m] + _run_without(m + 2, n + 1, n - r + 1)
+        labels = [m] + [x for x in range(m + 2, n + 2) if x != n - r + 1]
+    elif q == 1 and r == 0:
+        raise InternalInconsistencyError(
+            f"case II shift hit q=1, r=0 at n1={n1}, n={n}; this combination "
+            "has no integer solutions and should be unreachable"
+        )
+    else:
+        labels = _shifted_run(m + 1, n1, lam - 1)
     return labels, m + 1
 
 
@@ -182,29 +166,7 @@ def _label_case2(n1, n2, n3):
         raise InternalInconsistencyError(
             f"case II subgraph K({n2},{n3}) refused target {h_target}"
         )
-    mid = sorted(sub.labels[:n2])
-    bottom = sorted(sub.labels[n2:])
-    return [sorted(top), mid, bottom]
-
-
-def _label_case5(n1, n2, n3):
-    n = n1 + n2 + n3
-    m = n - n1
-    top_deficit, sub_deficit, theta_h = _case5_quantities(n1, n2, n3)
-    if top_deficit < n1 * theta_h:
-        return None  # only the exact branch is constructive
-    mu, r = divmod(sub_deficit, n2)
-    if r == 0:
-        mid = list(range(n3 + 1 + mu, m + mu + 1))
-    else:
-        mid = _run_without(n3 + 1 + mu, m + mu + 1, m + mu - r + 1)
-    q, r1 = divmod(top_deficit, n1)
-    if r1 == 0:
-        top = list(range(m + q + 1, n + q + 1))
-    else:
-        top = _run_without(m + q + 1, n + q + 1, n + q + 1 - r1)
-    bottom = list(range(1, n3 + 1))
-    return [top, mid, bottom]
+    return [top, sub.labels[:n2], sub.labels[n2:]]
 
 
 def _label_case4(n1, n2, n3):
@@ -235,11 +197,12 @@ def _label_case4(n1, n2, n3):
 def label_tripartite(n1: int, n2: int, n3: int) -> Labeling | None:
     """Certified S-magic witness when a constructive path exists.
 
-    Cases I and II and the exact branch of case V realize the index (top
-    label ``n + theta``); case IV realizes the ``n + 1`` upper bound; case
-    III and the conditional branch of case V return ``None``.
+    Cases I and II realize the index (top label ``n + theta``); case IV
+    realizes the ``n + 1`` upper bound; cases III and V return ``None``.
     """
     case = classify_tripartite(n1, n2, n3)
+    if case.tag in ("III", "V"):
+        return None
     n = n1 + n2 + n3
     if case.tag == "I":
         label_sets = split_equal_sums(range(1, n + 1), (n1, n2, n3))
@@ -249,16 +212,11 @@ def label_tripartite(n1: int, n2: int, n3: int) -> Labeling | None:
             )
     elif case.tag == "II":
         label_sets = _label_case2(n1, n2, n3)
-    elif case.tag == "III":
-        return None
-    elif case.tag == "IV":
-        label_sets = _label_case4(n1, n2, n3)
     else:
-        label_sets = _label_case5(n1, n2, n3)
+        label_sets = _label_case4(n1, n2, n3)
     if label_sets is None:
         return None
-    parts = [range(0, n1), range(n1, n1 + n2), range(n1 + n2, n)]
-    labeling = Labeling.from_parts(parts, label_sets)
+    labeling = Labeling.from_parts(label_sets)
     if not partite_sums_check(PartiteSpec((n1, n2, n3)), labeling):
         raise InternalInconsistencyError(
             f"case {case.tag} construction for K({n1},{n2},{n3}) has unequal part sums"

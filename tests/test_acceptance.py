@@ -188,9 +188,9 @@ def test_criterion_8_family_rules_and_witnesses():
     assert cells > 150
     witnesses = 0
 
-    def certify(g, constant):
+    def certify(g, a, constant):
         nonlocal witnesses
-        lab = label_by_qmr_columns(g)
+        lab = label_by_qmr_columns(g, a)
         report = verify_s_magic(g, lab)
         assert report.is_magic and report.constant == constant
         assert lab.eta == g.vertex_count + 1 <= 31
@@ -198,17 +198,17 @@ def test_criterion_8_family_rules_and_witnesses():
 
     for a, b in _KAB:
         sigma = a * (a * b + 2) // 2
-        certify(build_complete_multipartite(PartiteSpec((a,) * b)), sigma * (b - 1))
+        certify(build_complete_multipartite(PartiteSpec((a,) * b)), a, sigma * (b - 1))
     for m, a, b in _MKAB:
         sigma = a * (a * m * b + 2) // 2
         k_ab = build_complete_multipartite(PartiteSpec((a,) * b))
-        certify(disjoint_union(m, k_ab), sigma * (b - 1))
+        certify(disjoint_union(m, k_ab), a, sigma * (b - 1))
     for m, a, b in _MCLEX:
         sigma = a * (a * m * b + 2) // 2
-        certify(disjoint_union(m, lex_blowup(build_cycle(b), a)), 2 * sigma)
+        certify(disjoint_union(m, lex_blowup(build_cycle(b), a)), a, 2 * sigma)
     for base, a in _lex_instances():
         sigma = a * (a * base.vertex_count + 2) // 2
-        certify(lex_blowup(base, a), base.max_degree * sigma)
+        certify(lex_blowup(base, a), a, base.max_degree * sigma)
     elapsed = time.monotonic() - start
     assert elapsed <= 120
     report("criterion-8", f"{witnesses} certified index-1 witnesses ({elapsed:.2f}s)")

@@ -2,7 +2,15 @@ import time
 
 import pytest
 
-from magiclab import DomainError, MagicArray, kotzig_array, qmr, verify_kotzig, verify_qmr
+from magiclab import (
+    DomainError,
+    MagicArray,
+    SizeLimitError,
+    kotzig_array,
+    qmr,
+    verify_kotzig,
+    verify_qmr,
+)
 from magiclab.arrays import (
     _block_table,
     _three_row_block,
@@ -154,3 +162,12 @@ def test_qmr_at_the_entry_cap(a, b):
     arr = qmr(a, b)
     check = verify_qmr(arr)
     assert check.valid and time.perf_counter() - start < 1.0, (check.violation, a, b)
+
+
+def test_kotzig_entry_cap():
+    # the QMR cap: 100 000 entries build, one more column is refused unbuilt
+    assert verify_kotzig(kotzig_array(4, 25_000))
+    with pytest.raises(SizeLimitError):
+        kotzig_array(4, 25_001)
+    with pytest.raises(SizeLimitError):
+        kotzig_array(4, 1_000_000)

@@ -14,6 +14,7 @@ import magiclab
 from magiclab import cli
 from magiclab.cli import main
 from magiclab.errors import InternalInconsistencyError
+from magiclab.graphs import MAX_SPEC_DEPTH
 
 from conftest import petersen
 
@@ -201,11 +202,25 @@ def test_cli_outputs_are_deterministic_across_jobs():
 # sha256 of the ``label`` stdout; bipartite, case II and family witnesses
 # keep their bytes when the splitter changes.  U(2,K(3,3)) labels its parts
 # with the columns {4,6,11}, {1,8,12}, {3,5,13}, {2,9,10} of QMR(3,4).
+# The shapes after K(20,30) were pinned before the shift arithmetic became
+# one run helper: the case II ones cover each shift branch (m = 0, 3 mod 4
+# with r = 0 and r > 0; otherwise q = 0, q = 1 with r = 1 and r >= 2, q > 1
+# with r = 0, 1 and >= 2), the bipartite ones the deficit with r = 0 and r > 0.
 LABEL_GOLDEN_SHA256 = {
     "K(2,2)": "0ebc2109db37189287c9b5683c20faed67f4f6727a3f7195dee310fffd4a6dee",
     "K(4,7)": "80d6749eea6c19c5ebaabe216c635d29d98f0d9ef67d7eb9d11d6565706e01af",
     "K(6,7)": "aa0349f4288623c511e78954c12806bd6d53198d531437b06c7ae262d38127f3",
     "K(20,30)": "4e56cf0f933198e6c3b34fddd8c2f436ac020ac45d7a63f2829e49ebf576f208",
+    "K(2,5)": "ee5949f026e3f19af9463547798ee93727f92d4dada0ff669b8543ad0c617e1e",
+    "K(3,7)": "f92295f847128acfabac697488603ec0aedfac8bac0cd4680d46005e48fed7e8",
+    "K(2,4,7)": "d2e60294af670b334af43f6d41d84dbc6bb305979f9141541efb0f03c1f46a77",
+    "K(2,6,9)": "2188997233834220210eade59fefdde4de68021f4471307e87803fc1a98030d5",
+    "K(3,4,9)": "051ea61f49364cbfed790516a40d45b1fc5c072e1ee466c0731fd52153c37bc7",
+    "K(2,3,6)": "746b8cc323e4d47c5a62aebd496f66340b5d1ddb7ceb4522675ced8e8db46aa3",
+    "K(10,14,31)": "ac5dffbe209849664548f252d22c1fc7fce5d0f98c1ab4b669427a17c70d1b96",
+    "K(2,4,6)": "5d926c526a2fa43e4b68b6ad9247d0ef0a05c32ce944933c943473e05537c537",
+    "K(2,5,9)": "759a8e62e7fd41386a4eae972df55091ec4a8212cde58f00a31180edaf4cfc5a",
+    "K(3,8,14)": "7425cdbbe617e526a6b2f5a7bda00be1cb0db4bb1d21771f5f51b0d34fae7212",
     "K(3,8,9)": "73c1cee10ba18f668a9ba836d8a40cee3c3543998ac7ba7719b1e78db4185441",
     "U(2,K(3,3))": "656f745977fc3328e523ee9b8c152baf9470c22f47110591689295ab1e345d97",
     "K(3,3,3,3)": "fd125e8e6e4c889d24b6e03f6576e59bbd241603d574e025289f0617185e503b",
@@ -238,6 +253,39 @@ def test_oracle_stdout_goldens():
     for spec, digest in ORACLE_GOLDEN_SHA256.items():
         code, out, _ = run_cli("oracle", spec, "--max-excess", "16")
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
+
+
+@pytest.mark.parametrize("disguised, literal", [
+    ("LEX(K(1,1),E(5))", "K(5,5)"),
+    ("LEX(K(2,3),E(2))", "K(4,6)"),
+    ("U(1,K(2,3))", "K(2,3)"),
+    ("LEX(C(3),E(2))", "K(2,2,2)"),
+])
+def test_disguised_complete_multipartite_specs_match_their_k_form(disguised, literal):
+    answers = []
+    for spec in (disguised, literal):
+        code, out, _ = run_cli("oracle", spec, "--max-excess", "4")
+        payload = json.loads(out)
+        answers.append((code, payload["theta"], payload["lower"], payload["upper"]))
+    assert answers[0] == answers[1] and answers[0][0] == 0
+
+
+def _nested(depth):
+    """``K(2,2)`` inside ``depth - 1`` one-copy unions: ``depth`` spec levels."""
+    return "U(1," * (depth - 1) + "K(2,2)" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deep_nesting_exits_2_with_position(depth):
+    code, out, err = run_cli("index", _nested(depth))
+    # level MAX_SPEC_DEPTH + 1 starts after MAX_SPEC_DEPTH four-character "U(1,"
+    assert code == 2 and out == "" and f"(at {4 * MAX_SPEC_DEPTH})" in err
+
+
+def test_nesting_at_the_limit_succeeds():
+    for command in ("index", "label"):
+        code, out, _ = run_cli(command, _nested(MAX_SPEC_DEPTH))
+        assert code == 0 and json.loads(out), command
 
 
 def test_family_label_keeps_constant_and_eta(tmp_path):
@@ -285,8 +333,8 @@ def test_column_labeling_off_by_one_exits_7(monkeypatch):
     # label is n + 2 where the index says n + 1
     column_labeling = magiclab.families.label_by_qmr_columns
 
-    def shifted(graph):
-        return magiclab.Labeling(tuple(x + 1 for x in column_labeling(graph).labels))
+    def shifted(graph, a):
+        return magiclab.Labeling(tuple(x + 1 for x in column_labeling(graph, a).labels))
 
     monkeypatch.setattr(magiclab.families, "label_by_qmr_columns", shifted)
     code, out, err = run_cli("label", "K(3,3,3,3)")
@@ -329,6 +377,8 @@ def test_budget_and_size_cap_exit_codes():
     code, out, err = run_cli("oracle", "U(2,C(4))", "--max-excess", "6", "--budget-seconds", "0")
     assert code == 6 and out == "" and "out of budget" in err
     code, out, err = run_cli("qmr", "3", "40000")  # 120 000 entries, over the cap
+    assert code == 2 and out == "" and "cap" in err
+    code, out, err = run_cli("kotzig", "4", "1000000")  # 4 000 000 entries
     assert code == 2 and out == "" and "cap" in err
 
 

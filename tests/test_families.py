@@ -79,34 +79,35 @@ def test_every_decision_table_cell():
     assert checked > 150
 
 
-def _column_constant(g):
-    """Magic constant of the column labeling of ``g``, checking eta = n + 1."""
-    lab = label_by_qmr_columns(g)
+def _column_constant(g, a):
+    """Magic constant of the column labeling of ``g`` with groups of ``a``
+    vertices, checking eta = n + 1."""
+    lab = label_by_qmr_columns(g, a)
     report = verify_s_magic(g, lab)
     assert report.is_magic and lab.eta == g.vertex_count + 1
     return report.constant
 
 
 def test_family_witnesses():
-    assert _column_constant(build_complete_multipartite(PartiteSpec((3, 3)))) == 12
+    assert _column_constant(build_complete_multipartite(PartiteSpec((3, 3))), 3) == 12
 
     sigma = 3 * (3 * 6 + 2) // 2  # column sum of QMR(3, 6)
     k333 = build_complete_multipartite(PartiteSpec((3, 3, 3)))
-    assert _column_constant(disjoint_union(2, k333)) == sigma * 2
+    assert _column_constant(disjoint_union(2, k333), 3) == sigma * 2
 
-    assert _column_constant(lex_blowup(petersen(), 3)) == 144  # eta 31
+    assert _column_constant(lex_blowup(petersen(), 3), 3) == 144  # eta 31
 
     c5_blowup = lex_blowup(build_cycle(5), 3)
-    assert _column_constant(disjoint_union(2, c5_blowup)) == 2 * (3 * (3 * 10 + 2) // 2)
+    assert _column_constant(disjoint_union(2, c5_blowup), 3) == 2 * (3 * (3 * 10 + 2) // 2)
 
 
 def test_family_witness_gate():
     with pytest.raises(DomainError):  # index 0: no QMR with an even number of rows
-        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2,) * 5)))
+        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2,) * 5)), 2)
     with pytest.raises(DomainError):  # open cell: no QMR(5, 2)
-        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((5, 5))))
-    with pytest.raises(DomainError):  # unequal groups
-        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2, 3))))
+        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((5, 5))), 5)
+    with pytest.raises(DomainError):  # a block of 3 is not whole groups of 2
+        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2, 3))), 2)
 
 
 def test_family_values_match_the_oracle_on_small_instances():

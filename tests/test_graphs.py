@@ -45,6 +45,19 @@ def test_partite_spec_roundtrip():
         assert g.partite_spec.sizes == sizes
 
 
+def test_partite_spec_is_read_off_the_blocks():
+    # complete multipartite however the spec writes it
+    for text, sizes in [
+        ("LEX(K(1,1),E(5))", (5, 5)),
+        ("LEX(K(2,3),E(2))", (4, 6)),
+        ("U(1,K(2,3))", (2, 3)),
+        ("LEX(C(3),E(2))", (2, 2, 2)),
+    ]:
+        assert parse_graph_spec(text).partite_spec.sizes == sizes, text
+    for text in ("C(4)", "U(2,K(3,3))", "LEX(C(4),E(2))"):
+        assert parse_graph_spec(text).partite_spec is None, text
+
+
 def test_partite_spec_validation():
     with pytest.raises(ValueError):
         PartiteSpec((3, 2))

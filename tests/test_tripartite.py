@@ -12,7 +12,6 @@ from magiclab import (
     verify_s_magic,
     zeta,
 )
-from magiclab.tripartite import _case5_quantities
 
 from conftest import tripartite_instances
 
@@ -183,10 +182,13 @@ def test_case2_shift_never_hits_the_impossible_combo():
 
 
 def test_case5_exact_branch_is_empty_at_desk_scale():
-    # the exact branch needs the top-set deficit to dominate n1 * theta(H);
-    # that forces n2 >= 2*n1, which the case-V inequalities exclude
+    # the shift scheme's exact test, top-set deficit L - T >= n1 * theta(H)
+    # with theta(H) = ceil((L - M) / n2), forces n2 >= 2*n1, which the case-V
+    # inequalities exclude (proof in the tripartite docstring)
     for (n1, n2, n3) in tripartite_instances(40):
         if classify_tripartite(n1, n2, n3).tag != "V":
             continue
-        top_deficit, _, theta_h = _case5_quantities(n1, n2, n3)
-        assert top_deficit < n1 * theta_h
+        n = n1 + n2 + n3
+        top, mid, bottom = zeta(n - n1 + 1, n), zeta(n3 + 1, n3 + n2), zeta(1, n3)
+        assert bottom - top < n1 * -((mid - bottom) // n2)
+        assert not theta_tripartite(n1, n2, n3).exact
