@@ -6,16 +6,19 @@ For ``2 <= n1 <= n2`` and ``n = n1 + n2`` the index is
 * 1 when that inequality holds and ``n = 1 or 2 (mod 4)``,
 * ``ceil((2*n2*(n2+1) - n(n+1)) / (2*n1))`` otherwise.
 
+A star K(1, n2) with ``n2 >= 2`` has index ``n2(n2+1)/2 - n2 - 1``: the
+lone vertex's label equals the other side's sum, at least ``1 + .. + n2``.
+
 The witness label sets realizing the first two branches are ``{1..n}`` and
-``{1..n-1, n+1}``; the third branch keeps ``{1..n2}`` on the large side and
-shifts the run ``{n2+1..n}`` upward on the small side (``_shifted_run``).
-Every labeling this module returns is re-checked for equal side sums before
-being handed out.
+``{1..n-1, n+1}``, split by ``split_equal_sums``; the third branch keeps
+``{1..n2}`` on the large side and shifts the run ``{n2+1..n}`` upward on
+the small side (``_shifted_run``).  Every labeling this module returns is
+re-checked for equal side sums before being handed out.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import permutations
 
 from .errors import DomainError, InternalInconsistencyError
@@ -27,22 +30,16 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def _tri(k: int) -> int:
-    return k * (k + 1) // 2
-
-
-def _theta_value(n1: int, n2: int) -> int | None:
-    """Index of K(n1, n2) for any n1 <= n2; None when no labeling exists."""
-    if n1 == 1:
-        if n2 == 1:
-            return None  # two singletons would need equal distinct labels
-        return _tri(n2) - (n1 + n2)  # lone vertex's label must carry a full side sum
+def _branch(n1: int, n2: int) -> tuple[str, int | None]:
+    """(case tag, index) of K(n1, n2) for any n1 <= n2; the index is None
+    when no labeling exists (two singletons would need equal labels)."""
     n = n1 + n2
-    lhs = n * (n + 1)
-    rhs = 2 * n2 * (n2 + 1)
+    if n1 == 1:
+        return "bipartite-star", _run_sum(1, n2) - n if n2 > 1 else None
+    lhs, rhs = n * (n + 1), 2 * n2 * (n2 + 1)
     if lhs >= rhs:
-        return 0 if n % 4 in (0, 3) else 1
-    return _ceil_div(rhs - lhs, 2 * n1)
+        return ("bipartite-0", 0) if n % 4 in (0, 3) else ("bipartite-1", 1)
+    return "bipartite-deficit", _ceil_div(rhs - lhs, 2 * n1)
 
 
 def _run_sum(lo: int, c: int) -> int:
@@ -52,58 +49,69 @@ def _run_sum(lo: int, c: int) -> int:
 
 def _runs(labels) -> list[tuple[int, int]]:
     """Ascending ``(lo, hi)`` blocks of consecutive integers covering ``labels``."""
-    runs: list[list[int]] = []
-    for x in sorted(labels):
-        if runs and runs[-1][1] == x - 1:
-            runs[-1][1] = x
-        else:
-            runs.append([x, x])
-    return [(lo, hi) for lo, hi in runs]
+    xs = sorted(labels)
+    cuts = [i for i in range(1, len(xs)) if xs[i] != xs[i - 1] + 1]
+    return [(xs[i], xs[j - 1]) for i, j in zip([0, *cuts], [*cuts, len(xs)])] if xs else []
+
+
+def _detached(runs):
+    """A single label of more than two ``runs``, with the other runs; else ``None``."""
+    if len(runs) > 2:
+        for i, (lo, hi) in enumerate(runs):
+            if lo == hi:
+                return lo, runs[:i] + runs[i + 1:]
+        raise ValueError("equal-sum splits need at most two runs of consecutive labels")
 
 
 def _feasible(runs, c: int, t: int) -> bool:
     """Can ``c`` distinct labels from ``runs`` sum to ``t``?  Exact; see
     ``split_equal_sums`` for the argument.  Single labels beyond two runs
     are branched on (taken or not)."""
-    if len(runs) > 2:
-        for i, (lo, hi) in enumerate(runs):
-            if lo == hi:
-                rest = runs[:i] + runs[i + 1:]
-                return _feasible(rest, c, t) or (c > 0 and _feasible(rest, c - 1, t - lo))
-        raise ValueError("equal-sum splits need at most two runs of consecutive labels")
+    if detached := _detached(runs):
+        d, rest = detached
+        return _feasible(rest, c, t) or (c > 0 and _feasible(rest, c - 1, t - d))
     (lo1, hi1), (lo2, hi2) = [(1, 0)] * (2 - len(runs)) + list(runs)
-    j_lo, j_hi = max(0, c - (hi2 - lo2 + 1)), min(c, hi1 - lo1 + 1)
-    if j_lo > j_hi:
-        return False
-    js = range(j_lo, j_hi + 1)
+    js = max(0, c - (hi2 - lo2 + 1)), min(c, hi1 - lo1 + 1)
     # extremes of the sums with j labels from the lower run, both decreasing in j
-    first = bisect_left(js, -t, key=lambda j: -(_run_sum(lo1, j) + _run_sum(lo2, c - j)))
-    stop = bisect_right(
-        js, -t, key=lambda j: -(_run_sum(hi1 - j + 1, j) + _run_sum(hi2 - c + j + 1, c - j))
-    )
+    first = _first(*js, lambda j: _run_sum(lo1, j) + _run_sum(lo2, c - j) <= t)
+    stop = _first(*js, lambda j: _run_sum(hi1 - j + 1, j) + _run_sum(hi2 - c + j + 1, c - j) < t)
     return first < stop
+
+
+def _first(lo: int, hi: int, pred) -> int:
+    """The least ``i`` in ``lo..hi`` with ``pred(i)`` (false, then true), or ``hi + 1``."""
+    return lo + bisect_left(range(lo, hi + 1), True, key=pred)
 
 
 def _top_heavy(pool, c: int, t: int, keep=(), drop=()) -> list[int] | None:
     """The c-subset of ``pool`` with sum ``t``, holding ``keep`` and missing
-    ``drop``, that is largest first in descending order; ``None`` if none."""
+    ``drop``, that is largest first in descending order; ``None`` if none.
+    It is found a run at a time; see ``split_equal_sums`` for the proof."""
     runs = _runs(x for x in pool if x not in keep and x not in drop)
-    c -= len(keep)
-    t -= sum(keep)
-    if not _feasible(runs, c, t):
-        return None
-    chosen = list(keep)
+    if detached := _detached(runs):
+        d = detached[0]
+        picks = _top_heavy(pool, c, t, keep, [*drop, d]), _top_heavy(pool, c, t, [*keep, d], drop)
+        return max(picks, key=lambda p: (p is not None, sorted(p or (), reverse=True)))
+    chosen, c, t = list(keep), c - len(keep), t - sum(keep)
     for i in range(len(runs) - 1, -1, -1):
         lo, hi = runs[i]
-        for v in range(hi, lo - 1, -1):
-            if c == 0:
-                return sorted(chosen)
-            below = runs[:i] + [(lo, v - 1)] if v > lo else runs[:i]
-            if _feasible(below, c - 1, t - v):
-                chosen.append(v)
-                c -= 1
-                t -= v
-    return sorted(chosen)
+        ((lo1, hi1),) = runs[:i] or [(1, 0)]  # the run below, maybe empty
+        k = _first(1, min(c, hi - lo + 1), lambda j: not _feasible(
+            runs[:i] + [(lo, hi - j)], c - j, t - _run_sum(hi - j + 1, j))) - 1
+        chosen += range(hi - k + 1, hi + 1)
+        c, t, m = c - k, t - _run_sum(hi - k + 1, k), hi - k - 1
+
+        def top(b):  # y over the b lowest labels, the run below at its least sum
+            return t - _run_sum(lo, b) - _run_sum(lo1, c - 1 - b)
+
+        def floor(b):  # the same at its largest sum
+            return t - _run_sum(lo, b) - _run_sum(hi1 + b + 2 - c, c - 1 - b)
+
+        b = _first(max(0, c - 1 - (hi1 - lo1 + 1)), c - 1, lambda b: floor(b) <= m)
+        if b < c and lo + b <= min(m, (y := top(b))):
+            chosen += [y, *range(lo, lo + b)]
+            c, t = c - 1 - b, t - y - _run_sum(lo, b)
+    return sorted(chosen) if c == t == 0 else None
 
 
 # rows of the 3x3 magic square: the one 3-part split the U-first order misses
@@ -116,14 +124,13 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     Returns one sorted label list per part, or ``None``.  ``forced`` maps a
     label to the index of the part that must hold it.  Part 0 of a 2-part
     split is top-heavy: of the subsets with the right size, sum and forced
-    labels, the largest when read in descending order.  The greedy walks
-    the pool downward and keeps each label whose rest can still be
-    completed, so it fails only when no split exists.  Three parts are two
-    2-part splits: ``U``, the two larger parts (sum ``2T``), top-heavy from
-    the pool; then the middle part top-heavy from ``U``.  The largest part
-    is the rest of ``U``, the smallest the complement of ``U``.  A forced
-    label's part is tried first in the middle part's role (in ``U`` with
-    the largest other part); the plain order is the retry.
+    labels, the largest when read in descending order, so it fails only
+    when no split exists.  Three parts are two 2-part splits: ``U``, the
+    two larger parts (sum ``2T``), top-heavy from the pool; then the
+    middle part top-heavy from ``U``.  The largest part is the rest of
+    ``U``, the smallest the complement of ``U``.  A forced label's part is
+    tried first in the middle part's role (in ``U`` with the largest other
+    part); the plain order is the retry.
 
     *Feasibility is exact (proved).*  On one run of consecutive integers
     the ``c``-subset sums fill every integer between the sums of the lowest
@@ -138,6 +145,23 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     ``{1..n-1, n+1}``; a top-heavy pick from it is a top run, an adjusting
     label and a bottom run, plus perhaps the detached label, so the second
     step sees two runs plus at most two detached labels.
+
+    *The top-heavy pick takes a run at a time (proved).*  A detached label
+    is branched on: the pick is the larger of the best with and without it.
+    Else let ``lo..hi`` be the top run, ``c`` and ``t`` the size and sum left
+    and ``R1`` the run below.  A completion holding the top ``j`` labels
+    holds the top ``j - 1``, so bisection with ``_feasible`` finds the most,
+    ``k``; then no completion holds ``m + 1``, where ``m = hi - k - 1``.
+    Trading held ``z < y`` in ``lo..m`` for free ``z - 1 >= lo`` and ``y + 1``
+    keeps size and sum and gives a larger pick or one holding ``m + 1``; so
+    in ``lo..m`` the pick holds the ``b`` lowest labels and at most one more,
+    ``y``, and ``R1`` gives ``c - 1 - b`` labels, whose sums fill an interval.
+    As the run lies above ``R1``, each bound of ``lo + b <= y <= m`` holds on
+    one side of a threshold in ``b``, and the largest fitting ``y`` strictly
+    falls as ``b`` grows; at the least fitting ``b`` it is at most ``m``, or
+    ``m + 1`` would fit.  So the pick takes the least fitting ``b``, found by
+    bisection, with its largest ``y``; then ``R1`` likewise.  That is
+    O(runs * log n) probes of ``_feasible`` per pick.
 
     *The U-first order is checked, not proved.*  It splits every case I
     shape with n < 160 except K(3, 3, 3), and every case IV pool with
@@ -209,18 +233,6 @@ def _shifted_run(lo: int, c: int, delta: int) -> list[int]:
     return [x for x in range(lo + q, top + 2) if x != top + 1 - r]
 
 
-def _third_branch_sets(n1: int, n2: int) -> tuple[list[int], list[int]]:
-    """Canonical label sets when the big side's floor exceeds half the total.
-
-    Side 2 takes ``{1..n2}``; side 1 takes the run ``{n2+1..n}`` shifted up
-    until its sum reaches ``tri(n2)``.  The top label lands exactly at
-    ``n + theta``.
-    """
-    n = n1 + n2
-    deficit = 2 * _tri(n2) - _tri(n)  # side-2 sum minus the unshifted top run
-    return _shifted_run(n2 + 1, n1, deficit), list(range(1, n2 + 1))
-
-
 def label_bipartite(n1: int, n2: int, target_max: int) -> Labeling | None:
     """S-magic labeling of K(n1, n2) using labels from ``{1..target_max}``.
 
@@ -231,41 +243,25 @@ def label_bipartite(n1: int, n2: int, target_max: int) -> Labeling | None:
     if not 1 <= n1 <= n2:
         raise DomainError(f"need 1 <= n1 <= n2, got ({n1}, {n2})")
     n = n1 + n2
-    if target_max < n:
-        return None
-    theta = _theta_value(n1, n2)
+    _, theta = _branch(n1, n2)
     if theta is None or n + theta > target_max:
         return None
-    eta = n + theta
-    if n1 == 1:
-        sides = ([_tri(n2)], list(range(1, n2 + 1)))
-    elif n * (n + 1) >= 2 * n2 * (n2 + 1):
-        if theta == 0:
-            sides = split_equal_sums(range(1, n + 1), (n1, n2))
-        else:
-            sides = split_equal_sums(list(range(1, n)) + [n + 1], (n1, n2))
-    else:
-        sides = _third_branch_sets(n1, n2)
+    if n * (n + 1) >= 2 * n2 * (n2 + 1):
+        sides = split_equal_sums([*range(1, n), n + theta], (n1, n2))
+    else:  # a star K(1, n2 >= 3) too: its lone label is the run {n2+1} raised
+        sides = (_shifted_run(n2 + 1, n1, 2 * _run_sum(1, n2) - _run_sum(1, n)),
+                 list(range(1, n2 + 1)))
     if sides is None:
-        raise InternalInconsistencyError(
-            f"K({n1},{n2}): predicted index {theta} but split failed"
-        )
+        raise InternalInconsistencyError(f"K({n1},{n2}): predicted index {theta} but split failed")
     labeling = Labeling.from_parts(sides)
-    if labeling.eta != eta or not partite_sums_check(PartiteSpec((n1, n2)), labeling):
-        raise InternalInconsistencyError(
-            f"K({n1},{n2}): constructed labeling failed verification"
-        )
+    if labeling.eta != n + theta or not partite_sums_check(PartiteSpec((n1, n2)), labeling):
+        raise InternalInconsistencyError(f"K({n1},{n2}): constructed labeling failed verification")
     return labeling
 
 
 def theta_bipartite(n1: int, n2: int) -> ThetaResult:
-    """Exact index of K(n1, n2) for ``2 <= n1 <= n2``, without a witness."""
-    if not 2 <= n1 <= n2:
-        raise DomainError(f"formula needs 2 <= n1 <= n2, got ({n1}, {n2})")
-    n = n1 + n2
-    if n * (n + 1) >= 2 * n2 * (n2 + 1):
-        tag = "bipartite-0" if n % 4 in (0, 3) else "bipartite-1"
-    else:
-        tag = "bipartite-deficit"
-    theta = _theta_value(n1, n2)
+    """Exact index of K(n1, n2) for ``1 <= n1 <= n2``, ``n2 >= 2``, without a witness."""
+    if not 1 <= n1 <= n2 or n2 < 2:
+        raise DomainError(f"formula needs 1 <= n1 <= n2 and n2 >= 2, got ({n1}, {n2})")
+    tag, theta = _branch(n1, n2)
     return ThetaResult(lower=theta, upper=theta, case_tag=tag)

@@ -69,9 +69,11 @@ class _Unsupported(Exception):
 
 
 def _unwrap(ast):
-    """Strip the one-copy unions and one-vertex blow-ups around a spec."""
+    """Strip one-copy unions and one-vertex blow-ups; read LEX(K(s),E(a)) as K(s * a)."""
     while (isinstance(ast, UNode) and ast.m == 1) or (isinstance(ast, LexNode) and ast.a == 1):
         ast = ast.inner
+    if isinstance(ast, LexNode) and isinstance(inner := _unwrap(ast.inner), KNode):
+        return KNode(tuple(size * ast.a for size in inner.sizes))
     return ast
 
 
@@ -83,7 +85,7 @@ def _plan(ast):
         r = len(sizes)
         if r == 1:
             return ("edgeless", sizes)
-        if r == 2 and sizes[0] >= 2:
+        if r == 2 and sizes[1] >= 2:
             return ("bipartite", sizes)
         if r == 3 and sizes[0] >= 2:
             return ("tripartite", sizes)
@@ -91,7 +93,7 @@ def _plan(ast):
             return ("Kab", (sizes[0], r))
         raise _Unsupported(f"no closed form for parts {sizes}")
     if isinstance(ast, UNode):
-        inner = ast.inner
+        inner = _unwrap(ast.inner)
         if isinstance(inner, KNode):
             sizes = tuple(sorted(inner.sizes))
             if len(set(sizes)) == 1 and sizes[0] >= 2 and len(sizes) >= 2:

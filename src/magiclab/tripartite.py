@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipartite import _shifted_run, label_bipartite, split_equal_sums
+from .bipartite import _ceil_div, _shifted_run, label_bipartite, split_equal_sums
 from .errors import DomainError, InternalInconsistencyError
 from .graphs import PartiteSpec
 from .labelings import Labeling, ThetaResult, partite_sums_check
@@ -57,10 +57,6 @@ def zeta(i: int, j: int) -> int:
     if not 1 <= i <= j:
         raise DomainError(f"zeta needs 1 <= i <= j, got ({i}, {j})")
     return (j * (j + 1) - (i - 1) * i) // 2
-
-
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
 
 
 @dataclass(frozen=True)

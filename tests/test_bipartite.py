@@ -6,6 +6,7 @@ from magiclab import (
     build_complete_multipartite,
     label_bipartite,
     multipartite_distance_magic_check,
+    oracle_theta_multipartite,
     partite_sums_check,
     theta_bipartite,
     verify_s_magic,
@@ -23,9 +24,20 @@ def test_formula_branches():
 
 def test_formula_rejects_singleton_side():
     with pytest.raises(DomainError):
-        theta_bipartite(1, 5)
+        theta_bipartite(1, 1)  # two singleton sides: no labeling at any excess
     with pytest.raises(DomainError):
         theta_bipartite(3, 2)
+
+
+def test_star_index_is_a_side_sum_and_matches_the_oracle():
+    for n2 in range(2, 7):
+        res = theta_bipartite(1, n2)
+        assert res.case_tag == "bipartite-star" and res.theta == n2 * (n2 + 1) // 2 - n2 - 1
+        spec = PartiteSpec((1, n2))
+        assert oracle_theta_multipartite(spec, 16).theta == res.theta  # 0, 2, 5, 9, 14
+        lab = label_bipartite(1, n2, n2 + 1 + res.theta)
+        assert lab.eta == n2 + 1 + res.theta
+        assert verify_s_magic(build_complete_multipartite(spec), lab).is_magic
 
 
 def test_witnesses_verify_and_realize_eta():

@@ -14,7 +14,7 @@ import magiclab
 from magiclab import cli
 from magiclab.cli import main
 from magiclab.errors import InternalInconsistencyError
-from magiclab.graphs import MAX_SPEC_DEPTH
+from magiclab.graphs import MAX_SPEC_DEPTH, build_from_ast, parse_spec_ast
 
 from conftest import petersen
 
@@ -47,6 +47,7 @@ def test_index_dispatch_variety():
     assert json.loads(run_cli("index", "LEX(C(10),E(3))")[1])["theta"] == 1
     assert json.loads(run_cli("index", "U(2,LEX(C(3),E(3)))")[1])["theta"] == 1
     assert json.loads(run_cli("index", "K(4)")[1])["case"] == "edgeless"
+    assert json.loads(run_cli("index", "K(1,5)")[1])["case"] == "bipartite-star"
     payload = json.loads(run_cli("index", "K(2,2,9)")[1])
     assert payload["exact"] is False and payload["lower"] == 5 and payload["upper"] is None
 
@@ -55,6 +56,8 @@ def test_index_exit_codes():
     code, _, err = run_cli("index", "K(5,6,")
     assert code == 2 and "error" in err
     code, _, err = run_cli("index", "C(9)")
+    assert code == 3 and "--oracle" in err
+    code, _, err = run_cli("index", "K(1,1)")  # two singleton parts: no labeling exists
     assert code == 3 and "--oracle" in err
     code, out, _ = run_cli("index", "C(4)", "--oracle")
     assert code == 0 and json.loads(out)["provenance"] == "oracle"
@@ -270,6 +273,25 @@ def test_disguised_complete_multipartite_specs_match_their_k_form(disguised, lit
     assert answers[0] == answers[1] and answers[0][0] == 0
 
 
+@pytest.mark.parametrize("disguised, literal", [
+    ("LEX(K(1,1),E(5))", "K(5,5)"),
+    ("LEX(K(2,3),E(2))", "K(4,6)"),
+    ("LEX(U(1,LEX(K(1,2),E(2))),E(3))", "K(6,12)"),
+    ("LEX(K(1,5),E(2))", "K(2,10)"),
+    ("LEX(K(2,3,4),E(3))", "K(6,9,12)"),
+    ("LEX(K(1,1,1,1),E(3))", "K(3,3,3,3)"),
+    ("U(2,LEX(K(3,3),E(1)))", "U(2,K(3,3))"),
+])
+def test_disguised_k_specs_are_planned_as_their_k_form(disguised, literal):
+    for command in ("index", "label"):
+        code, out, _ = run_cli(command, disguised)
+        assert code == 0 and (code, out, "") == run_cli(command, literal), command
+    labels = json.loads(out)["labels"]
+    labeling = magiclab.Labeling(tuple(labels[str(v)] for v in range(len(labels))))
+    ast = parse_spec_ast(disguised)
+    cli._certify(build_from_ast(ast), labeling, cli._theta_for_plan(cli._plan(ast)))
+
+
 def _nested(depth):
     """``K(2,2)`` inside ``depth - 1`` one-copy unions: ``depth`` spec levels."""
     return "U(1," * (depth - 1) + "K(2,2)" + ")" * (depth - 1)
@@ -418,6 +440,8 @@ def _run_child(*argv):
 @pytest.mark.parametrize("spec, groups", [
     ("K(50000,50000)", [(0, 50000), (50000, 100000)]),
     ("LEX(C(10),E(9999))", [(u * 9999, (u + 1) * 9999) for u in range(10)]),
+    ("K(33000,33333,33666)", [(0, 33000), (33000, 66333), (66333, 99999)]),  # case I
+    ("K(33000,33330,33670)", [(0, 33000), (33000, 66330), (66330, 100000)]),  # case IV
 ])
 def test_cap_scale_label_and_verify_in_bounded_memory(tmp_path, spec, groups):
     code, out, rss_mb = _run_child("label", spec)

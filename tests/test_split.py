@@ -1,5 +1,8 @@
 """The equal-sum splitter behind every witness, and the witnesses at scale."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from magiclab import (
@@ -12,6 +15,7 @@ from magiclab import (
     theta_bipartite,
     theta_tripartite,
 )
+from magiclab import arrays, bipartite, tripartite
 
 
 def _size_tuples(n):
@@ -21,6 +25,103 @@ def _size_tuples(n):
     for a in range(1, n - 1):
         for b in range(1, n - a):
             yield (a, b, n - a - b)
+
+
+def _greedy(pool, c, t, keep=(), drop=()):
+    """The per-label top-heavy pick, the referee for ``bipartite._top_heavy``:
+    walk the pool downward and keep each label whose rest can be completed."""
+    runs = bipartite._runs(x for x in pool if x not in keep and x not in drop)
+    c -= len(keep)
+    t -= sum(keep)
+    if not bipartite._feasible(runs, c, t):
+        return None
+    chosen = list(keep)
+    for i in range(len(runs) - 1, -1, -1):
+        lo, hi = runs[i]
+        for v in range(hi, lo - 1, -1):
+            if c == 0:
+                return sorted(chosen)
+            below = runs[:i] + [(lo, v - 1)] if v > lo else runs[:i]
+            if bipartite._feasible(below, c - 1, t - v):
+                chosen.append(v)
+                c -= 1
+                t -= v
+    return sorted(chosen)
+
+
+@pytest.fixture
+def refereed(monkeypatch):
+    """Check every ``_top_heavy`` call, nested ones included, against
+    ``_greedy``; returns the distinct calls checked."""
+    real, checked = bipartite._top_heavy, {}
+
+    def top_heavy(pool, c, t, keep=(), drop=()):
+        call = (tuple(pool), c, t, tuple(keep), tuple(drop))
+        if call not in checked:
+            checked[call] = real(pool, c, t, keep, drop)
+            assert checked[call] == _greedy(pool, c, t, keep, drop), call
+        return None if checked[call] is None else list(checked[call])
+
+    monkeypatch.setattr(bipartite, "_top_heavy", top_heavy)
+    return checked
+
+
+def test_feasible_matches_enumeration():
+    # every pool of labels up to 7 with at most two runs plus two detached labels
+    for mask in range(1, 128):
+        pool = [x for x in range(1, 8) if mask >> (x - 1) & 1]
+        runs = bipartite._runs(pool)
+        if len(runs) - sum(lo == hi for lo, hi in runs) > 2 or len(runs) > 4:
+            continue
+        for c in range(len(pool) + 1):
+            sums = {sum(combo) for combo in combinations(pool, c)}
+            for t in range(-1, sum(pool) + 2):
+                assert bipartite._feasible(runs, c, t) == (t in sums), (pool, c, t)
+
+
+def test_top_heavy_matches_the_greedy_on_every_small_split(refereed):
+    # 3-part splits assign roles by size, so reordering the sizes of a
+    # 3-part shape repeats its _top_heavy calls
+    for n in range(2, 41):
+        for pool in (list(range(1, n + 1)), list(range(1, n)) + [n + 1]):
+            for sizes in _size_tuples(n):
+                if sum(pool) % len(sizes) or len(sizes) == 3 and list(sizes) != sorted(sizes):
+                    continue  # no equal sums, or a reordering of a shape already split
+                forcings = [None]
+                if len(sizes) == 3 and pool[-1] == n:  # case IV forces the top label
+                    forcings += [{n: i} for i in range(3)]
+                for forced in forcings:
+                    split_equal_sums(pool, sizes, forced=forced)
+    assert len(refereed) > 5000
+
+
+def test_top_heavy_matches_the_greedy_on_qmr_bands(refereed):
+    # every band QMR(a, b) splits for a * b <= 2 000; b = 2 has no bands
+    for a in range(3, 501, 2):
+        for b in range(4, 2000 // a + 1, 2):
+            arrays._qmr_shifted_banded(a, b)
+    assert len(refereed) > 400
+
+
+def test_top_heavy_matches_the_greedy_on_a_seeded_sweep(refereed):
+    rng = random.Random(12)
+    done = 0
+    while done < 4:
+        n = rng.randint(41, 5000)
+        if rng.random() < 0.5:  # near-balanced shapes, where splits exist
+            k = rng.randint(3 * n // 10, n // 2)
+            sizes = (k, n - k)
+        else:
+            a = rng.randint(3 * n // 10, n // 3)
+            b = rng.randint(a, (n - a) // 2)
+            sizes = (a, b, n - a - b)
+        for pool in (list(range(1, n + 1)), list(range(1, n)) + [n + 1]):
+            if sum(pool) % len(sizes) == 0:
+                forced = {pool[-1]: rng.randrange(3)} if len(sizes) == 3 else None
+                assert split_equal_sums(pool, sizes, forced=forced) is not None
+                done += 1
+                break
+    assert max(len(call[0]) for call in refereed) > 3000
 
 
 def test_split_agrees_with_the_exhaustive_partition():
@@ -74,3 +175,28 @@ def test_tripartite_witnesses_at_scale(sizes):
         assert witness.eta <= 2 * n + 1
     else:
         assert witness.eta == n + result.theta
+
+
+@pytest.mark.parametrize("sizes, tag", [
+    ((50000, 50000), "bipartite-0"),
+    ((33000, 33333, 33666), "I"),
+    ((33000, 33330, 33670), "IV"),
+])
+def test_a_witness_at_the_cap_takes_few_feasibility_probes(monkeypatch, sizes, tag):
+    probes = []
+    real = bipartite._feasible
+
+    def feasible(runs, c, t):
+        probes.append(c)
+        return real(runs, c, t)
+
+    monkeypatch.setattr(bipartite, "_feasible", feasible)
+    if len(sizes) == 2:
+        assert theta_bipartite(*sizes).case_tag == tag
+        witness = label_bipartite(*sizes, sum(sizes))
+    else:
+        assert tripartite.classify_tripartite(*sizes).tag == tag
+        witness = label_tripartite(*sizes)
+    assert partite_sums_check(PartiteSpec(sizes), witness)
+    # the per-label walk took 100 001 to 216 579 probes here
+    assert 0 < len(probes) < 2000
