@@ -3,7 +3,12 @@
 A Kotzig array KA(a, b) has every row a permutation of ``0..b-1`` and every
 column summing to ``a(b-1)/2``; it exists for even ``a`` and any ``b``, and
 for odd ``a >= 3`` exactly when ``b`` is odd (single-row arrays only exist
-for ``b = 1``).
+for ``b = 1``).  It is built from pairs of rows ``0..b-1`` and its reverse,
+whose columns sum to ``b - 1``; for odd ``a`` (so odd ``b``) three rows go
+first: ``0..b-1``, its rotation ``h..b-1, 0..h-1`` with ``h = (b+1)/2``, and
+the odd values then the even values, each descending.  Column ``j < b - h``
+sums to ``j + (j + h) + (b - 2 - 2j)`` and column ``j >= b - h`` to
+``j + (j + h - b) + (2b - 2 - 2j)``, both ``3(b-1)/2``.
 
 A quasimagic rectangle QMR(a, b : d) is an ``a x b`` array over
 ``{1..ab+1} minus {d}`` with constant row sums ``rho = b(ab+2)/2`` and
@@ -16,8 +21,11 @@ coordinates ``entry - d``: with ``b = 2m``, place ``+-1..+-am`` so that
 every row and column sums to zero.  For ``b = 2`` the rows are ``(x, -x)``
 with the column signed greedily.  Otherwise three rows form a block of m
 column pairs, and the other ``a - 3`` rows are ``c = (a - 3)/2`` bands,
-each a row and its negation.  ``verify_qmr`` checks every array before it
-is returned.
+each a row and its negation.  The entries are written ``d`` above these
+values straight into row tuples.  ``verify_qmr``
+checks every array before it is returned, in whole-array passes: one sort
+of all entries against ``{1..ab+1} minus {d}``, then the row sums and the
+column sums of the transpose.
 
 *Column pair.*  For ``d`` in a set ``D``, the columns
 ``A_d = (-d, -alpha_d, alpha_d + d)`` and
@@ -86,15 +94,36 @@ band's bottom value, which makes both even.  Each band then is a run
 interval between its least and largest m-sums, and these bounds on ``e``
 put half the band total inside it.  So an equal split into halves of m
 exists, and the exact ``bipartite.split_equal_sums`` finds it.  The band
-row signs the halves + and -, followed by its negation.  Halves of equal
-size stay equal when every value shifts by the same amount, so bands with
-the same offsets from their least value share one split.
+row signs the halves + and -, followed by its negation.
+
+*Shape classes.*  Bands with the same offsets from their least value are
+translates, and halves of equal size stay equal when every value shifts by
+the same amount, so translates share one split.  The bands fall into at
+most three classes of translates by a multiple of b:
+
+* No trade, even m.  No band swaps, so band i is the run from
+  ``3m+1 + ib``: one class, translates by b.
+* No trade, odd m.  Every run has an odd sum, so bands 2j and 2j+1 swap:
+  with ``r = 3m+1 + 2jb`` they are ``r..r+2m-2, r+2m`` and
+  ``r+2m-1, r+2m+1..r+4m-1``.  Two classes, translates by 2b.
+* A trade (m odd, either table).  The first band ``{s} u 3m+2..5m`` has
+  an even sum and swaps with none: a class of its own.  The rest are dealt
+  from the run starting at ``5m+1`` and pair up as without a trade: two
+  classes, translates by 2b.
+
+So only the first band of each class is dealt and split.  With ``p`` the
+period (1 or 2) and ``s_j v_j`` the signed value in column j of a class's
+first band, the copies ``i = 0, 1, ...`` put ``d + s_j (v_j + i p b)`` in
+every ``2p``-th row from the class's first band row and the negations
+below them.  So each copy is its predecessor plus ``s_j p b`` in column j,
+and is written a row pair at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
+from operator import add
 
 from .bipartite import split_equal_sums
 from .errors import DomainError, InternalInconsistencyError, SizeLimitError
@@ -110,25 +139,6 @@ class MagicArray:
     kind: str  # "kotzig" | "qmr"
     hole: int | None = None
 
-    def row_sums(self) -> list[int]:
-        return [sum(row) for row in self.entries]
-
-    def col_sums(self) -> list[int]:
-        return [sum(row[j] for row in self.entries) for j in range(self.cols)]
-
-    @property
-    def rho(self) -> int | None:
-        sums = set(self.row_sums())
-        return sums.pop() if len(sums) == 1 else None
-
-    @property
-    def sigma(self) -> int | None:
-        sums = set(self.col_sums())
-        return sums.pop() if len(sums) == 1 else None
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.entries)
-
 
 @dataclass(frozen=True)
 class ArrayCheck:
@@ -136,20 +146,36 @@ class ArrayCheck:
     violation: str | None = None
 
 
+def _line_sums(arr: MagicArray) -> tuple[int, int]:
+    """``(rho, sigma)``: the row and column sum of every array of ``arr``'s
+    kind and shape that passes its verifier."""
+    a, b = arr.rows, arr.cols
+    if arr.kind == "qmr":
+        return b * (a * b + 2) // 2, a * (a * b + 2) // 2
+    return b * (b - 1) // 2, a * (b - 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # Verifiers
+
+
+def _first_miss(sums, target: int) -> int | None:
+    """The index of the first of ``sums`` other than ``target``, or ``None``."""
+    if sums.count(target) == len(sums):
+        return None
+    return next(i for i, s in enumerate(sums) if s != target)
 
 
 def verify_kotzig(arr: MagicArray) -> bool:
     a, b = arr.rows, arr.cols
     if arr.kind != "kotzig" or len(arr.entries) != a:
         return False
-    expected = tuple(range(b))
-    for row in arr.entries:
-        if tuple(sorted(row)) != expected:
-            return False
-    # compare doubled sums so odd a(b-1) cannot sneak through
-    return all(2 * s == a * (b - 1) for s in arr.col_sums())
+    if list(map(sorted, arr.entries)).count(list(range(b))) != a:
+        return False
+    # the rows fix the total at ab(b-1)/2, so b equal column sums make a(b-1)
+    # even and the floor below exact
+    col_sums = list(map(sum, zip(*arr.entries)))
+    return col_sums.count(a * (b - 1) // 2) == b
 
 
 def verify_qmr(arr: MagicArray) -> ArrayCheck:
@@ -158,36 +184,25 @@ def verify_qmr(arr: MagicArray) -> ArrayCheck:
         return ArrayCheck(False, f"kind is {arr.kind!r}, not 'qmr'")
     if a % 2 == 0 or b % 2 == 1:
         return ArrayCheck(False, f"shape {a}x{b} needs odd rows and even columns")
+    if len(arr.entries) != a or set(map(len, arr.entries)) != {b}:
+        return ArrayCheck(False, f"entries are not {a} rows of {b}")
     d = a * b // 2 + 1
     if arr.hole != d:
         return ArrayCheck(False, f"hole is {arr.hole}, must be {d}")
-    flat = [x for row in arr.entries for x in row]
-    expected = sorted(set(range(1, a * b + 2)) - {d})
-    if sorted(flat) != expected:
+    if sorted(chain.from_iterable(arr.entries)) != [*range(1, d), *range(d + 1, a * b + 2)]:
         return ArrayCheck(False, f"entries are not 1..{a * b + 1} minus {d}")
-    rho = b * (a * b + 2) // 2
-    sigma = a * (a * b + 2) // 2
-    for i, s in enumerate(arr.row_sums()):
-        if s != rho:
-            return ArrayCheck(False, f"row {i} sums to {s}, expected {rho}")
-    for j, s in enumerate(arr.col_sums()):
-        if s != sigma:
-            return ArrayCheck(False, f"column {j} sums to {s}, expected {sigma}")
+    rho, sigma = _line_sums(arr)
+    row_sums = list(map(sum, arr.entries))
+    if (i := _first_miss(row_sums, rho)) is not None:
+        return ArrayCheck(False, f"row {i} sums to {row_sums[i]}, expected {rho}")
+    col_sums = list(map(sum, zip(*arr.entries)))
+    if (j := _first_miss(col_sums, sigma)) is not None:
+        return ArrayCheck(False, f"column {j} sums to {col_sums[j]}, expected {sigma}")
     return ArrayCheck(True)
 
 
 # ---------------------------------------------------------------------------
 # Kotzig construction
-
-
-def _kotzig_odd_block(b: int) -> list[list[int]]:
-    # three rows: identity, a cyclic shift, and the column complement
-    shift = (b + 1) // 2
-    r1 = list(range(b))
-    r2 = [(j + shift) % b for j in range(b)]
-    c = 3 * (b - 1) // 2
-    r3 = [c - r1[j] - r2[j] for j in range(b)]
-    return [r1, r2, r3]
 
 
 def kotzig_array(a: int, b: int) -> MagicArray | None:
@@ -198,28 +213,26 @@ def kotzig_array(a: int, b: int) -> MagicArray | None:
         raise SizeLimitError(
             f"KA({a},{b}) exceeds the {MAX_ARRAY_ENTRIES}-entry construction cap"
         )
-    if a == 1:
-        if b > 1:
-            return None  # one row cannot have constant distinct column sums
-        rows = [[0]]
-    elif a % 2 == 1 and b % 2 == 0:
+    if a == 1 and b > 1:
+        return None  # one row cannot have constant distinct column sums
+    if a % 2 == 1 and b % 2 == 0:
         return None
+    up, half = tuple(range(b)), (b + 1) // 2
+    if a == 1:
+        rows = [up]
+    elif a % 2 == 1:  # the odd block of the module docstring
+        rows = [up, (*range(half, b), *range(half)), (*range(b - 2, 0, -2), *range(b - 1, -1, -2))]
     else:
         rows = []
-        if a % 2 == 1:
-            rows.extend(_kotzig_odd_block(b))
-        for _ in range((a - len(rows)) // 2):
-            rows.append(list(range(b)))
-            rows.append(list(range(b - 1, -1, -1)))
-    arr = MagicArray(rows=a, cols=b, entries=tuple(tuple(r) for r in rows), kind="kotzig")
+    rows += [up, up[::-1]] * ((a - len(rows)) // 2)  # one row object per direction
+    arr = MagicArray(rows=a, cols=b, entries=tuple(rows), kind="kotzig")
     if not verify_kotzig(arr):
         raise InternalInconsistencyError(f"KA({a},{b}) construction failed its verifier")
     return arr
 
 
 # ---------------------------------------------------------------------------
-# QMR construction (hole-centred coordinates; the proofs are in the module
-# docstring)
+# QMR construction (the proofs are in the module docstring)
 
 
 def _block_table(m: int, trade: bool) -> tuple[int, dict[int, int], int | None]:
@@ -237,10 +250,13 @@ def _block_table(m: int, trade: bool) -> tuple[int, dict[int, int], int | None]:
     return 4 * m + 2, alpha, 2 * m + 1
 
 
-def _three_row_block(k_const: int, alpha: dict[int, int]) -> list[list[int]]:
-    """The three zero-sum rows of the column pairs of one ``_block_table``."""
+def _three_row_block(k_const: int, alpha: dict[int, int], hole: int) -> list[tuple[int, ...]]:
+    """The columns of the 3-row block of one ``_block_table``, each entry
+    ``hole`` above its hole-centred value."""
     pairs = [
-        ((-d, -x, x + d), (d, k_const - d - x, x - k_const)) for d, x in alpha.items()
+        ((hole - d, hole - x, hole + x + d),
+         (hole + d, hole + k_const - d - x, hole + x - k_const))
+        for d, x in alpha.items()
     ]
     cols = []
     if len(pairs) % 2:
@@ -255,7 +271,7 @@ def _three_row_block(k_const: int, alpha: dict[int, int]) -> list[list[int]]:
             cols += [(col_a[0], col_a[2], col_a[1]), col_b]
         else:
             cols += [col_a, (col_b[0], col_b[2], col_b[1])]
-    return [list(row) for row in zip(*cols)]
+    return cols
 
 
 def _deal_bands(outer: list[int], b: int) -> list[list[int]]:
@@ -272,41 +288,48 @@ def _deal_bands(outer: list[int], b: int) -> list[list[int]]:
     return [sorted(band) for band in bands]
 
 
-def _mirror_columns(a: int) -> list[list[int]]:
-    # two columns, each the negation of the other; rows are (x, -x)
-    total = a * (a + 1) // 2
-    t = total // 2
-    positives = set()
+def _mirror_columns(a: int, hole: int) -> list[tuple[int, int]]:
+    """The rows of QMR(a, 2): two columns, each the other reflected in the
+    hole, the first signed greedily."""
+    t, rows = a * (a + 1) // 4, []
     for v in range(a, 0, -1):
         if v <= t:
-            positives.add(v)
             t -= v
-    col = [v if v in positives else -v for v in range(a, 0, -1)]
-    return [[v, -v] for v in col]
+        else:
+            v = -v
+        rows.append((hole + v, hole - v))
+    return rows
 
 
-def _qmr_shifted_banded(a: int, b: int) -> list[list[int]]:
-    """Hole-centred rows of QMR(a, b) for b >= 4: the 3-row block, then bands."""
-    m = b // 2
+def _qmr_shifted_banded(a: int, b: int) -> list[tuple[int, ...]]:
+    """The rows of QMR(a, b) for b >= 4: the 3-row block, then the bands,
+    one shape class at a time (module docstring)."""
+    m, hole, bands = b // 2, a * b // 2 + 1, (a - 3) // 2
     trade = m % 2 == 1 and a % 4 == 1
     k_const, alpha, spare = _block_table(m, trade)
-    rows = _three_row_block(k_const, alpha)
+    block = _three_row_block(k_const, alpha, hole)
+    rows = [*zip(*block), *[()] * (a - 3)]
+    # only the first band of each shape class is dealt; the rest are translates
+    head, period = int(trade), 2 if m % 2 else 1
+    dealt = (head + period) * b
     if trade:
-        outer = [spare, *range(3 * m + 2, a * m + 1)]
+        outer = [spare, *range(3 * m + 2, a * m + 1)[:dealt - 1]]
     else:
-        outer = list(range(3 * m + 1, a * m + 1))
-    signs = {}  # band shape -> which entries are positive
-    for band in _deal_bands(outer, b):
-        shape = tuple(v - band[0] for v in band)
-        if shape not in signs:
-            halves = split_equal_sums(band, (m, m))
-            if halves is None:
-                raise InternalInconsistencyError(f"QMR({a},{b}): a band has no equal split")
-            plus = set(halves[0])
-            signs[shape] = [v in plus for v in band]
-        top = [v if positive else -v for v, positive in zip(band, signs[shape])]
-        rows.append(top)
-        rows.append([-v for v in top])
+        outer = list(range(3 * m + 1, a * m + 1)[:dealt])
+    for k, band in enumerate(_deal_bands(outer, b)):
+        halves = split_equal_sums(band, (m, m))
+        if halves is None:
+            raise InternalInconsistencyError(f"QMR({a},{b}): a band has no equal split")
+        plus = set(halves[0])
+        top = tuple(hole + v if v in plus else hole - v for v in band)
+        shift = [period * b if x > hole else -period * b for x in top]
+        # copy i of the band is the row pair 3 + 2k + 2 * period * i
+        copies = 1 if k < head else (bands - head) // period
+        first, stride = 3 + 2 * k, 2 * period
+        for row in range(first, first + copies * stride, stride):
+            rows[row] = top
+            rows[row + 1] = tuple([2 * hole - x for x in top])
+            top = tuple(map(add, top, shift))
     return rows
 
 
@@ -322,10 +345,9 @@ def qmr(a: int, b: int) -> MagicArray | None:
         return None  # columns are single distinct entries, never constant
     if b == 2 and a % 4 == 1:
         return None
-    shifted = _mirror_columns(a) if b == 2 else _qmr_shifted_banded(a, b)
     d = a * b // 2 + 1
-    entries = tuple(tuple(v + d for v in row) for row in shifted)
-    arr = MagicArray(rows=a, cols=b, entries=entries, kind="qmr", hole=d)
+    rows = _mirror_columns(a, d) if b == 2 else _qmr_shifted_banded(a, b)
+    arr = MagicArray(rows=a, cols=b, entries=tuple(rows), kind="qmr", hole=d)
     check = verify_qmr(arr)
     if not check.valid:
         raise InternalInconsistencyError(f"QMR({a},{b}): {check.violation}")

@@ -54,6 +54,28 @@ def _runs(labels) -> list[tuple[int, int]]:
     return [(xs[i], xs[j - 1]) for i, j in zip([0, *cuts], [*cuts, len(xs)])] if xs else []
 
 
+class _Pool(list):
+    """Labels, sorted, with their ``_runs`` cut once for every pick from them."""
+
+    def __init__(self, labels):
+        super().__init__(labels)
+        self.sort()
+        self.runs = _runs(self)
+
+
+def _without(runs, labels) -> list[tuple[int, int]]:
+    """``runs`` less ``labels``, each run split around the labels it holds."""
+    runs = list(runs)
+    for x in labels:
+        runs = [
+            piece
+            for lo, hi in runs
+            for piece in (((lo, x - 1), (x + 1, hi)) if lo <= x <= hi else ((lo, hi),))
+            if piece[0] <= piece[1]
+        ]
+    return runs
+
+
 def _detached(runs):
     """A single label of more than two ``runs``, with the other runs; else ``None``."""
     if len(runs) > 2:
@@ -84,10 +106,11 @@ def _first(lo: int, hi: int, pred) -> int:
 
 
 def _top_heavy(pool, c: int, t: int, keep=(), drop=()) -> list[int] | None:
-    """The c-subset of ``pool`` with sum ``t``, holding ``keep`` and missing
-    ``drop``, that is largest first in descending order; ``None`` if none.
-    It is found a run at a time; see ``split_equal_sums`` for the proof."""
-    runs = _runs(x for x in pool if x not in keep and x not in drop)
+    """The c-subset of the ``_Pool`` ``pool`` with sum ``t``, holding ``keep``
+    and missing ``drop``, that is largest first in descending order; ``None``
+    if none.  It is found a run at a time; see ``split_equal_sums`` for the
+    proof."""
+    runs = _without(pool.runs, (*keep, *drop))
     if detached := _detached(runs):
         d = detached[0]
         picks = _top_heavy(pool, c, t, keep, [*drop, d]), _top_heavy(pool, c, t, [*keep, d], drop)
@@ -171,14 +194,14 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     base case: the rows ``{1,5,9}``, ``{2,6,7}``, ``{3,4,8}`` of the 3x3
     magic square, ordered to honour ``forced``.
     """
-    labels = sorted(labels)
+    labels = _Pool(labels)
     sizes = list(sizes)
     forced = forced or {}
     if len(labels) != sum(sizes) or len(set(labels)) != len(labels):
         raise ValueError(f"{len(labels)} distinct labels cannot fill sizes {sizes}")
     if len(sizes) not in (2, 3) or not set(forced) <= set(labels):
         raise ValueError("split needs 2 or 3 parts and forced labels from the pool")
-    if len(_runs(labels)) > 2:
+    if len(labels.runs) > 2:
         raise ValueError("split pools hold at most two runs of consecutive labels")
     total = sum(labels)
     if total % len(sizes):
@@ -209,7 +232,7 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
                            held(first, second), held(rest))
         if union is None:
             continue
-        part = _top_heavy(union, sizes[first], target, held(first), held(second))
+        part = _top_heavy(_Pool(union), sizes[first], target, held(first), held(second))
         if part is None:
             continue
         parts = [[], [], []]

@@ -11,7 +11,9 @@ QMR or Kotzig array entries, or the oracle caps);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
 constructive labeling path; 5 the requested array provably does not exist;
 6 an exhaustive search ran out of its time budget; 7 a construction or an
-oracle witness failed its check.
+oracle witness failed its check; 141 stdout was closed before everything
+was written (as by ``| head``), the status a shell gives a command that
+SIGPIPE ends, with nothing written to stderr.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import families
-from .arrays import kotzig_array, qmr
+from .arrays import _line_sums, kotzig_array, qmr
 from .bipartite import label_bipartite, theta_bipartite
 from .errors import (
     BudgetExceededError,
@@ -58,6 +62,7 @@ EXIT_NO_CONSTRUCTION = 4
 EXIT_NOT_EXISTS = 5
 EXIT_BUDGET = 6
 EXIT_CONSTRUCTION = 7
+EXIT_PIPE = 141
 
 
 def _emit(payload) -> None:
@@ -273,19 +278,21 @@ def cmd_verify(args, labeling_path=None) -> int:
 
 
 def _print_array(arr, fmt) -> int:
+    """Print ``arr``, which its verifier has passed, so its line sums are
+    the constants of its kind and shape."""
+    rho, sigma = _line_sums(arr)
     if fmt == "json":
-        _emit({
-            "d": arr.hole,
-            "entries": [list(row) for row in arr.entries],
-            "rho": arr.rho,
-            "sigma": arr.sigma,
-        })
+        _emit({"d": arr.hole, "entries": arr.entries, "rho": rho, "sigma": sigma})
         return EXIT_OK
     if arr.kind == "qmr":
-        print(f"# d={arr.hole} rho={arr.rho} sigma={arr.sigma}")
+        header = f"# d={arr.hole} rho={rho} sigma={sigma}\n"
     else:
-        print(f"# c={arr.sigma}")
-    print(arr.to_csv())
+        header = f"# c={sigma}\n"
+    row = ",".join(["%d"] * arr.cols)
+    # print writes the closing newline on its own: with unbuffered stdout a
+    # raw write that comes up short drops the rest silently, and that second
+    # write then raises BrokenPipeError instead of exiting 0 on truncated output
+    print(header + "\n".join([row] * arr.rows) % tuple(chain.from_iterable(arr.entries)))
     return EXIT_OK
 
 
@@ -396,7 +403,15 @@ def main(argv=None) -> int:
         "tables": cmd_tables,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (GraphSpecError, SizeLimitError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

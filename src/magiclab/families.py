@@ -111,7 +111,7 @@ def label_by_qmr_columns(graph: Graph, a: int) -> Labeling:
     arr = qmr(a, groups)
     if arr is None:
         raise DomainError(f"no QMR({a},{groups}) exists")
-    return Labeling.from_parts([row[j] for row in arr.entries] for j in range(groups))
+    return Labeling.from_parts(zip(*arr.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from magiclab import (
     verify_qmr,
 )
 from magiclab.arrays import (
+    ArrayCheck,
     _block_table,
+    _line_sums,
     _three_row_block,
     kotzig_exists_exhaustive,
     qmr_exists_exhaustive,
@@ -29,9 +31,9 @@ PRINTED_QMR_3_10 = (
 def test_kotzig_small_examples():
     arr = kotzig_array(2, 4)
     assert arr.entries == ((0, 1, 2, 3), (3, 2, 1, 0))
-    assert arr.col_sums() == [3, 3, 3, 3]
+    assert verify_kotzig(arr)
     arr = kotzig_array(3, 3)
-    assert verify_kotzig(arr) and arr.col_sums() == [3, 3, 3]
+    assert verify_kotzig(arr) and _line_sums(arr) == (3, 3)
     assert kotzig_array(3, 4) is None
 
 
@@ -40,6 +42,9 @@ def test_kotzig_verifier_rejections():
     assert not verify_kotzig(bad_cols)
     bad_rows = MagicArray(rows=2, cols=2, entries=((0, 0), (1, 1)), kind="kotzig")
     assert not verify_kotzig(bad_rows)
+    # a(b-1) = 3 is odd: column 0 reaches the floor of 3/2, column 1 sums to 2
+    odd_total = MagicArray(rows=3, cols=2, entries=((0, 1), (1, 0), (0, 1)), kind="kotzig")
+    assert not verify_kotzig(odd_total)
     assert not verify_qmr(MagicArray(2, 2, ((0, 1), (1, 0)), kind="kotzig")).valid
 
 
@@ -69,23 +74,20 @@ def test_kotzig_exhaustive_finds_existing():
 def test_qmr_3_10_golden():
     arr = qmr(3, 10)
     assert arr.hole == 16
-    assert arr.rho == 160 and arr.sigma == 48
-    assert verify_qmr(arr).valid
+    assert verify_qmr(arr).valid and _line_sums(arr) == (160, 48)
 
 
 def test_printed_qmr_3_10_passes_verbatim():
     arr = MagicArray(rows=3, cols=10, entries=PRINTED_QMR_3_10, kind="qmr", hole=16)
-    assert verify_qmr(arr).valid
-    assert arr.rho == 160 and arr.sigma == 48
+    assert verify_qmr(arr).valid and _line_sums(arr) == (160, 48)
 
 
 def test_printed_qmr_with_swapped_entries_fails():
     # swapping 22 and 23 between the first two columns skews them to 49 and 47
     swapped = ((23, 22) + PRINTED_QMR_3_10[0][2:],) + PRINTED_QMR_3_10[1:]
     arr = MagicArray(rows=3, cols=10, entries=swapped, kind="qmr", hole=16)
-    assert arr.col_sums()[:2] == [49, 47]
     check = verify_qmr(arr)
-    assert not check.valid and "column" in check.violation
+    assert not check.valid and check.violation == "column 0 sums to 49, expected 48"
 
 
 def test_tiny_invalid_qmr():
@@ -112,7 +114,6 @@ def test_qmr_existence_grid():
                 assert check.valid, (a, b, check.violation)
                 ab = a * b
                 assert sum(sum(row) for row in arr.entries) == ab * (ab + 2) // 2
-                assert arr.rho * a == arr.sigma * b == ab * (ab + 2) // 2
 
 
 def test_qmr_nonexistence_confirmed_exhaustively():
@@ -125,7 +126,7 @@ def test_qmr_nonexistence_confirmed_exhaustively():
 def test_qmr_3_2_matches_hand_computation():
     arr = qmr(3, 2)
     assert sorted(x for row in arr.entries for x in row) == [1, 2, 3, 5, 6, 7]
-    assert arr.col_sums() == [12, 12] and arr.row_sums() == [8, 8, 8]
+    assert verify_qmr(arr).valid and _line_sums(arr) == (8, 12)
 
 
 def test_qmr_is_deterministic():
@@ -148,7 +149,7 @@ def test_three_row_block_tables(table):
     else:
         sizes, trade = range(5 if table == "m = 1 (mod 4)" else 3, 401, 4), True
     for m in sizes:
-        rows = _three_row_block(*_block_table(m, trade)[:2])
+        rows = list(zip(*_three_row_block(*_block_table(m, trade)[:2], 0)))
         assert len(rows) == 3 and all(len(row) == 2 * m for row in rows), m
         assert all(sum(row) == 0 for row in rows), m
         assert all(sum(col) == 0 for col in zip(*rows)), m
@@ -171,3 +172,41 @@ def test_kotzig_entry_cap():
         kotzig_array(4, 25_001)
     with pytest.raises(SizeLimitError):
         kotzig_array(4, 1_000_000)
+
+
+def _mutated(entries, **cells):
+    """``entries`` with each cell ``"r<i>c<j>"`` of ``cells`` set to its value."""
+    rows = [list(row) for row in entries]
+    for cell, value in cells.items():
+        i, j = map(int, cell[1:].split("c"))
+        rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+QMR_5_6 = qmr(5, 6).entries  # rho 96, sigma 80, hole 16; row 0 is 15, 8, 24, ...
+
+
+@pytest.mark.parametrize("change, violation", [
+    ({"entries": _mutated(QMR_5_6, r0c0=16)}, "entries are not 1..31 minus 16"),  # the hole
+    ({"entries": _mutated(QMR_5_6, r0c0=8)}, "entries are not 1..31 minus 16"),  # 8 twice
+    ({"entries": _mutated(QMR_5_6, r0c0=32)}, "entries are not 1..31 minus 16"),  # ab + 2
+    ({"entries": _mutated(QMR_5_6, r0c0=12, r1c0=15)}, "row 0 sums to 93, expected 96"),
+    ({"entries": _mutated(QMR_5_6, r0c0=8, r0c1=15)}, "column 0 sums to 73, expected 80"),
+    ({"hole": 15}, "hole is 15, must be 16"),
+    ({"kind": "kotzig"}, "kind is 'kotzig', not 'qmr'"),
+    ({"rows": 4, "entries": QMR_5_6[:4]}, "shape 4x6 needs odd rows and even columns"),
+    ({"entries": QMR_5_6[:4] + (QMR_5_6[4][:5],)}, "entries are not 5 rows of 6"),
+])
+def test_qmr_verifier_names_each_violation(change, violation):
+    fields = {"rows": 5, "cols": 6, "entries": QMR_5_6, "kind": "qmr", "hole": 16, **change}
+    assert verify_qmr(MagicArray(**fields)) == ArrayCheck(False, violation)
+    assert verify_qmr(MagicArray(5, 6, QMR_5_6, "qmr", 16)).valid
+
+
+@pytest.mark.parametrize("entries", [
+    ((0, 1, 2, 3, 3), (3, 4, 0, 1, 2), (3, 1, 4, 2, 0)),  # a row repeats 3
+    ((1, 0, 2, 3, 4), (3, 4, 0, 1, 2), (3, 1, 4, 2, 0)),  # row 0 permuted: columns 7, 5
+])
+def test_kotzig_verifier_rejects_rows_and_columns(entries):
+    assert kotzig_array(3, 5).entries == ((0, 1, 2, 3, 4), (3, 4, 0, 1, 2), (3, 1, 4, 2, 0))
+    assert not verify_kotzig(MagicArray(3, 5, entries, kind="kotzig"))

@@ -240,6 +240,45 @@ def test_label_stdout_goldens():
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
 
 
+
+# sha256 of ``qmr``/``kotzig`` stdout in both formats, pinned before the
+# arrays were built, verified and printed in whole-column passes.  The qmr
+# shapes cover each construction branch: b = 2 with a = 3 (mod 4), even m,
+# odd m without a trade, a trade with m = 4t+1 and with m = 4t+3 (m = b/2),
+# and two tall arrays at the cap; the kotzig ones even a, odd a and 1x1.
+ARRAY_GOLDEN_SHA256 = {
+    ("qmr", 7, 2, "csv"): "53f40d21d36fe87c466f3cab33b0422654ada2327faff1a26c59cfc6827748b6",
+    ("qmr", 7, 2, "json"): "93275d10cdf3fa3ae3dcf895a6016dce28c676cbb8a52563a791acf1e0e2011e",
+    ("qmr", 5, 8, "csv"): "d5f2f25e89c717a0b546b0ef1e59a93c001799f454bf25d483d6768c2803985c",
+    ("qmr", 5, 8, "json"): "748914ec93eac38b95b5a67e79aff53c7242b09dbe875a770447556ab13dfb9a",
+    ("qmr", 7, 6, "csv"): "6989e9c6d7e72e8a9e778184278c04ce5ebd556939a77c090ec135ca4fe3bb73",
+    ("qmr", 7, 6, "json"): "c34d4f516824f3a8e9c0f929e3a6ce376d2d0cbc8af45a41076c75475a48e10d",
+    ("qmr", 9, 10, "csv"): "65df5cd78d105d7aec6738e8d47a4467a23c6b4a6fd1aa683d0e0ac8136d1184",
+    ("qmr", 9, 10, "json"): "a56f7e871ecdca81b3a6c0a24e48b018e15e65bec0295aa49f30b6e8b951d10d",
+    ("qmr", 9, 6, "csv"): "570403a1f3d2939bf0993177e84bbbdcf82fecd1f6529cd0fe3999a064a00be4",
+    ("qmr", 9, 6, "json"): "825be3fd1f770c951db037d34fa6166e086baafb8b0a3163869675b38ed0d335",
+    ("qmr", 5, 14, "csv"): "8ddf54e02f1065ff302e3caa019bf502ec9a3eb84741c108f037d145f92ce4d7",
+    ("qmr", 5, 14, "json"): "efed6adc8eed32421a194d24d1c8ae3d9a4fd96937506e1acf47cc92d1f23bea",
+    ("qmr", 16665, 6, "csv"): "13d94c7401302d40acbfb37aa18da5c1b10ffc14650604852e528d3995167a53",
+    ("qmr", 16665, 6, "json"): "09dde5b529a47174cca648e25a6e65059beb27cb00594fbbadff6944676f902d",
+    ("qmr", 7501, 10, "csv"): "415cd7f1c8f101a22181bbf432756ce693f020234def78b796ff5128698b11fa",
+    ("qmr", 7501, 10, "json"): "89ce0b876f7ea2f6b210d9a798745cc8aedacc7cb74e92d3b7d0808eb60b0ef6",
+    ("kotzig", 4, 5, "csv"): "48939cb28538eefb5013bfb0cc310abd546b2434778329328e188a6c26337e61",
+    ("kotzig", 4, 5, "json"): "cd33c5bc159553b85157a5f26333359df685901b219eed80517495fbd81e11f3",
+    ("kotzig", 5, 7, "csv"): "ef067deec1ebb1bbf8e1ea77ca67620274147f9fd2166cd49c2b7829ca0929a3",
+    ("kotzig", 5, 7, "json"): "a37e05970bc4d9c1d5fd901379955d0a3e8c938fef7c5f953f9b7c9e1f053671",
+    ("kotzig", 1, 1, "csv"): "4c49b31177cde7afec5289d6a2a798cfdb174bbd04e7c2511f1009555a92e0e3",
+    ("kotzig", 1, 1, "json"): "110fee4db8a591435f194547934d75e277a78d1696cffce1b37d2cf7124f6122",
+}
+
+
+def test_array_stdout_goldens():
+    for (command, a, b, fmt), digest in ARRAY_GOLDEN_SHA256.items():
+        code, out, _ = run_cli(command, str(a), str(b), "--format", fmt)
+        digest_out = hashlib.sha256(out.encode()).hexdigest()
+        assert code == 0 and digest_out == digest, (command, a, b, fmt)
+
+
 # sha256 of ``oracle <spec> --max-excess 16`` stdout, pinned before the
 # joint-slot prune: pruning only cuts subtrees without a packing, so the
 # first packing found, and every byte printed, stays the same.
@@ -349,6 +388,23 @@ def test_construction_failures_exit_7(monkeypatch, error):
     code, out, err = run_cli("label", "K(5,6,7)")
     assert code == 7 and out == "" and err.startswith("error:")
 
+
+
+def test_arrays_failing_their_verifier_exit_7(monkeypatch):
+    # QMR(5,6) with the first two entries of row 0 swapped: only columns break
+    build = magiclab.arrays._qmr_shifted_banded
+
+    def swapped(a, b):
+        rows = build(a, b)
+        rows[0] = (rows[0][1], rows[0][0], *rows[0][2:])
+        return rows
+
+    monkeypatch.setattr(magiclab.arrays, "_qmr_shifted_banded", swapped)
+    code, out, err = run_cli("qmr", "5", "6")
+    assert code == 7 and out == "" and "column 0 sums to" in err
+    monkeypatch.setattr(magiclab.arrays, "verify_kotzig", lambda arr: False)
+    code, out, err = run_cli("kotzig", "3", "5", "--format", "json")
+    assert code == 7 and out == "" and "failed its verifier" in err
 
 def test_column_labeling_off_by_one_exits_7(monkeypatch):
     # every label one higher: still magic on a uniform K(a,b), but the top
@@ -489,3 +545,26 @@ def test_labeling_size_rejected_before_building(tmp_path, command, flags):
     code, out, rss_mb = _run_child(command, spec, *flags, str(labfile))
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_ends_without_a_traceback(unbuffered):
+    # the reader goes away after the header, so the rest of the ~400 kB
+    # output cannot be written: buffered or not, main exits 141
+    src = Path(magiclab.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from magiclab.cli import main; raise SystemExit(main())",
+         "kotzig", "315", "317"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    code = proc.wait(timeout=60)
+    proc.stderr.close()
+    assert first == b"# c=49770\n" and "Traceback" not in err, err
+    assert code == cli.EXIT_PIPE and err == "", code
