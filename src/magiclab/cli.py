@@ -7,7 +7,8 @@ keys, or CSV for arrays) and deterministic across runs.
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input (a spec nested too deep included), a missing or unreadable
 file, a domain error, or a size cap exceeded (vertices, block adjacency,
-QMR or Kotzig array entries, or the oracle caps);
+QMR or Kotzig array entries, the oracle's 16 vertices, or a ``--max-excess``
+outside 0..16);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
 constructive labeling path; 5 the requested array provably does not exist;
 6 an exhaustive search ran out of its time budget; 7 a construction or an
@@ -47,12 +48,7 @@ from .graphs import (
     parse_spec_ast,
 )
 from .labelings import Labeling, ThetaResult, verify_s_magic
-from .oracle import (
-    MAX_GENERAL_N,
-    MAX_MULTIPARTITE_N,
-    oracle_theta_general,
-    oracle_theta_multipartite,
-)
+from .oracle import MAX_N, oracle_theta_general, oracle_theta_multipartite
 from .tripartite import label_tripartite, theta_tripartite
 
 EXIT_OK = 0
@@ -137,19 +133,14 @@ def _theta_for_plan(plan) -> ThetaResult:
 
 def _oracle_graph(ast):
     """Build a graph for the oracles, rejecting a spec over their caps unbuilt."""
-    return build_from_ast(ast, max_vertices=MAX_MULTIPARTITE_N)
+    return build_from_ast(ast, max_vertices=MAX_N)
 
 
 def _run_oracle(args, graph, max_excess):
     spec = graph.partite_spec
-    if spec is not None and spec.n <= MAX_MULTIPARTITE_N:
+    if spec is not None:
         return oracle_theta_multipartite(spec, max_excess, budget_seconds=args.budget_seconds)
-    if graph.vertex_count <= MAX_GENERAL_N:
-        return oracle_theta_general(graph, max_excess, budget_seconds=args.budget_seconds)
-    raise DomainError(
-        f"graph too large for the oracle "
-        f"(multipartite cap {MAX_MULTIPARTITE_N}, general cap {MAX_GENERAL_N})"
-    )
+    return oracle_theta_general(graph, max_excess, budget_seconds=args.budget_seconds)
 
 
 def _certified_oracle(args, ast) -> ThetaResult:
@@ -204,8 +195,6 @@ def _witness_for_plan(plan, ast, args):
 
 def cmd_label(args) -> int:
     ast = parse_spec_ast(args.spec)
-    if args.verify_only:
-        return cmd_verify(args, labeling_path=args.verify_only)
     try:
         plan = _plan(ast)
     except _Unsupported as exc:
@@ -254,13 +243,12 @@ def _print_certified(graph, labeling, result) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, labeling_path=None) -> int:
-    path = labeling_path or args.labeling
+def cmd_verify(args) -> int:
     ast = parse_spec_ast(args.spec)
     try:
-        text = Path(path).read_text()
+        text = Path(args.labeling).read_text()
     except OSError as exc:
-        raise DomainError(f"cannot read labeling file {path}: {exc.strerror}") from None
+        raise DomainError(f"cannot read labeling file {args.labeling}: {exc.strerror}") from None
     labeling = Labeling.from_json(text)
 
     def check_size(n):
@@ -358,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--certify", action="store_true",
                    help="use the oracle to witness index-0 family members")
-    p.add_argument("--verify-only", metavar="LABELFILE",
-                   help="verify a labeling file instead of constructing one")
     _add_search_flags(p)
 
     p = sub.add_parser("verify", help="verify a labeling file against a graph spec")

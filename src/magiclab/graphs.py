@@ -31,7 +31,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -129,19 +128,6 @@ class Graph:
         if not 0 <= v < self.vertex_count:
             raise IndexError(f"vertex {v} out of range")
         return bisect_right(self.blocks, v, key=itemgetter(0)) - 1
-
-    @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        """Per-vertex neighbour sets, derived from the blocks.
-
-        This materialises every adjacency entry, O(n^2) on dense graphs, so
-        only desk-scale code (the general oracle) and tests read it.
-        """
-        out = []
-        for (start, end), adj in zip(self.blocks, self.adjacent):
-            nbrs = frozenset(v for j in adj for v in range(*self.blocks[j]))
-            out.extend(repeat(nbrs, end - start))
-        return tuple(out)
 
     @property
     def edge_count(self) -> int:

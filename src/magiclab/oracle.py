@@ -1,18 +1,45 @@
 """Brute-force computation of the distance magic index on small instances.
 
-Ground truth for every closed form in the package.  Two independent
-semantics are implemented: an equal-sum-partition search specialized to
-complete multipartite graphs, and a direct bijection search over arbitrary
-graphs.  Excess levels are scanned in increasing order, and at excess ``e``
-only label sets with maximum exactly ``n + e`` are tried, so the first hit is
-the exact index.
+Ground truth for every closed form in the package, on graphs of at most 16
+vertices.  Excess levels are scanned in increasing order, and at excess
+``e`` only label sets with n labels from 1..n+e, n+e among them, are tried,
+so the first level with a hit is the exact index.  Both searches below take
+the labels n+e, n+e-1, ..., 1 in decreasing order and put each into a block
+with an open slot or skip it: e labels are skipped, never n+e.  So when
+label x is next, the unprocessed labels are exactly 1..x, and T(c) = 1 + ...
++ c and T(x) - T(x - c) are the least and the largest sums of c of them.
 
-All pruning is by necessary conditions only (divisibility of the total,
-per-part sum bounds from the smallest/largest remaining labels, a joint
-bound on all open slots together from the same labels, partial weight
-bounds, and the neighbourhood lemma below), so a pruned branch never hides
-a solution.  Searches carry a wall-clock budget and report exhaustion
-rather than guessing.
+Complete multipartite graphs: a common part sum.  A vertex of part P has
+weight (total label sum) - l(P), so a labeling is magic exactly when all
+parts have one label sum t.  ``_pack`` fixes t (from the admissible range
+of ``_candidate_targets``) and fills the parts; a part with c open slots
+still short of d needs T(c) <= d <= T(x) - T(x - c), and the S open slots
+of all parts, short of D in all, need T(S) <= D <= T(x) - T(x - S).  Parts
+with the same (open slots, shortfall) are interchangeable, so only one of
+them takes a label.
+
+Any graph: block packing.  All vertices of a block of ``graphs.Graph`` have
+one neighbourhood, so one weight: the sum of the label sums of the block's
+neighbouring blocks.  ``_pack_blocks`` fills the blocks directly, and the
+labels of each block, in block order, are the witness.  With label x next,
+S open slots in all and s skips left, two necessary conditions prune:
+
+* Slots.  Each of 1..x fills an open slot or is skipped, and every open
+  slot takes one of them, so x - s <= S <= x.
+* Common weight.  Let the neighbouring blocks of block P hold label sum f
+  so far and c open slots.  Those c slots take c distinct labels of 1..x,
+  so P's final weight lies in [f + T(c), f + T(x) - T(x - c)].  All final
+  weights are equal, so these intervals share a point.  Once every slot is
+  filled each interval is the point f, and this is the magic condition.
+
+Twin blocks.  Let blocks P and Q have the same neighbouring blocks.  Then P
+and Q are not adjacent, and every other block is next to both or to
+neither.  So the weights of P and Q involve neither, any other block sees
+l(P) + l(Q), and swapping two labels between P and Q changes no weight.
+If a labeling puts label x into Q while P still has an open slot, that
+slot takes a later label y < x, and swapping x and y gives a labeling that
+puts x into P.  So among twins, x goes only into the first block with an
+open slot, and that branch has a labeling whenever a skipped one does.
 
 Neighbourhood lemma.  Let u != v be vertices, A = N(u) - N(v) and
 B = N(v) - N(u).  Under any labeling l by distinct positive integers,
@@ -22,9 +49,15 @@ since A and B are disjoint, and it is l(a) - l(b) != 0.  Either way
 w(u) != w(v), so the graph has no S-magic labeling for any label set S,
 at any excess.  Special cases: adjacent vertices with equal closed
 neighbourhoods (A = {v}, B = {u}), and an isolated vertex beside a
-non-isolated one (A empty, B not).  In a complete multipartite graph,
-vertices in parts P and Q != P have A = Q and B = P, so the lemma applies
-exactly when two parts are singletons.
+non-isolated one (A empty, B not).  On blocks: for u in block P and v in
+block Q != P, A is the union of the blocks next to P and not next to Q,
+and u, v in one block have A and B empty.  In a complete multipartite
+graph, vertices in parts P and Q != P have A = Q and B = P, so the lemma
+applies exactly when two parts are singletons.
+
+All pruning is by these necessary conditions only, so a pruned branch never
+hides a solution.  Searches carry a wall-clock budget and report
+exhaustion rather than guessing.
 """
 
 from __future__ import annotations
@@ -37,8 +70,7 @@ from .errors import BudgetExceededError, DomainError
 from .graphs import Graph, PartiteSpec
 from .labelings import Labeling, ThetaResult
 
-MAX_MULTIPARTITE_N = 16
-MAX_GENERAL_N = 8
+MAX_N = 16
 MAX_EXCESS = 16
 
 _BUDGET_CHECK_MASK = 0xFFF
@@ -216,38 +248,29 @@ def _scan_level(sizes, n, e, ticker):
     return None
 
 
-def oracle_theta_multipartite(
-    spec: PartiteSpec,
-    max_excess: int,
-    budget_seconds: float | None = None,
-    max_n: int = MAX_MULTIPARTITE_N,
-) -> ThetaResult:
-    """Exact index of the complete multipartite graph of ``spec`` by search.
+def _scan_levels(kind, n, max_n, max_excess, budget_seconds, refuted, search):
+    """Exact index, or exhausted bounds, from ``search(e, ticker)``: the
+    labels of each block of the first labeling with top label n+e, or None.
 
-    Scans excess 0..max_excess; returns the first feasible level with a
-    witness, else the exhausted bounds ``[max_excess+1, infinity)``.  The
-    ``max_n`` guardrail can be raised explicitly when the caller accepts the
-    running time.
+    ``refuted()`` answers "no labeling at any excess" before any level.
     """
-    n = spec.n
     if n > max_n:
-        raise DomainError(f"multipartite oracle capped at n={max_n}, got {n}")
-    if max_excess > MAX_EXCESS:
-        raise DomainError(f"max_excess capped at {MAX_EXCESS}, got {max_excess}")
+        raise DomainError(f"{kind} oracle capped at n={max_n}, got {n}")
+    if not 0 <= max_excess <= MAX_EXCESS:
+        raise DomainError(f"max_excess must lie in 0..{MAX_EXCESS}, got {max_excess}")
     exhausted = ThetaResult(
         lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
     )
-    sizes = list(spec.sizes)
-    if sizes.count(1) >= 2:
-        return exhausted  # two singleton parts: the neighbourhood lemma refutes
+    if refuted():
+        return exhausted  # what the full scan proves, without scanning
     budget = default_budget_seconds() if budget_seconds is None else budget_seconds
     ticker = _Ticker(time.monotonic() + budget)
     for e in range(max_excess + 1):
         try:
-            parts = _scan_level(sizes, n, e, ticker)
+            parts = search(e, ticker)
         except _OutOfTime:
             raise BudgetExceededError(
-                f"multipartite oracle out of budget at excess {e}", lower=e
+                f"{kind} oracle out of budget at excess {e}", lower=e
             ) from None
         if parts is not None:
             return ThetaResult(
@@ -257,96 +280,105 @@ def oracle_theta_multipartite(
     return exhausted
 
 
+def oracle_theta_multipartite(
+    spec: PartiteSpec,
+    max_excess: int,
+    budget_seconds: float | None = None,
+    max_n: int = MAX_N,
+) -> ThetaResult:
+    """Exact index of the complete multipartite graph of ``spec`` by search.
+
+    Scans excess 0..max_excess; returns the first feasible level with a
+    witness, else the exhausted bounds ``[max_excess+1, infinity)``.  The
+    ``max_n`` guardrail can be raised explicitly when the caller accepts the
+    running time.
+    """
+    sizes = list(spec.sizes)
+    return _scan_levels(
+        "multipartite", spec.n, max_n, max_excess, budget_seconds,
+        # two singleton parts: the neighbourhood lemma refutes
+        lambda: sizes.count(1) >= 2,
+        lambda e, ticker: _scan_level(sizes, spec.n, e, ticker),
+    )
+
+
 # ---------------------------------------------------------------------------
-# General-graph bijection search
+# Block packing engine
 
 
-def _bijection_search(g: Graph, labels, ticker):
-    """First S-magic bijection of ``labels`` onto V(g) in canonical DFS order."""
-    n = g.vertex_count
-    if g.edge_count == 0:
-        return list(sorted(labels))
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    assignment: list[int | None] = [None] * n
-    partial = [0] * n
-    unlabeled = [g.degree(v) for v in range(n)]
-    pool = sorted(labels, reverse=True)
-    used: set[int] = set()
-    nbrs = g.neighbors
-    # the common weight, once some vertex has all neighbours labelled; an
-    # isolated vertex has them all from the start
-    mu = 0 if 0 in unlabeled else None
+def _pack_blocks(g: Graph, e, ticker):
+    """Labels of each block of the first S-magic labeling of ``g`` whose
+    label set has top label n+e, or None (module docstring: block packing).
+    """
+    sizes = [end - start for start, end in g.blocks]
+    adjacent = g.adjacent
+    top = sum(sizes) + e
+    asc_prefix = list(accumulate(range(top + 1)))  # asc_prefix[k] = 1 + ... + k
+    open_slots = sizes[:]
+    fixed = [0] * len(sizes)  # label sum of the neighbouring blocks so far
+    near = [sum(sizes[j] for j in adj) for adj in adjacent]  # their open slots
+    twin = [adjacent.index(adj) for adj in adjacent]  # first block with these neighbours
+    chosen: list[list[int]] = [[] for _ in sizes]
+    slots = sum(sizes)
+    skips = e
 
-    def rec(depth):
-        nonlocal mu
+    def place(i, label, step):
+        nonlocal slots
+        slots -= step
+        open_slots[i] -= step
+        for j in adjacent[i]:
+            fixed[j] += step * label
+            near[j] -= step
+
+    def rec(label):
+        # the unprocessed labels are exactly 1..label
+        nonlocal skips
         ticker.tick()
-        if depth == n:
+        if not label - skips <= slots <= label:
+            return False
+        lo = max(f + asc_prefix[c] for f, c in zip(fixed, near))
+        if any(lo > f + asc_prefix[label] - asc_prefix[label - c] for f, c in zip(fixed, near)):
+            return False
+        if label == 0:
             return True
-        v = order[depth]
-        for label in pool:
-            if label in used:
+        seen = set()
+        for i, c in enumerate(open_slots):
+            if c == 0 or twin[i] in seen:
                 continue
-            ok = True
-            mu_before = mu
-            touched = []
-            for u in nbrs[v]:
-                partial[u] += label
-                unlabeled[u] -= 1
-                touched.append(u)
-                if unlabeled[u] == 0:
-                    if mu is None:
-                        mu = partial[u]
-                    elif partial[u] != mu:
-                        ok = False
-                        break
-            if ok and mu is not None:
-                # each open weight must still reach mu with its smallest or
-                # largest free labels; top[c] sums the c largest
-                free = [x for x in pool if x != label and x not in used]
-                top = list(accumulate(free, initial=0))
-                for u in range(n):
-                    c = unlabeled[u]
-                    if c and not top[-1] - top[-1 - c] <= mu - partial[u] <= top[c]:
-                        ok = False
-                        break
-            if ok:
-                used.add(label)
-                assignment[v] = label
-                if rec(depth + 1):
-                    return True
-                assignment[v] = None
-                used.discard(label)
-            for u in touched:
-                partial[u] -= label
-                unlabeled[u] += 1
-            mu = mu_before
+            seen.add(twin[i])
+            place(i, label, 1)
+            chosen[i].append(label)
+            if rec(label - 1):
+                return True
+            chosen[i].pop()
+            place(i, label, -1)
+        if skips > 0 and label != top:
+            skips -= 1
+            if rec(label - 1):
+                return True
+            skips += 1
         return False
 
-    if rec(0):
-        return list(assignment)
-    return None
+    return chosen if rec(top) else None
 
 
-def _refuted_by_neighbourhoods(nbrs) -> bool:
+def _refuted_by_neighbourhoods(g: Graph) -> bool:
     """True when two vertices meet the neighbourhood lemma (module docstring):
     one of N(u) - N(v), N(v) - N(u) is empty and the other is not, or both
     are single vertices.  Such a graph has no S-magic labeling at any excess.
+
+    Vertices of one block have equal neighbourhoods, so only pairs of blocks
+    P != Q are compared: for u in P and v in Q, N(u) - N(v) is the union of
+    the blocks next to P and not next to Q.
     """
-    for u, v in combinations(range(len(nbrs)), 2):
-        only_u = len(nbrs[u] - nbrs[v])
-        only_v = len(nbrs[v] - nbrs[u])
-        if (only_u == 0) != (only_v == 0) or only_u == only_v == 1:
+    sizes = [end - start for start, end in g.blocks]
+    near = [frozenset(adj) for adj in g.adjacent]
+    for p, q in combinations(range(len(sizes)), 2):
+        only_p = sum(sizes[j] for j in near[p] - near[q])
+        only_q = sum(sizes[j] for j in near[q] - near[p])
+        if (only_p == 0) != (only_q == 0) or only_p == only_q == 1:
             return True
     return False
-
-
-def _label_sets(n, e):
-    if e == 0:
-        yield tuple(range(1, n + 1))
-        return
-    top = n + e
-    for rest in combinations(range(1, top), n - 1):
-        yield rest + (top,)
 
 
 def oracle_theta_general(
@@ -354,33 +386,9 @@ def oracle_theta_general(
     max_excess: int,
     budget_seconds: float | None = None,
 ) -> ThetaResult:
-    """Exact index of an arbitrary graph by exhaustive bijection search."""
-    n = g.vertex_count
-    if n > MAX_GENERAL_N:
-        raise DomainError(f"general oracle capped at n={MAX_GENERAL_N}, got {n}")
-    if max_excess > MAX_EXCESS:
-        raise DomainError(f"max_excess capped at {MAX_EXCESS}, got {max_excess}")
-    exhausted = ThetaResult(
-        lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
+    """Exact index of an arbitrary graph by one block packing per excess level."""
+    return _scan_levels(
+        "general", g.vertex_count, MAX_N, max_excess, budget_seconds,
+        lambda: _refuted_by_neighbourhoods(g),
+        lambda e, ticker: _pack_blocks(g, e, ticker),
     )
-    if _refuted_by_neighbourhoods(g.neighbors):
-        return exhausted  # what the full scan proves, without scanning
-    budget = default_budget_seconds() if budget_seconds is None else budget_seconds
-    ticker = _Ticker(time.monotonic() + budget)
-    regular_degree = g.max_degree if g.is_regular else 0
-    for e in range(max_excess + 1):
-        for labels in _label_sets(n, e):
-            if regular_degree and (regular_degree * sum(labels)) % n:
-                continue  # every weight equals r*sum(S)/n, which must be an integer
-            try:
-                assignment = _bijection_search(g, labels, ticker)
-            except _OutOfTime:
-                raise BudgetExceededError(
-                    f"general oracle out of budget at excess {e}", lower=e
-                ) from None
-            if assignment is not None:
-                return ThetaResult(
-                    lower=e, upper=e, case_tag="oracle", provenance="oracle",
-                    witness=Labeling(tuple(assignment)),
-                )
-    return exhausted

@@ -40,6 +40,14 @@ def petersen() -> Graph:
     return Graph.from_neighbors(tuple(frozenset(adj[v]) for v in range(10)))
 
 
+def neighbour_sets(g: Graph) -> tuple[frozenset[int], ...]:
+    """Per-vertex neighbour sets, read off the blocks of ``g``."""
+    return tuple(
+        frozenset(v for j in g.adjacent[g.block_of(u)] for v in range(*g.blocks[j]))
+        for u in range(g.vertex_count)
+    )
+
+
 def circulant(b: int, jumps) -> Graph:
     """Circulant graph on b vertices with the given symmetric jump set."""
     neighbors = tuple(

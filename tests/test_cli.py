@@ -88,9 +88,6 @@ def test_label_golden_and_verify_roundtrip(tmp_path):
     report = json.loads(out)
     assert code == 0 and report["is_magic"] and report["constant"] == 154
 
-    code, out, _ = run_cli("label", "K(3,8,9)", "--verify-only", str(labfile))
-    assert code == 0 and json.loads(out)["is_magic"]
-
 
 def test_verify_flags_broken_labeling(tmp_path):
     labfile = tmp_path / "bad.json"
@@ -101,7 +98,7 @@ def test_verify_flags_broken_labeling(tmp_path):
 
 def test_label_file_blowup(tmp_path):
     adj = tmp_path / "g10.adj"
-    lines = [f"{v}: {' '.join(str(u) for u in sorted(petersen().neighbors[v]))}"
+    lines = [f"{v}: {' '.join(str(u) for u in petersen().adjacent[v])}"
              for v in range(10)]
     adj.write_text("\n".join(lines))
     code, out, _ = run_cli("label", f"LEX(FILE({adj}),E(3))")
@@ -112,7 +109,7 @@ def test_label_file_blowup(tmp_path):
 def test_label_file_blowup_reads_the_file_once(tmp_path, monkeypatch):
     adj = tmp_path / "petersen.adj"
     adj.write_text("\n".join(
-        f"{v}: {' '.join(str(u) for u in sorted(petersen().neighbors[v]))}" for v in range(10)
+        f"{v}: {' '.join(str(u) for u in petersen().adjacent[v])}" for v in range(10)
     ))
     reads = []
     read = magiclab.graphs.read_adjacency_file
@@ -369,7 +366,6 @@ def test_label_tripartite_cases_one_and_four_at_depth():
 def test_unreadable_files_exit_2(tmp_path):
     missing = str(tmp_path / "missing.json")
     assert run_cli("verify", "K(3,3)", missing)[0] == 2
-    assert run_cli("label", "K(3,3)", "--verify-only", missing)[0] == 2
     assert run_cli("index", f"FILE({missing})", "--oracle")[0] == 2
     assert run_cli("verify", f"FILE({missing})", missing)[0] == 2
     assert run_cli("verify", "K(3,3)", str(tmp_path))[0] == 2  # a directory
@@ -441,7 +437,7 @@ def test_oracle_witness_is_certified_before_printing(monkeypatch, argv):
 
 def test_oracle_refutes_a_cycle_without_searching():
     # C(8) has N(0) - N(2) = {7} and N(2) - N(0) = {3}, so the neighbourhood
-    # lemma answers before the search tries any of the 17 levels' label sets
+    # lemma answers before the search tries any of the 17 levels
     start = time.perf_counter()
     code, out, _ = run_cli("oracle", "C(8)", "--max-excess", "16")
     elapsed = time.perf_counter() - start
@@ -457,6 +453,27 @@ def test_budget_and_size_cap_exit_codes():
     code, out, err = run_cli("qmr", "3", "40000")  # 120 000 entries, over the cap
     assert code == 2 and out == "" and "cap" in err
     code, out, err = run_cli("kotzig", "4", "1000000")  # 4 000 000 entries
+    assert code == 2 and out == "" and "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "C(5)"),  # the general oracle
+    ("oracle", "K(2,3)"),  # the multipartite oracle
+    ("index", "C(4)", "--oracle"),
+    ("label", "C(4)", "--oracle"),
+])
+def test_negative_max_excess_exits_2(argv):
+    code, out, err = run_cli(*argv, "--max-excess", "-1")
+    assert code == 2 and out == "" and "max_excess" in err
+
+
+def test_general_oracle_answers_up_to_16_vertices():
+    # the index-1 members of mK(a,b) and of G o E_a with a perfect matching G
+    for spec in ("U(2,K(3,3))", "LEX(U(2,K(1,1)),E(3))"):
+        code, out, _ = run_cli("oracle", spec, "--max-excess", "2")
+        payload = json.loads(out)
+        assert code == 0 and payload["case"] == "oracle" and payload["theta"] == 1, spec
+    code, out, err = run_cli("oracle", "C(17)", "--max-excess", "2")
     assert code == 2 and out == "" and "cap" in err
 
 
@@ -535,14 +552,13 @@ def test_block_adjacency_cap_rejects_before_building():
     assert code == 0 and json.loads(out)["theta"] == 1
 
 
-@pytest.mark.parametrize("command, flags", [("verify", ()), ("label", ("--verify-only",))])
-def test_labeling_size_rejected_before_building(tmp_path, command, flags):
+def test_labeling_size_rejected_before_building(tmp_path):
     # 1 500 parts: the size mismatch is caught from the spec, unbuilt
     spec = "K(" + ",".join(["2"] * 1500) + ")"
     labfile = tmp_path / "labels.json"
     labfile.write_text(json.dumps({"labels": {"0": 1}}))
     start = time.perf_counter()
-    code, out, rss_mb = _run_child(command, spec, *flags, str(labfile))
+    code, out, rss_mb = _run_child("verify", spec, str(labfile))
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
 

@@ -110,27 +110,46 @@ def test_family_witness_gate():
         label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2, 3))), 2)
 
 
-def test_family_values_match_the_oracle_on_small_instances():
-    from magiclab import oracle_theta_general, oracle_theta_multipartite
+def _family_specs(max_n):
+    """Every K(a^b), U(m,K(a^b)), LEX(C(b),E(a)) and U(m,LEX(C(b),E(a))) with
+    a, b, m >= 2 (b >= 3 for a cycle) and at most ``max_n`` vertices."""
+    specs = []
+    for a in range(2, max_n // 2 + 1):
+        for b in range(2, max_n // a + 1):
+            for m in range(1, max_n // (a * b) + 1):
+                k = "K(" + ",".join([str(a)] * b) + ")"
+                specs.append(k if m == 1 else f"U({m},{k})")
+                if b >= 3:
+                    lex = f"LEX(C({b}),E({a}))"
+                    specs.append(lex if m == 1 else f"U({m},{lex})")
+    return specs
 
-    cases = [
-        (theta_K_ab(2, 3), "K(2,2,2)"),
-        (theta_K_ab(2, 4), "K(2,2,2,2)"),
-        (theta_K_ab(3, 2), "K(3,3)"),
-        (theta_mK_ab(2, 2, 2), "U(2,K(2,2))"),
-        (theta_mC_lex(1, 2, 3), "LEX(C(3),E(2))"),
-        (theta_lex_regular(build_cycle(4), 2), "LEX(C(4),E(2))"),
-    ]
-    from magiclab import parse_graph_spec
 
-    for result, spec_text in cases:
-        g = parse_graph_spec(spec_text)
+def test_family_values_match_the_oracle_on_small_instances(tmp_path):
+    from magiclab import oracle_theta_general, oracle_theta_multipartite, parse_graph_spec
+    from magiclab.cli import _certify, _plan, _theta_for_plan
+    from magiclab.graphs import parse_spec_ast
+
+    c4 = tmp_path / "c4.adj"
+    c4.write_text("0: 1 3\n1: 0 2\n2: 1 3\n3: 0 2\n")
+    # two index-1 cells of other families, and the [0, 1] lex-unsolved cell
+    specs = _family_specs(16) + ["LEX(U(2,K(1,1)),E(3))", f"LEX(FILE({c4}),E(3))"]
+    assert len(specs) == 42
+    for text in specs:
+        formula = _theta_for_plan(_plan(parse_spec_ast(text)))
+        g = parse_graph_spec(text)
         spec = g.partite_spec
         if spec is not None:
-            oracle = oracle_theta_multipartite(spec, 2)
+            found = oracle_theta_multipartite(spec, 16)
         else:
-            oracle = oracle_theta_general(g, 2)
-        assert oracle.theta == result.theta, spec_text
+            found = oracle_theta_general(g, 2)
+        assert found.exact, text
+        if formula.exact:
+            assert found.theta == formula.theta, text
+        else:
+            assert formula.lower <= found.theta, text
+            assert formula.upper is None or found.theta <= formula.upper, text
+        _certify(g, found.witness, found)
 
 
 def test_table1_table2_rules_coincide_where_defined():

@@ -1,9 +1,9 @@
 import time
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magiclab import (
@@ -21,9 +21,9 @@ from magiclab import (
 )
 from magiclab.families import theta_K_ab
 from magiclab.graphs import Graph
-from magiclab.oracle import _pack, _scan_level, _Ticker
+from magiclab.oracle import _pack, _pack_blocks, _scan_level, _Ticker
 
-from conftest import petersen, tripartite_instances
+from conftest import neighbour_sets, petersen, tripartite_instances
 
 
 def test_equal_sum_partition_examples():
@@ -193,12 +193,12 @@ def test_adjacent_closed_twin_prune(monkeypatch):
     refuted = twins + ["C(5)", "C(6)"]
     admitted = ["C(4)", "K(2,2)", "K(1,2)", "K(1,2,3)", "LEX(C(3),E(2))"]
     for text in refuted:
-        assert oracle._refuted_by_neighbourhoods(parse_graph_spec(text).neighbors), text
+        assert oracle._refuted_by_neighbourhoods(parse_graph_spec(text)), text
     for text in admitted:
-        assert not oracle._refuted_by_neighbourhoods(parse_graph_spec(text).neighbors), text
+        assert not oracle._refuted_by_neighbourhoods(parse_graph_spec(text)), text
     specs = ["C(4)", "C(5)", "C(6)", "K(1,1)", "K(1,1,1)", "K(1,1,2)", "K(1,1,3)", "K(1,1,4)"]
     pruned = [oracle_theta_general(parse_graph_spec(t), 3) for t in specs]
-    monkeypatch.setattr(oracle, "_refuted_by_neighbourhoods", lambda nbrs: False)
+    monkeypatch.setattr(oracle, "_refuted_by_neighbourhoods", lambda g: False)
     full = [oracle_theta_general(parse_graph_spec(t), 3) for t in specs]
     assert pruned == full
     assert [r.case_tag for r in full[3:]] == ["oracle-exhausted"] * 5
@@ -229,7 +229,7 @@ def _graph(n, edges):
 def test_neighbourhood_lemma_cases(graph, refuted):
     from magiclab import oracle
 
-    assert oracle._refuted_by_neighbourhoods(graph.neighbors) is refuted
+    assert oracle._refuted_by_neighbourhoods(graph) is refuted
 
 
 @st.composite
@@ -249,8 +249,83 @@ def test_neighbourhood_lemma_matches_the_unpruned_search(graph):
     with mock.patch.object(oracle, "_refuted_by_neighbourhoods", return_value=False):
         full = oracle_theta_general(graph, 2)
     assert pruned == full
-    if oracle._refuted_by_neighbourhoods(graph.neighbors):
+    if oracle._refuted_by_neighbourhoods(graph):
         assert full.witness is None
+
+
+# nested specs of at most five vertices, for the brute-force referees
+_NESTED_GRAPHS = st.recursive(
+    st.one_of(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
+            lambda sizes: "K(" + ",".join(map(str, sizes)) + ")"
+        ),
+        st.integers(3, 5).map(lambda b: f"C({b})"),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.integers(1, 2), inner).map(lambda t: f"U({t[0]},{t[1]})"),
+        st.tuples(inner, st.integers(1, 2)).map(lambda t: f"LEX({t[0]},E({t[1]}))"),
+    ),
+    max_leaves=2,
+).map(parse_graph_spec)
+_REFEREE_GRAPHS = st.one_of(_small_graphs(), _NESTED_GRAPHS).filter(
+    lambda g: g.vertex_count <= 5
+)
+
+
+def _brute_levels(graph, max_excess):
+    """The excesses e <= max_excess at which some bijection onto a label set
+    with top label n + e is magic, trying every set and permutation."""
+    nbrs = neighbour_sets(graph)
+    n = len(nbrs)
+    return [
+        e for e in range(max_excess + 1)
+        if any(
+            len({sum(labels[v] for v in nbrs[u]) for u in range(n)}) == 1
+            for rest in combinations(range(1, n + e), n - 1)
+            for labels in permutations(rest + (n + e,))
+        )
+    ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_REFEREE_GRAPHS)
+# index 1, and a star the lemma admits with no labeling up to excess 2
+@example(parse_graph_spec("K(2,3)"))
+@example(parse_graph_spec("K(1,4)"))
+def test_general_oracle_matches_brute_force(graph):
+    from magiclab import oracle
+
+    levels = _brute_levels(graph, 2)
+    n = graph.vertex_count
+    for e in range(3):
+        parts = _pack_blocks(graph, e, _Ticker(time.monotonic() + 60))
+        assert (parts is not None) == (e in levels), e
+        if parts is not None:
+            assert max(max(labels, default=0) for labels in parts) == n + e
+    pruned = oracle_theta_general(graph, 2)
+    # the block search alone must prove what the lemma refutes
+    with mock.patch.object(oracle, "_refuted_by_neighbourhoods", return_value=False):
+        unpruned = oracle_theta_general(graph, 2)
+    for res in (pruned, unpruned):
+        if not levels:
+            assert (res.lower, res.upper, res.witness) == (3, None, None)
+        else:
+            assert (res.lower, res.upper) == (levels[0], levels[0])
+            assert verify_s_magic(graph, res.witness).is_magic
+            assert res.witness.eta == n + levels[0]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_REFEREE_GRAPHS)
+def test_block_lemma_matches_the_vertex_lemma(graph):
+    from magiclab import oracle
+
+    nbrs = neighbour_sets(graph)
+    refuted = False
+    for u, v in combinations(range(len(nbrs)), 2):
+        only_u, only_v = len(nbrs[u] - nbrs[v]), len(nbrs[v] - nbrs[u])
+        refuted |= (only_u == 0) != (only_v == 0) or only_u == only_v == 1
+    assert oracle._refuted_by_neighbourhoods(graph) is refuted
 
 
 def test_two_singleton_parts_match_the_unpruned_scan():
@@ -272,16 +347,14 @@ def test_two_singleton_parts_match_the_unpruned_scan():
 
 
 def test_two_oracles_agree_on_multipartite():
-    # every partite shape up to 8 vertices; the larger order gets a smaller
-    # excess cap to keep the general oracle's infeasibility proofs quick
-    for top, excess in ((7, 4), (8, 2)):
-        for n in range(2 if top == 7 else 8, top + 1):
-            for r in range(1, n + 1):
-                for sizes in _partitions(n, r):
-                    spec = PartiteSpec(sizes)
-                    fast = oracle_theta_multipartite(spec, excess)
-                    slow = oracle_theta_general(build_complete_multipartite(spec), excess)
-                    assert (fast.lower, fast.upper) == (slow.lower, slow.upper), sizes
+    # every complete multipartite shape up to 10 vertices
+    for n in range(1, 11):
+        for r in range(1, n + 1):
+            for sizes in _partitions(n, r):
+                spec = PartiteSpec(sizes)
+                fast = oracle_theta_multipartite(spec, 6)
+                slow = oracle_theta_general(build_complete_multipartite(spec), 6)
+                assert (fast.lower, fast.upper) == (slow.lower, slow.upper), sizes
 
 
 def _partitions(n, r, minimum=1):
