@@ -21,8 +21,10 @@ them takes a label.
 Any graph: block packing.  All vertices of a block of ``graphs.Graph`` have
 one neighbourhood, so one weight: the sum of the label sums of the block's
 neighbouring blocks.  ``_pack_blocks`` fills the blocks directly, and the
-labels of each block, in block order, are the witness.  With label x next,
-S open slots in all and s skips left, two necessary conditions prune:
+labels of each block, in block order, are the witness.  A label tries the
+blocks with the least label sum so far first, which finds balanced
+labelings early and cuts no branch.  With label x next, S open slots in
+all and s skips left, two necessary conditions prune:
 
 * Slots.  Each of 1..x fills an open slot or is skipped, and every open
   slot takes one of them, so x - s <= S <= x.
@@ -315,6 +317,7 @@ def _pack_blocks(g: Graph, e, ticker):
     top = sum(sizes) + e
     asc_prefix = list(accumulate(range(top + 1)))  # asc_prefix[k] = 1 + ... + k
     open_slots = sizes[:]
+    sums = [0] * len(sizes)
     fixed = [0] * len(sizes)  # label sum of the neighbouring blocks so far
     near = [sum(sizes[j] for j in adj) for adj in adjacent]  # their open slots
     twin = [adjacent.index(adj) for adj in adjacent]  # first block with these neighbours
@@ -326,6 +329,7 @@ def _pack_blocks(g: Graph, e, ticker):
         nonlocal slots
         slots -= step
         open_slots[i] -= step
+        sums[i] += step * label
         for j in adjacent[i]:
             fixed[j] += step * label
             near[j] -= step
@@ -342,7 +346,9 @@ def _pack_blocks(g: Graph, e, ticker):
         if label == 0:
             return True
         seen = set()
-        for i, c in enumerate(open_slots):
+        # emptier blocks first: an order of the branches, none is cut
+        for i in sorted(range(len(sizes)), key=sums.__getitem__):
+            c = open_slots[i]
             if c == 0 or twin[i] in seen:
                 continue
             seen.add(twin[i])

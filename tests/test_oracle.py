@@ -287,7 +287,7 @@ def _brute_levels(graph, max_excess):
     ]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_REFEREE_GRAPHS)
 # index 1, and a star the lemma admits with no labeling up to excess 2
 @example(parse_graph_spec("K(2,3)"))
@@ -315,7 +315,7 @@ def test_general_oracle_matches_brute_force(graph):
             assert res.witness.eta == n + levels[0]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_REFEREE_GRAPHS)
 def test_block_lemma_matches_the_vertex_lemma(graph):
     from magiclab import oracle
