@@ -22,10 +22,13 @@ every row and column sums to zero.  For ``b = 2`` the rows are ``(x, -x)``
 with the column signed greedily.  Otherwise three rows form a block of m
 column pairs, and the other ``a - 3`` rows are ``c = (a - 3)/2`` bands,
 each a row and its negation.  The entries are written ``d`` above these
-values straight into row tuples.  ``verify_qmr``
-checks every array before it is returned, in whole-array passes: one sort
-of all entries against ``{1..ab+1} minus {d}``, then the row sums and the
-column sums of the transpose.
+values straight into row tuples, the block's three rows whole and the
+bands one column progression at a time (below).  Every array passes its
+verifier before it is returned.  ``verify_qmr`` works in whole-array
+passes: one sort of all entries against ``{1..ab+1} minus {d}``, then the
+row sums and the column sums of the transpose.  ``verify_kotzig`` sorts
+and sums each distinct row once, weighted by its count (its docstring
+shows that this decides the same conditions).
 
 *Column pair.*  For ``d`` in a set ``D``, the columns
 ``A_d = (-d, -alpha_d, alpha_d + d)`` and
@@ -115,15 +118,23 @@ So only the first band of each class is dealt and split.  With ``p`` the
 period (1 or 2) and ``s_j v_j`` the signed value in column j of a class's
 first band, the copies ``i = 0, 1, ...`` put ``d + s_j (v_j + i p b)`` in
 every ``2p``-th row from the class's first band row and the negations
-below them.  So each copy is its predecessor plus ``s_j p b`` in column j,
-and is written a row pair at a time.
+below them.  So column j of a class's band rows is the arithmetic
+progression ``d + s_j v_j, d + s_j (v_j + p b), ...`` and that of their
+negations the mirror progression ``d - s_j v_j, d - s_j (v_j + p b), ...``.
+A class with many copies (a tall array) is written as one ``range`` per
+column, which ``zip`` turns into rows; one with few copies (a short
+array, where b ranges cost more than the rows) a row at a time, each row
+the previous one plus ``+-p b`` in every column.  Either way the rows go
+into every ``2p``-th row by one extended-slice assignment.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, permutations
-from operator import add
+from itertools import chain, permutations, repeat
+from operator import add, mul
 
 from .bipartite import split_equal_sums
 from .errors import DomainError, InternalInconsistencyError, SizeLimitError
@@ -167,14 +178,26 @@ def _first_miss(sums, target: int) -> int | None:
 
 
 def verify_kotzig(arr: MagicArray) -> bool:
+    """Whether every row of ``arr`` is a permutation of ``0..b-1`` and every
+    column sums to ``a(b-1)/2``.
+
+    Both conditions depend only on the multiset of rows: the first holds of
+    each row on its own, and column j adds up ``row[j]`` over the rows in
+    any order, which is the sum over the distinct rows of ``count *
+    row[j]``.  So each distinct row is sorted and summed once, weighted by
+    the number of times it appears; KA(a, b) from ``kotzig_array`` has at
+    most four distinct rows.
+    """
     a, b = arr.rows, arr.cols
     if arr.kind != "kotzig" or len(arr.entries) != a:
         return False
-    if list(map(sorted, arr.entries)).count(list(range(b))) != a:
+    counts = Counter(arr.entries)
+    if list(map(sorted, counts)).count(list(range(b))) != len(counts):
         return False
+    weighted = [row if n == 1 else map(mul, row, repeat(n)) for row, n in counts.items()]
+    col_sums = list(map(sum, zip(*weighted)))
     # the rows fix the total at ab(b-1)/2, so b equal column sums make a(b-1)
     # even and the floor below exact
-    col_sums = list(map(sum, zip(*arr.entries)))
     return col_sums.count(a * (b - 1) // 2) == b
 
 
@@ -250,28 +273,47 @@ def _block_table(m: int, trade: bool) -> tuple[int, dict[int, int], int | None]:
     return 4 * m + 2, alpha, 2 * m + 1
 
 
+def _weave(*parts: list[int]) -> list[int]:
+    """One list holding ``parts[i]`` at the positions ``i (mod len(parts))``."""
+    out = [0] * sum(map(len, parts))
+    for i, part in enumerate(parts):
+        out[i::len(parts)] = part
+    return out
+
+
 def _three_row_block(k_const: int, alpha: dict[int, int], hole: int) -> list[tuple[int, ...]]:
-    """The columns of the 3-row block of one ``_block_table``, each entry
-    ``hole`` above its hole-centred value."""
-    pairs = [
-        ((hole - d, hole - x, hole + x + d),
-         (hole + d, hole + k_const - d - x, hole + x - k_const))
-        for d, x in alpha.items()
-    ]
-    cols = []
-    if len(pairs) % 2:
-        (a1, b1), (a2, b2), (a3, b3) = pairs[:3]
-        cols += [
+    """The three rows of the block of one ``_block_table``, each entry
+    ``hole`` above its hole-centred value.
+
+    For odd ``|D|`` the six columns of the three smallest ``d`` go first.
+    The other pairs alternate ``A_d`` beside ``B_d`` with rows 1, 2 swapped
+    and ``A_d`` swapped beside ``B_d``, so each row is woven whole from
+    per-pair values: row 0 is ``-d, d``; row 1 takes ``-alpha, alpha - K``
+    and ``alpha + d, K - d - alpha`` in turn, and row 2 the other way round.
+    """
+    ds, xs = list(alpha), list(alpha.values())
+    head = [(), (), ()]
+    if len(ds) % 2:
+        (a1, b1), (a2, b2), (a3, b3) = [
+            ((hole - d, hole - x, hole + x + d),
+             (hole + d, hole + k_const - d - x, hole + x - k_const))
+            for d, x in zip(ds[:3], xs[:3])
+        ]
+        head = list(zip(
             a1, (a2[1], a2[2], a2[0]), (a3[2], a3[0], a3[1]),
             (b1[0], b1[2], b1[1]), (b2[2], b2[1], b2[0]), (b3[1], b3[0], b3[2]),
-        ]
-        pairs = pairs[3:]
-    for k, (col_a, col_b) in enumerate(pairs):
-        if k % 2:
-            cols += [(col_a[0], col_a[2], col_a[1]), col_b]
-        else:
-            cols += [col_a, (col_b[0], col_b[2], col_b[1])]
-    return cols
+        ))
+        ds, xs = ds[3:], xs[3:]
+    minus_alpha = [hole - x for x in xs]
+    alpha_minus_k = [hole + x - k_const for x in xs]
+    alpha_plus_d = [hole + x + d for d, x in zip(ds, xs)]
+    k_minus = [hole + k_const - d - x for d, x in zip(ds, xs)]
+    rows = (
+        _weave([hole - d for d in ds], [hole + d for d in ds]),
+        _weave(minus_alpha[::2], alpha_minus_k[::2], alpha_plus_d[1::2], k_minus[1::2]),
+        _weave(alpha_plus_d[::2], k_minus[::2], minus_alpha[1::2], alpha_minus_k[1::2]),
+    )
+    return [(*first, *rest) for first, rest in zip(head, rows)]
 
 
 def _deal_bands(outer: list[int], b: int) -> list[list[int]]:
@@ -301,14 +343,36 @@ def _mirror_columns(a: int, hole: int) -> list[tuple[int, int]]:
     return rows
 
 
+# Band classes with this many copies or more are written a column at a
+# time.  Setting up one range per column costs about as much as 8 to 16 rows
+# of map(add, ...), and beyond that the ranges, transposed by zip, cost a
+# third to a half as much per entry (Python 3.11).
+_COLUMN_COPIES = 16
+
+
+def _translates(first: tuple[int, ...], shift: list[int], copies: int) -> Iterable[tuple[int, ...]]:
+    """The rows ``first + i * shift`` for ``i < copies``.
+
+    Column j is the progression ``first[j], first[j] + shift[j], ...``.
+    With ``_COLUMN_COPIES`` copies or more it is one ``range``, and ``zip``
+    turns the ranges into the rows; with fewer each row is the previous
+    one plus ``shift``.
+    """
+    if copies >= _COLUMN_COPIES:
+        return zip(*[range(x, x + copies * s, s) for x, s in zip(first, shift)])
+    rows = [first]
+    for _ in range(copies - 1):
+        rows.append(tuple(map(add, rows[-1], shift)))
+    return rows
+
+
 def _qmr_shifted_banded(a: int, b: int) -> list[tuple[int, ...]]:
     """The rows of QMR(a, b) for b >= 4: the 3-row block, then the bands,
     one shape class at a time (module docstring)."""
     m, hole, bands = b // 2, a * b // 2 + 1, (a - 3) // 2
     trade = m % 2 == 1 and a % 4 == 1
     k_const, alpha, spare = _block_table(m, trade)
-    block = _three_row_block(k_const, alpha, hole)
-    rows = [*zip(*block), *[()] * (a - 3)]
+    rows = [*_three_row_block(k_const, alpha, hole), *[()] * (a - 3)]
     # only the first band of each shape class is dealt; the rest are translates
     head, period = int(trade), 2 if m % 2 else 1
     dealt = (head + period) * b
@@ -326,10 +390,10 @@ def _qmr_shifted_banded(a: int, b: int) -> list[tuple[int, ...]]:
         # copy i of the band is the row pair 3 + 2k + 2 * period * i
         copies = 1 if k < head else (bands - head) // period
         first, stride = 3 + 2 * k, 2 * period
-        for row in range(first, first + copies * stride, stride):
-            rows[row] = top
-            rows[row + 1] = tuple([2 * hole - x for x in top])
-            top = tuple(map(add, top, shift))
+        last = first + copies * stride
+        rows[first:last:stride] = _translates(top, shift, copies)
+        mirror = tuple([2 * hole - x for x in top])
+        rows[first + 1:last:stride] = _translates(mirror, [-s for s in shift], copies)
     return rows
 
 

@@ -24,7 +24,6 @@ import functools
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 from . import families
@@ -272,15 +271,21 @@ def _print_array(arr, fmt) -> int:
     if fmt == "json":
         _emit({"d": arr.hole, "entries": arr.entries, "rho": rho, "sigma": sigma})
         return EXIT_OK
+    line = ",".join(["%d"] * arr.cols)
     if arr.kind == "qmr":
         header = f"# d={arr.hole} rho={rho} sigma={sigma}\n"
+        # the entries are distinct, so no row repeats: one format per row
+        lines = map(line.__mod__, arr.entries)
     else:
         header = f"# c={sigma}\n"
-    row = ",".join(["%d"] * arr.cols)
+        # kotzig_array shares one tuple per direction: one format per tuple
+        distinct = dict(zip(map(id, arr.entries), arr.entries))
+        text = {key: line % row for key, row in distinct.items()}
+        lines = map(text.__getitem__, map(id, arr.entries))
     # print writes the closing newline on its own: with unbuffered stdout a
     # raw write that comes up short drops the rest silently, and that second
     # write then raises BrokenPipeError instead of exiting 0 on truncated output
-    print(header + "\n".join([row] * arr.rows) % tuple(chain.from_iterable(arr.entries)))
+    print(header + "\n".join(lines))
     return EXIT_OK
 
 

@@ -135,9 +135,6 @@ class Graph:
             (end - start) * d for (start, end), d in zip(self.blocks, self._block_degrees)
         ) // 2
 
-    def degree(self, v: int) -> int:
-        return self._block_degrees[self.block_of(v)]
-
     @property
     def min_degree(self) -> int:
         return min(self._block_degrees)

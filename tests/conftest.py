@@ -48,6 +48,11 @@ def neighbour_sets(g: Graph) -> tuple[frozenset[int], ...]:
     )
 
 
+def degree(g: Graph, v: int) -> int:
+    """The degree of vertex ``v``: the sizes of its block's neighbouring blocks."""
+    return sum(end - start for start, end in (g.blocks[j] for j in g.adjacent[g.block_of(v)]))
+
+
 def circulant(b: int, jumps) -> Graph:
     """Circulant graph on b vertices with the given symmetric jump set."""
     neighbors = tuple(

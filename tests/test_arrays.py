@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -12,10 +13,12 @@ from magiclab import (
     verify_qmr,
 )
 from magiclab.arrays import (
+    _COLUMN_COPIES,
     ArrayCheck,
     _block_table,
     _line_sums,
     _three_row_block,
+    _translates,
     kotzig_exists_exhaustive,
     qmr_exists_exhaustive,
 )
@@ -149,12 +152,21 @@ def test_three_row_block_tables(table):
     else:
         sizes, trade = range(5 if table == "m = 1 (mod 4)" else 3, 401, 4), True
     for m in sizes:
-        rows = list(zip(*_three_row_block(*_block_table(m, trade)[:2], 0)))
+        rows = _three_row_block(*_block_table(m, trade)[:2], 0)
         assert len(rows) == 3 and all(len(row) == 2 * m for row in rows), m
         assert all(sum(row) == 0 for row in rows), m
         assert all(sum(col) == 0 for col in zip(*rows)), m
         mags = _block_magnitudes(m, trade)
         assert sorted(v for row in rows for v in row) == sorted(mags | {-x for x in mags}), m
+
+
+def test_translates_by_rows_and_by_columns():
+    # below _COLUMN_COPIES the copies are written a row at a time, from it on
+    # as one range per column; both must give first + i * shift
+    first, shift = (40, 7, 23, 12), [4, -4, 4, -4]
+    for copies in range(1, 2 * _COLUMN_COPIES + 2):
+        expected = [tuple(x + i * s for x, s in zip(first, shift)) for i in range(copies)]
+        assert list(_translates(first, shift, copies)) == expected, copies
 
 
 @pytest.mark.parametrize("a, b", [(3, 33332), (5, 20000), (5, 19998), (9, 11106), (12499, 6)])
@@ -210,3 +222,55 @@ def test_qmr_verifier_names_each_violation(change, violation):
 def test_kotzig_verifier_rejects_rows_and_columns(entries):
     assert kotzig_array(3, 5).entries == ((0, 1, 2, 3, 4), (3, 4, 0, 1, 2), (3, 1, 4, 2, 0))
     assert not verify_kotzig(MagicArray(3, 5, entries, kind="kotzig"))
+
+
+def test_kotzig_verifier_rejects_a_shared_bad_row():
+    up, down = (0, 1, 2, 3, 4), (4, 3, 2, 1, 0)
+    assert verify_kotzig(MagicArray(4, 5, (up, down, up, down), kind="kotzig"))
+    repeated = (0, 1, 2, 3, 3)  # one bad tuple object, three times
+    assert not verify_kotzig(MagicArray(4, 5, (repeated, down, repeated, repeated), kind="kotzig"))
+    skewed = (1, 0, 2, 3, 4)  # a permutation, but columns 0 and 1 miss by 2
+    assert not verify_kotzig(MagicArray(4, 5, (skewed, down, skewed, down), kind="kotzig"))
+    flat = (1, 1, 1)  # every column sums to 2 = a(b-1)/2, but no row is a permutation
+    assert not verify_kotzig(MagicArray(2, 3, (flat, flat), kind="kotzig"))
+
+
+def test_kotzig_verifier_accepts_equal_rows_that_are_distinct_objects():
+    shared = kotzig_array(6, 5).entries
+    copies = tuple(tuple(list(row)) for row in shared)
+    assert len(set(map(id, shared))) == 2 and len(set(map(id, copies))) == 6
+    assert verify_kotzig(MagicArray(6, 5, copies, kind="kotzig"))
+
+
+def _naive_kotzig_check(entries, a, b):
+    """Every row a permutation of 0..b-1, every column summing to a(b-1)/2."""
+    if len(entries) != a or any(sorted(row) != list(range(b)) for row in entries):
+        return False
+    return all(2 * sum(row[j] for row in entries) == a * (b - 1) for j in range(b))
+
+
+def test_kotzig_verifier_matches_a_per_row_reference():
+    rng = random.Random(16)
+    verdicts = set()
+    for _ in range(600):
+        a, b = rng.choice([(2, 4), (3, 5), (4, 5), (5, 3), (6, 7), (8, 2), (3, 1)])
+        entries = list(kotzig_array(a, b).entries)
+        target = rng.choice(entries)
+        row = list(target)
+        kind = rng.randrange(4)
+        if kind == 0 and b > 1:  # swap two entries: still a permutation
+            i, j = rng.sample(range(b), 2)
+            row[i], row[j] = row[j], row[i]
+        elif kind == 1:  # one entry out of place or out of range
+            row[rng.randrange(b)] = rng.randrange(-1, b + 1)
+        elif kind == 2:  # permute the rows: still a Kotzig array
+            rng.shuffle(entries)
+        bad = tuple(row)
+        if rng.random() < 0.5:  # every occurrence of the shared object
+            entries = [bad if r is target else r for r in entries]
+        else:  # one occurrence only
+            entries[entries.index(target)] = bad
+        expected = _naive_kotzig_check(entries, a, b)
+        verdicts.add(expected)
+        assert verify_kotzig(MagicArray(a, b, tuple(entries), kind="kotzig")) == expected, entries
+    assert verdicts == {True, False}

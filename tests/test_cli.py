@@ -243,6 +243,10 @@ def test_label_stdout_goldens():
 # shapes cover each construction branch: b = 2 with a = 3 (mod 4), even m,
 # odd m without a trade, a trade with m = 4t+1 and with m = 4t+3 (m = b/2),
 # and two tall arrays at the cap; the kotzig ones even a, odd a and 1x1.
+# The last four CSV digests, pinned before the bands were written as column
+# progressions and Kotzig rows printed once per distinct row, add a tall
+# array without a trade (odd m), one with even m, and Kotzig arrays with
+# shared rows for odd a and for even a at the cap.
 ARRAY_GOLDEN_SHA256 = {
     ("qmr", 7, 2, "csv"): "53f40d21d36fe87c466f3cab33b0422654ada2327faff1a26c59cfc6827748b6",
     ("qmr", 7, 2, "json"): "93275d10cdf3fa3ae3dcf895a6016dce28c676cbb8a52563a791acf1e0e2011e",
@@ -266,6 +270,10 @@ ARRAY_GOLDEN_SHA256 = {
     ("kotzig", 5, 7, "json"): "a37e05970bc4d9c1d5fd901379955d0a3e8c938fef7c5f953f9b7c9e1f053671",
     ("kotzig", 1, 1, "csv"): "4c49b31177cde7afec5289d6a2a798cfdb174bbd04e7c2511f1009555a92e0e3",
     ("kotzig", 1, 1, "json"): "110fee4db8a591435f194547934d75e277a78d1696cffce1b37d2cf7124f6122",
+    ("qmr", 12499, 6, "csv"): "45b8959fca5a5aac59b5bcccbedac369cd05262cfbae65e3826fb306853f1a4d",
+    ("qmr", 4999, 20, "csv"): "e17d88aa12252f1fa34e050cc8bfb2cd3bf64503fd60eef340c9fb1c9e3e32c6",
+    ("kotzig", 313, 317, "csv"): "ac4e75c422fc63c8f96b426af8c55319fff1b811c789937b2f5829bd8ed67794",
+    ("kotzig", 4, 25000, "csv"): "f78f9d8a01dedefbae380466181bc78ccc073b7e931e0f8724b6f41f6bd602cd",
 }
 
 
@@ -274,6 +282,24 @@ def test_array_stdout_goldens():
         code, out, _ = run_cli(command, str(a), str(b), "--format", fmt)
         digest_out = hashlib.sha256(out.encode()).hexdigest()
         assert code == 0 and digest_out == digest, (command, a, b, fmt)
+
+
+@pytest.mark.parametrize("command, a, b", [
+    ("qmr", 3, 2), ("qmr", 7, 2), ("qmr", 5, 8), ("qmr", 9, 6), ("qmr", 11, 10), ("qmr", 301, 12),
+    ("kotzig", 1, 1), ("kotzig", 7, 1), ("kotzig", 4, 1), ("kotzig", 2, 6), ("kotzig", 9, 7),
+    ("kotzig", 40, 13),
+])
+def test_array_csv_matches_a_per_row_reference(command, a, b):
+    # the printer formats each distinct row object once; the reference
+    # formats every row on its own
+    arr = magiclab.qmr(a, b) if command == "qmr" else magiclab.kotzig_array(a, b)
+    if command == "qmr":
+        rho, sigma = b * (a * b + 2) // 2, a * (a * b + 2) // 2
+        header = f"# d={a * b // 2 + 1} rho={rho} sigma={sigma}"
+    else:
+        header = f"# c={a * (b - 1) // 2}"
+    expected = "\n".join([header, *(",".join(map(str, row)) for row in arr.entries)]) + "\n"
+    assert run_cli(command, str(a), str(b)) == (0, expected, "")
 
 
 # sha256 of ``oracle <spec> --max-excess 16`` stdout, pinned before the
