@@ -4,6 +4,11 @@ Subcommands: ``index``, ``label``, ``verify``, ``qmr``, ``kotzig``,
 ``oracle``, ``tables``.  All output is machine-readable (JSON with sorted
 keys, or CSV for arrays) and deterministic across runs.
 
+A plain command line (the sub-command, its positionals and exact long
+options with their values in separate tokens, each option once) is read
+directly into the namespace argparse would build; argparse parses
+everything else, so help, error messages and exit codes are its own.
+
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input (a spec nested too deep included), a missing or unreadable
 file, a domain error, or a size cap exceeded (vertices, block adjacency,
@@ -323,14 +328,47 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
-def _add_search_flags(parser):
-    parser.add_argument("--max-excess", type=int, default=16,
-                        help="largest label excess the oracle scans")
-    parser.add_argument("--budget-seconds", type=float, default=None,
-                        help="search budget (default MAGICLAB_BUDGET_SECONDS or 60)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted and ignored: the oracle runs in one process, "
-                             "since worker processes did not make it faster")
+_SEARCH_FLAGS = (
+    ("--max-excess", {"type": int, "default": 16,
+                      "help": "largest label excess the oracle scans"}),
+    ("--budget-seconds", {"type": float, "default": None,
+                          "help": "search budget (default MAGICLAB_BUDGET_SECONDS or 60)"}),
+    ("--jobs", {"type": int, "default": 1,
+                "help": "accepted and ignored: the oracle runs in one process, "
+                        "since worker processes did not make it faster"}),
+)
+_ARRAY_ARGS = (
+    ("a", {"type": int}),
+    ("b", {"type": int}),
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+)
+
+# The one definition of the CLI: sub-command -> (help, arguments), each
+# argument an ``add_argument`` name and keywords.  ``build_parser`` and
+# ``_plain_table`` both read it.
+_COMMANDS = {
+    "index": ("compute the distance magic index of a graph spec", (
+        ("spec", {}),
+        ("--oracle", {"action": "store_true",
+                      "help": "fall back to exhaustive search for uncovered families"}),
+        *_SEARCH_FLAGS,
+    )),
+    "label": ("emit a certified S-magic labeling", (
+        ("spec", {}),
+        ("--oracle", {"action": "store_true"}),
+        ("--certify", {"action": "store_true",
+                       "help": "use the oracle to witness index-0 family members"}),
+        *_SEARCH_FLAGS,
+    )),
+    "verify": ("verify a labeling file against a graph spec", (
+        ("spec", {}),
+        ("labeling", {}),
+    )),
+    "qmr": ("construct a quasimagic rectangle", _ARRAY_ARGS),
+    "kotzig": ("construct a Kotzig array", _ARRAY_ARGS),
+    "oracle": ("exhaustive index search on a small graph", (("spec", {}), *_SEARCH_FLAGS)),
+    "tables": ("print the distance-magicness decision tables", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,39 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distance magic indices and certified labelings of partite graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("index", help="compute the distance magic index of a graph spec")
-    p.add_argument("spec")
-    p.add_argument("--oracle", action="store_true",
-                   help="fall back to exhaustive search for uncovered families")
-    _add_search_flags(p)
-
-    p = sub.add_parser("label", help="emit a certified S-magic labeling")
-    p.add_argument("spec")
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--certify", action="store_true",
-                   help="use the oracle to witness index-0 family members")
-    _add_search_flags(p)
-
-    p = sub.add_parser("verify", help="verify a labeling file against a graph spec")
-    p.add_argument("spec")
-    p.add_argument("labeling")
-
-    p = sub.add_parser("qmr", help="construct a quasimagic rectangle")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("kotzig", help="construct a Kotzig array")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("oracle", help="exhaustive index search on a small graph")
-    p.add_argument("spec")
-    _add_search_flags(p)
-
-    p = sub.add_parser("tables", help="print the distance-magicness decision tables")
+    for command, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, options in arguments:
+            p.add_argument(name, **options)
     return parser
 
 
@@ -381,8 +390,77 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _plain_table() -> dict:
+    """Per sub-command: its positionals as (dest, type), its long options as
+    flag -> (dest, type or None for a switch, choices), and the defaults,
+    ``command`` included."""
+    table = {}
+    for command, (_, arguments) in _COMMANDS.items():
+        positionals, options, defaults = [], {}, {"command": command}
+        for name, keywords in arguments:
+            dest = name.lstrip("-").replace("-", "_")
+            if not name.startswith("-"):
+                positionals.append((dest, keywords.get("type", str)))
+            elif keywords.get("action") == "store_true":
+                options[name] = (dest, None, None)
+                defaults[dest] = False
+            else:
+                options[name] = (dest, keywords.get("type", str), keywords.get("choices"))
+                defaults[dest] = keywords.get("default")
+        table[command] = (positionals, options, defaults)
+    return table
+
+
+def _read_plain(argv):
+    """The namespace argparse builds from a plain ``argv``, else None.
+
+    A plain argv is a sub-command, then its positionals and exact long
+    options in any order, each option once and its value in the next token;
+    every value converts by its type, passes its choices and does not start
+    with ``-``.  Anything else, help, errors and ``--opt=value`` included,
+    is left to argparse, so its messages and exit codes stay its own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    positionals, options, defaults = _plain_table()[argv[0]]
+    values = dict(defaults)
+    given, seen = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in options or token in seen:
+            return None
+        seen.add(token)
+        dest, convert, choices = options[token]
+        if convert is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(value)
+        except ValueError:
+            return None
+        if choices is not None and values[dest] not in choices:
+            return None
+    if len(given) != len(positionals):
+        return None
+    for (dest, convert), token in zip(positionals, given):
+        try:
+            values[dest] = convert(token)
+        except ValueError:
+            return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv) or _parser().parse_args(argv)
     # looked up per call, so a rebinding of a ``cmd_*`` name takes effect
     handler = {
         "index": cmd_index,

@@ -36,7 +36,7 @@ class Labeling:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if any(x < 1 for x in self.labels):
+        if min(self.labels, default=1) < 1:
             raise ValueError("labels must be positive")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
@@ -168,7 +168,8 @@ def verify_s_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     """Check whether every vertex weight equals one constant.
 
     Violations are reported relative to the modal weight (ties broken toward
-    the smaller weight) so a single mislabeled vertex shows up alone.
+    the smaller weight) so a single mislabeled vertex shows up alone.  Equal
+    weights, the common case, are recognised by one count of the first.
     """
     _check_cover(g, labeling)
     labels = labeling.labels
@@ -177,16 +178,12 @@ def verify_s_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     for (start, end), adj in zip(g.blocks, g.adjacent):
         weights.extend(repeat(sum(sums[j] for j in adj), end - start))
     weights = tuple(weights)
+    if weights and weights.count(weights[0]) == len(weights):
+        return VerifyReport(is_magic=True, constant=weights[0], weights=weights, violations=())
     counts = Counter(weights)
     mode = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
     violations = tuple((u, w) for u, w in enumerate(weights) if w != mode)
-    is_magic = not violations
-    return VerifyReport(
-        is_magic=is_magic,
-        constant=mode if is_magic else None,
-        weights=weights,
-        violations=violations,
-    )
+    return VerifyReport(is_magic=False, constant=None, weights=weights, violations=violations)
 
 
 def part_label_sets(spec: PartiteSpec, labeling: Labeling) -> list[list[int]]:

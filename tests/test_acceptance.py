@@ -262,6 +262,9 @@ _CLI_MATRIX = [
 
 
 def test_criterion_10_determinism_across_jobs():
+    """The CLI matrix prints the same bytes twice over.  ``--jobs`` is
+    accepted and ignored, so the ``--jobs 1`` and ``--jobs 4`` batches take
+    one code path and this checks run-to-run determinism only."""
     outputs = []
     for jobs in ("1", "4"):
         batch = []

@@ -9,6 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import magiclab
 from magiclab import cli
@@ -17,6 +19,7 @@ from magiclab.errors import InternalInconsistencyError
 from magiclab.graphs import MAX_SPEC_DEPTH, build_from_ast, parse_spec_ast
 
 from conftest import petersen
+from test_cli_fuzz import _files, command_lines
 
 
 def run_cli(*argv):
@@ -192,6 +195,9 @@ DETERMINISM_MATRIX = [
 
 
 def test_cli_outputs_are_deterministic_across_jobs():
+    """Each command prints the same bytes twice over.  ``--jobs`` is accepted
+    and ignored, so the ``--jobs 1`` and ``--jobs 4`` runs take one code path
+    and this checks run-to-run determinism only."""
     for argv in DETERMINISM_MATRIX:
         takes_jobs = argv[0] in ("index", "label", "oracle")
         one = run_cli(*argv, "--jobs", "1") if takes_jobs else run_cli(*argv)
@@ -610,3 +616,115 @@ def test_closed_stdout_ends_without_a_traceback(unbuffered):
     proc.stderr.close()
     assert first == b"# c=49770\n" and "Traceback" not in err, err
     assert code == cli.EXIT_PIPE and err == "", code
+
+
+# Command lines the plain reader leaves to argparse: help, abbreviations,
+# attached values, a value that starts with "-", repeats, a missing value,
+# a bad type or choice, a wrong number of positionals, no sub-command.
+ARGPARSE_ARGVS = [
+    [], ["-h"], ["--help"], ["index", "-h"], ["frobnicate"],
+    ["oracle", "K(2,3)", "--max-excess=3"],
+    ["oracle", "K(2,3)", "--max-exc", "3"],
+    ["oracle", "K(2,3)", "--max-excess", "-1"],
+    ["oracle", "K(2,3)", "--max-excess", "2", "--max-excess", "3"],
+    ["index", "K(2,3)", "--oracle", "--oracle"],
+    ["oracle", "K(2,3)", "--max-excess"],
+    ["qmr", "x", "4"],
+    ["qmr", "3", "10", "11"],
+    ["qmr", "3"],
+    ["qmr", "3", "10", "--format", "xml"],
+    ["tables", "extra"],
+    ["index", "--", "K(2,3)"],
+]
+# Command lines it reads itself, options before, between and after positionals.
+PLAIN_ARGVS = [
+    ["index", "K(2,3,4)"],
+    ["oracle", "K(2,3,4)", "--max-excess", "16", "--budget-seconds", "60", "--jobs", "1"],
+    ["oracle", "--jobs", "2", "C(6)", "--max-excess", "3"],
+    ["label", "C(4)", "--certify", "--oracle", "--max-excess", "2"],
+    ["verify", "K(2,2)", "missing.json"],
+    ["qmr", "3", "--format", "json", "10"],
+    ["kotzig", "3", "5", "--format", "csv"],
+    ["tables"],
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A fuzz command line, half the time with its arguments shuffled."""
+    argv = draw(command_lines())
+    if draw(st.booleans()):
+        argv = argv[:1] + draw(st.permutations(argv[1:]))
+    return argv
+
+
+def _parse_both(argv):
+    """The plain reader's ``vars`` (or None) and argparse's (or its exit code)."""
+    plain = cli._read_plain(argv)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli._parser().parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+    return None if plain is None else vars(plain), parsed
+
+
+def _run_main(argv):
+    """(exit status, stdout, stderr) of ``main``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ARGVS)
+def test_plain_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS)
+def test_plain_reader_builds_the_argparse_namespace(argv):
+    plain, parsed = _parse_both(argv)
+    assert plain is not None and plain == parsed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_argvs())
+def test_plain_reader_matches_argparse_on_fuzz_argvs(argv):
+    plain, parsed = _parse_both(argv)
+    assert plain is None or plain == parsed, argv
+
+
+@pytest.mark.parametrize("command", ["index", "label", "oracle"])
+def test_jobs_is_accepted_on_the_plain_path(command):
+    argv = [command, "K(2,3)", "--jobs", "2"]
+    args = cli._read_plain(argv)
+    assert args is not None and args.jobs == 2
+    assert run_cli(*argv) == run_cli(command, "K(2,3)")
+
+
+def test_main_is_the_same_through_argparse_alone(tmp_path_factory, monkeypatch):
+    files = _files(tmp_path_factory)
+
+    def both_paths(argv):
+        fast = _run_main(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_plain", lambda argv: None)
+            assert _run_main(argv) == fast, argv
+
+    for argv in ARGPARSE_ARGVS + PLAIN_ARGVS:
+        both_paths(argv)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(_argvs())
+    def check(argv):
+        for name, path in files.items():
+            argv = [arg.replace("@" + name, path) for arg in argv]
+        both_paths(argv)
+
+    check()

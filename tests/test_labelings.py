@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, permutations
 
@@ -5,8 +6,10 @@ import pytest
 
 from magiclab import (
     DomainError,
+    Graph,
     Labeling,
     PartiteSpec,
+    VerifyReport,
     build_complete_multipartite,
     build_cycle,
     g_function,
@@ -43,6 +46,38 @@ def test_verify_reports_constant_and_violations():
     report = verify_s_magic(edge, Labeling((1, 2)))
     assert not report.is_magic and report.constant is None
     assert report.weights == (2, 1)
+
+
+@pytest.mark.parametrize("labels", [(0, 1), (2, -1), (3, 1, 0)])
+def test_labels_must_be_positive(labels):
+    with pytest.raises(ValueError, match="positive"):
+        Labeling(labels)
+
+
+def _reference_report(g, labeling):
+    """The report by the modal-weight rule, one weight at a time."""
+    weights = tuple(weight(g, labeling, u) for u in range(g.vertex_count))
+    counts = Counter(weights)
+    mode = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    violations = tuple((u, w) for u, w in enumerate(weights) if w != mode)
+    return VerifyReport(not violations, None if violations else mode, weights, violations)
+
+
+@pytest.mark.parametrize("spec, labels, violations", [
+    ((3, 3), (1, 5, 6, 2, 3, 7), ()),  # magic: both parts sum to 12
+    ((1, 2, 2), (1, 2, 5, 3, 4), ((0, 14),)),  # one vertex off the mode 8
+    ((1, 1), (1, 2), ((0, 2),)),  # weights 2 and 1 tie: the mode is 1
+])
+def test_verify_report_by_the_modal_weight(spec, labels, violations):
+    g = build_complete_multipartite(PartiteSpec(spec))
+    report = verify_s_magic(g, Labeling(labels))
+    assert report == _reference_report(g, Labeling(labels))
+    assert report.violations == violations
+
+
+def test_verify_on_no_vertices_raises_as_before():
+    with pytest.raises(ValueError, match="empty"):
+        verify_s_magic(Graph((), ()), Labeling(()))
 
 
 def test_no_cubic_bijection_is_magic():
