@@ -9,6 +9,14 @@ options with their values in separate tokens, each option once) is read
 directly into the namespace argparse would build; argparse parses
 everything else, so help, error messages and exit codes are its own.
 
+Output writers: ``label`` prints its certified labeling through
+``labelings.labels_json``, which writes the label map in sorted-key order
+without building a dict; ``verify`` prints ``VerifyReport.to_json``;
+``_print_array`` writes CSV arrays row by row; every other JSON payload
+(``index``, ``oracle``, ``tables``, ``--format json`` arrays and the result
+of a ``label`` without a labeling) goes through ``_emit``.  The JSON writers
+share one sorted-key encoder, ``labelings.SORTED_JSON``.
+
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input (a spec nested too deep included), a missing or unreadable
 file, a domain error, or a size cap exceeded (vertices, block adjacency,
@@ -26,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -51,7 +58,7 @@ from .graphs import (
     build_from_ast,
     parse_spec_ast,
 )
-from .labelings import Labeling, ThetaResult, verify_s_magic
+from .labelings import SORTED_JSON, Labeling, ThetaResult, labels_json, verify_s_magic
 from .oracle import MAX_N, oracle_theta_general, oracle_theta_multipartite
 from .tripartite import label_tripartite, theta_tripartite
 
@@ -66,7 +73,7 @@ EXIT_PIPE = 141
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(SORTED_JSON.encode(payload))
 
 
 class _Unsupported(Exception):
@@ -239,11 +246,9 @@ def _certify(graph, labeling, result):
 def _print_certified(graph, labeling, result) -> int:
     """Print ``labeling`` once ``_certify`` has passed it."""
     report = _certify(graph, labeling, result)
-    _emit({
-        "constant": report.constant,
-        "eta": labeling.eta,
-        "labels": {str(v): lab for v, lab in enumerate(labeling.labels)},
-    })
+    # the payload ``_emit`` would write, keys in sorted order
+    print('{"constant": %d, "eta": %d, "labels": %s}'
+          % (report.constant, labeling.eta, labels_json(labeling.labels)))
     return EXIT_OK
 
 

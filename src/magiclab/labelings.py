@@ -14,6 +14,25 @@ explicit-adjacency sum.  Every vertex's weight is still compared.
 
 All arithmetic is exact: Python integers cannot overflow and rationals are
 ``fractions.Fraction``, so every certificate this module emits is bit-exact.
+
+A label map is written as the JSON object ``{"<id>": label, ...}`` whose
+keys come in the order ``json.dumps(..., sort_keys=True)`` gives them: the
+string order of the decimal ids, so ``"10"`` precedes ``"9"``.
+``labels_json`` writes that text without building a dict or sorting
+strings.  For n ids let K = len(str(n - 1)); the id v of L decimal digits
+gets the integer key P(v)·(K+1) + L, where P(v) = v·10^(K−L) is the value
+of its string padded on the right with zeros to K digits.
+
+*Claim: key order is string order.*  Since 1 <= L <= K < K + 1, keys
+compare as the pairs (P, L).  Take the strings s != t of two ids.  (i) If
+they first differ at a position i below both lengths, their padded forms
+first differ there too, and K-digit strings compare as their values: s < t
+iff P(s) < P(t).  (ii) Otherwise one is a proper prefix of the other, say
+s of t, so s < t.  Padding puts zeros where t has digits, so
+P(s) <= P(t), and on equality the shorter length L(s) < L(t) breaks the
+tie.  Either way s < t iff key(s) < key(t).  (JSON keys sort by code
+point, and the code points of ``0``..``9`` are in digit order.)  The keys of
+one length L grow with v, so the sort merges K increasing runs.
 """
 
 from __future__ import annotations
@@ -27,6 +46,35 @@ from math import ceil
 
 from .errors import DomainError
 from .graphs import Graph, PartiteSpec
+
+# one sorted-key encoder for every JSON payload; ``json.dumps(...,
+# sort_keys=True)`` builds a new encoder on each call
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def _string_order(n: int) -> list[int]:
+    """The ids 0..n-1 in the order of their decimal strings (proof in the
+    module docstring)."""
+    width = len(str(max(n - 1, 0)))
+    keys = []
+    start = 0
+    for length in range(1, width + 1):
+        stop = min(n, 10 ** length)
+        step = 10 ** (width - length) * (width + 1)
+        keys.extend(range(start * step + length, stop * step + length, step))
+        start = stop
+    return sorted(range(n), key=keys.__getitem__)
+
+
+def labels_json(labels) -> str:
+    """The JSON object mapping each id ``v`` to the integer ``labels[v]``,
+    byte for byte as ``json.dumps({str(v): ...}, sort_keys=True)`` writes
+    it, in one ``%`` format over the interleaved (id, label) pairs."""
+    order = _string_order(len(labels))
+    pairs = [0] * (2 * len(order))
+    pairs[::2] = order
+    pairs[1::2] = map(labels.__getitem__, order)
+    return "{%s}" % ", ".join(['"%d": %d'] * len(order)) % tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -61,13 +109,6 @@ class Labeling:
         return self.labels[v]
 
     @classmethod
-    def from_dict(cls, mapping: dict[int, int]) -> "Labeling":
-        n = len(mapping)
-        if set(mapping) != set(range(n)):
-            raise ValueError("labeling must cover vertices 0..n-1 exactly")
-        return cls(tuple(mapping[v] for v in range(n)))
-
-    @classmethod
     def from_parts(cls, label_sets) -> "Labeling":
         """Labeling that concatenates the sorted label sets: the ids, in
         order, take set 0, then set 1, and so on.  Since blocks tile the ids
@@ -76,17 +117,37 @@ class Labeling:
         return cls(tuple(chain.from_iterable(sorted(labels) for labels in label_sets)))
 
     def to_json(self) -> str:
-        payload = {"labels": {str(v): lab for v, lab in enumerate(self.labels)}}
-        return json.dumps(payload, sort_keys=True)
+        return '{"labels": %s}' % labels_json(self.labels)
 
     @classmethod
     def from_json(cls, text: str) -> "Labeling":
-        payload = json.loads(text)
+        """The labeling of ``{"labels": {"0": l0, ..., "<n-1>": l}}``.  The ids
+        must be exactly the canonical decimals 0..n-1, each once, and every
+        label a JSON integer; anything else raises ``ValueError``."""
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
+        mapping = payload.get("labels") if isinstance(payload, dict) else None
+        if not isinstance(mapping, dict):
+            raise ValueError('labeling JSON needs a "labels" object mapping ids to ints')
+        ids = list(map(str, range(len(mapping))))
         try:
-            mapping = {int(v): int(lab) for v, lab in payload["labels"].items()}
-        except (KeyError, TypeError, AttributeError):
-            raise ValueError('labeling JSON needs a "labels" object mapping ids to ints') from None
-        return cls.from_dict(mapping)
+            labels = tuple(map(mapping.__getitem__, ids))
+        except KeyError:
+            stray = min(set(mapping) - set(ids))
+            raise ValueError(
+                f"labeling ids must be exactly 0..{len(ids) - 1} in decimal, got {stray!r}"
+            ) from None
+        if set(map(type, labels)) - {int}:
+            bad = next(lab for lab in labels if type(lab) is not int)
+            raise ValueError(f"labels must be JSON integers, got {json.dumps(bad)}")
+        return cls(labels)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a repeated key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("labeling JSON repeats a key")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -104,7 +165,7 @@ class VerifyReport:
             "constant": self.constant,
             "violations": [list(v) for v in self.violations],
         }
-        return json.dumps(payload, sort_keys=True)
+        return SORTED_JSON.encode(payload)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,79 @@ ARRAY_GOLDEN_SHA256 = {
     ("kotzig", 313, 317, "csv"): "ac4e75c422fc63c8f96b426af8c55319fff1b811c789937b2f5829bd8ed67794",
     ("kotzig", 4, 25000, "csv"): "f78f9d8a01dedefbae380466181bc78ccc073b7e931e0f8724b6f41f6bd602cd",
 }
+
+
+# The ``label`` specs of the benchmark's label-cap and qmr-construct
+# workloads at seeds 1-3: bipartite greedy and deficit, tripartite II, I and
+# IV, two cycle blow-ups, and a union of blow-ups labeled from a QMR.
+BENCHMARK_LABEL_SPECS = [
+    "K(1568,2945)", "K(661,3857)", "K(164,814,1000)", "K(480,494,517)", "K(469,499,524)",
+    "LEX(C(6),E(377))", "LEX(C(10),E(223))",
+    "K(1647,2842)", "K(713,3769)", "K(172,804,1016)", "K(489,501,519)", "K(474,504,523)",
+    "LEX(C(6),E(363))", "LEX(C(10),E(237))",
+    "K(1641,2880)", "K(629,3893)", "K(167,827,988)", "K(478,502,502)", "K(474,493,525)",
+    "LEX(C(6),E(313))", "LEX(C(10),E(287))",
+    "U(25,LEX(C(6),E(3)))",
+]
+
+
+def _is_sorted_json(out):
+    return out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_LABEL_SPECS)
+def test_label_stdout_is_sorted_key_json(spec):
+    code, out, _ = run_cli("label", spec)
+    assert code == 0 and _is_sorted_json(out)
+
+
+def test_json_stdout_is_sorted_key_json_on_fuzz_argvs(tmp_path_factory):
+    files = _files(tmp_path_factory)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(command_lines().filter(lambda argv: argv[0] in ("index", "label", "oracle", "verify")))
+    def check(argv):
+        for name, path in files.items():
+            argv = [arg.replace("@" + name, path) for arg in argv]
+        _, out, _ = run_cli(*argv)
+        assert out == "" or _is_sorted_json(out), argv
+
+    check()
+
+
+def test_json_stdout_is_sorted_key_json_on_desk_shapes(tmp_path):
+    # most fuzz specs are malformed or refused: every payload kind, here
+    specs = [f"C({b})" for b in range(3, 11)] + ["LEX(C(4),E(3))", "U(2,K(3,3))"] + [
+        "K(" + ",".join(map(str, sizes)) + ")"
+        for r in (2, 3, 4) for sizes in combinations_with_replacement(range(1, 11), r)
+        if sum(sizes) <= 12
+    ]
+    labfile = tmp_path / "labels.json"
+    for spec in specs:
+        for argv in (["index", spec, "--oracle"], ["oracle", spec, "--max-excess", "2"],
+                     ["label", spec, "--oracle", "--max-excess", "2"]):
+            code, out, _ = run_cli(*argv)
+            assert out == "" or _is_sorted_json(out), argv
+        if code == 0:
+            labfile.write_text(out)
+            code, out, _ = run_cli("verify", spec, str(labfile))
+            assert code == 0 and _is_sorted_json(out), spec
+
+
+@pytest.mark.parametrize("labels", [
+    {"0": 1.9, "1": 4, "2": 2, "3": 3},  # int() would read 1.9 as 1: a magic labeling
+    {"0": 1, "1": 4, "2": 2, "3": 3, "03": 99},  # int() would read "03" as id 3
+    {"0": 1, "1": "4", "2": 2, "3": 3},
+    {"0": 1, "1": True, "2": 2, "3": 3},
+    {"0": 1, "01": 4, "2": 2, "3": 3},
+    {"0": 1, " 1": 4, "2": 2, "3": 3},
+])
+def test_verify_exits_2_on_non_integer_labels_and_stray_ids(tmp_path, labels):
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(json.dumps({"labels": labels}))
+    code, out, err = run_cli("verify", "K(2,2)", str(labfile))
+    assert code == 2 and out == "" and err.startswith("error: "), (code, out, err)
 
 
 def test_array_stdout_goldens():

@@ -1,3 +1,6 @@
+import json
+import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, permutations
@@ -21,6 +24,7 @@ from magiclab import (
     verify_s_magic,
     weight,
 )
+from magiclab.labelings import labels_json
 
 
 def test_weight_basics():
@@ -175,3 +179,56 @@ def test_labeling_json_roundtrip():
     again = Labeling.from_json(lab.to_json())
     assert again == lab
     assert lab.eta == 27 and lab.label_set[0] == 1
+
+
+def _shuffled_labels(n, seed):
+    labels = list(range(1, n + 1))
+    random.Random(seed).shuffle(labels)
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 4513,
+                               99_999, 100_000])
+def test_labels_json_matches_sorted_json_dumps(n):
+    labels = _shuffled_labels(n, n)
+    assert labels_json(labels) == json.dumps(
+        {str(v): lab for v, lab in enumerate(labels)}, sort_keys=True
+    )
+
+
+def test_labels_json_matches_sorted_json_dumps_on_random_sizes():
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.choice([rng.randrange(30), rng.randrange(3000), rng.randrange(30_000)])
+        labels = _shuffled_labels(n, rng.random())
+        # labels need not be 1..n: any positive integers print the same way
+        labels = tuple(lab * rng.randrange(1, 10**12) for lab in labels)
+        assert labels_json(labels) == json.dumps(
+            {str(v): lab for v, lab in enumerate(labels)}, sort_keys=True
+        ), n
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"labels": {"0": 1.9, "1": 4, "2": 2, "3": 3}}', "JSON integers, got 1.9"),
+    ('{"labels": {"0": 1, "1": 4, "2": 2, "3": 3, "03": 99}}', "got '03'"),
+    ('{"labels": {"0": 1, "1": "4", "2": 2, "3": 3}}', 'JSON integers, got "4"'),
+    ('{"labels": {"0": 1, "1": true, "2": 2, "3": 3}}', "JSON integers, got true"),
+    ('{"labels": {"0": 1, "1": 4.0, "2": 2, "3": 3}}', "JSON integers, got 4.0"),
+    ('{"labels": {"0": 1, "01": 4, "2": 2, "3": 3}}', "got '01'"),
+    ('{"labels": {"0": 1, " 1": 4, "2": 2, "3": 3}}', "got ' 1'"),
+    ('{"labels": {"1": 1, "2": 4, "3": 2, "4": 3}}', "got '4'"),
+    ('{"labels": {"0": 1, "1": 4, "1": 2, "3": 3}}', "repeats a key"),
+    ('{"labels": [1, 4, 2, 3]}', '"labels" object'),
+    ('[1, 4, 2, 3]', '"labels" object'),
+    ('{"weights": {}}', '"labels" object'),
+])
+def test_from_json_takes_only_canonical_ids_and_integer_labels(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Labeling.from_json(text)
+
+
+def test_from_json_reads_ids_in_any_order():
+    text = '{"labels": {"10": 11, "2": 3, "0": 1, "1": 2, "9": 10, "3": 4, "4": 5, ' \
+           '"5": 6, "6": 7, "7": 8, "8": 9}}'
+    assert Labeling.from_json(text).labels == tuple(range(1, 12))
+    assert Labeling.from_json('{"labels": {}}').labels == ()
