@@ -37,15 +37,10 @@ from .labelings import (
     Labeling,
     ThetaResult,
     VerifyReport,
-    g_function,
-    gap_lower_bound,
-    magic_constant_multipartite,
-    multipartite_distance_magic_check,
     partite_sums_check,
     verify_s_magic,
-    weight,
 )
-from .oracle import equal_sum_partition, oracle_theta_general, oracle_theta_multipartite
+from .oracle import oracle_theta_general, oracle_theta_multipartite
 from .tripartite import (
     TripartiteCase,
     classify_tripartite,

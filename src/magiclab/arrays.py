@@ -133,7 +133,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, permutations, repeat
+from itertools import chain, repeat
 from operator import add, mul
 
 from .bipartite import split_equal_sums
@@ -416,95 +416,3 @@ def qmr(a: int, b: int) -> MagicArray | None:
     if not check.valid:
         raise InternalInconsistencyError(f"QMR({a},{b}): {check.violation}")
     return arr
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive existence checks (test support, sound pruning only)
-
-
-def kotzig_exists_exhaustive(a: int, b: int) -> bool:
-    """Search all Kotzig arrays with first row fixed to the identity.
-
-    Column permutations act on the solution set, so fixing the first row
-    loses no generality.
-    """
-    if a * b > 18:
-        raise DomainError("exhaustive check capped at a*b <= 18")
-    target2 = a * (b - 1)  # doubled column-sum constant
-    cols = [0] * b
-
-    def rec(i: int) -> bool:
-        if i == a:
-            return all(2 * c == target2 for c in cols)
-        rows_left = a - i
-        for perm in permutations(range(b)):
-            ok = True
-            for j, v in enumerate(perm):
-                low = 2 * (cols[j] + v)
-                high = low + 2 * (rows_left - 1) * (b - 1)
-                if low > target2 or high < target2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for j, v in enumerate(perm):
-                cols[j] += v
-            if rec(i + 1):
-                return True
-            for j, v in enumerate(perm):
-                cols[j] -= v
-        return False
-
-    first = list(range(b))
-    for j, v in enumerate(first):
-        cols[j] += v
-    return rec(1)
-
-
-def qmr_exists_exhaustive(a: int, b: int) -> bool:
-    """Cell-by-cell search for any QMR(a, b : ab/2+1); small sizes only."""
-    if a * b > 12:
-        raise DomainError("exhaustive check capped at a*b <= 12")
-    if a % 2 == 0 or b % 2 == 1:
-        raise DomainError("quasimagic rectangles need odd a and even b")
-    d = a * b // 2 + 1
-    pool = sorted(set(range(1, a * b + 2)) - {d}, reverse=True)
-    rho = b * (a * b + 2) // 2
-    sigma = a * (a * b + 2) // 2
-    grid = [[0] * b for _ in range(a)]
-    row_sum = [0] * a
-    col_sum = [0] * b
-    used = set()
-
-    def rec(pos: int) -> bool:
-        if pos == a * b:
-            return True
-        i, j = divmod(pos, b)
-        rest_row = b - j - 1
-        rest_col = a - i - 1
-        top = pool[0]
-        for v in pool:
-            if v in used:
-                continue
-            r = row_sum[i] + v
-            c = col_sum[j] + v
-            if rest_row == 0 and r != rho:
-                continue
-            if r > rho or r + rest_row * top < rho:
-                continue
-            if rest_col == 0 and c != sigma:
-                continue
-            if c > sigma or c + rest_col * top < sigma:
-                continue
-            used.add(v)
-            grid[i][j] = v
-            row_sum[i] = r
-            col_sum[j] = c
-            if rec(pos + 1):
-                return True
-            used.discard(v)
-            row_sum[i] -= v
-            col_sum[j] -= v
-        return False
-
-    return rec(0)

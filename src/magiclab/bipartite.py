@@ -189,10 +189,11 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     *The U-first order is checked, not proved.*  It splits every case I
     shape with n < 160 except K(3, 3, 3), and every case IV pool with
     n < 160 with the top label forced; the tests compare it with the
-    exhaustive ``equal_sum_partition`` on every 3-part shape with n <= 18,
-    both pools, with the top label forced into each part.  K(3, 3, 3) is a
-    base case: the rows ``{1,5,9}``, ``{2,6,7}``, ``{3,4,8}`` of the 3x3
-    magic square, ordered to honour ``forced``.
+    exhaustive referee ``equal_sum_partition`` of ``tests/referees.py`` on
+    every 3-part shape with n <= 18, both pools, with the top label forced
+    into each part.  K(3, 3, 3) is a base case: the rows ``{1,5,9}``,
+    ``{2,6,7}``, ``{3,4,8}`` of the 3x3 magic square, ordered to honour
+    ``forced``.
     """
     labels = _Pool(labels)
     sizes = list(sizes)

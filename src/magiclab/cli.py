@@ -19,9 +19,10 @@ share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input (a spec nested too deep included), a missing or unreadable
-file, a domain error, or a size cap exceeded (vertices, block adjacency,
-QMR or Kotzig array entries, the oracle's 16 vertices, or a ``--max-excess``
-outside 0..16);
+file, a domain error, a non-finite budget (``--budget-seconds`` or
+``MAGICLAB_BUDGET_SECONDS`` of ``nan`` or ``inf``), or a size cap exceeded
+(vertices, block adjacency, QMR or Kotzig array entries, the oracle's 16
+vertices, or a ``--max-excess`` outside 0..16);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
 constructive labeling path; 5 the requested array provably does not exist;
 6 an exhaustive search ran out of its time budget; 7 a construction or an

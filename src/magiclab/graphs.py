@@ -28,10 +28,8 @@ The closed spec grammar::
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import GraphSpecError, SizeLimitError
@@ -122,12 +120,6 @@ class Graph:
         """Degree of the vertices of each block."""
         sizes = [end - start for start, end in self.blocks]
         return tuple(sum(sizes[j] for j in adj) for adj in self.adjacent)
-
-    def block_of(self, v: int) -> int:
-        """Index of the block holding vertex ``v``."""
-        if not 0 <= v < self.vertex_count:
-            raise IndexError(f"vertex {v} out of range")
-        return bisect_right(self.blocks, v, key=itemgetter(0)) - 1
 
     @property
     def edge_count(self) -> int:

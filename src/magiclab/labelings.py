@@ -12,8 +12,8 @@ block's neighbouring blocks, so a check costs O(n + block edges).  On a
 graph of singleton blocks (cycles, adjacency files) this is the plain
 explicit-adjacency sum.  Every vertex's weight is still compared.
 
-All arithmetic is exact: Python integers cannot overflow and rationals are
-``fractions.Fraction``, so every certificate this module emits is bit-exact.
+All arithmetic is exact: Python integers cannot overflow, so every
+certificate this module emits is bit-exact.
 
 A label map is written as the JSON object ``{"<id>": label, ...}`` whose
 keys come in the order ``json.dumps(..., sort_keys=True)`` gives them: the
@@ -40,11 +40,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
-from math import ceil
 
-from .errors import DomainError
 from .graphs import Graph, PartiteSpec
 
 # one sorted-key encoder for every JSON payload; ``json.dumps(...,
@@ -94,10 +91,6 @@ class Labeling:
         return len(self.labels)
 
     @property
-    def label_set(self) -> tuple[int, ...]:
-        return tuple(sorted(self.labels))
-
-    @property
     def eta(self) -> int:
         return max(self.labels)
 
@@ -115,9 +108,6 @@ class Labeling:
         in order, one set per part of a complete multipartite graph labels
         each part with its set."""
         return cls(tuple(chain.from_iterable(sorted(labels) for labels in label_sets)))
-
-    def to_json(self) -> str:
-        return '{"labels": %s}' % labels_json(self.labels)
 
     @classmethod
     def from_json(cls, text: str) -> "Labeling":
@@ -211,20 +201,6 @@ class ThetaResult:
         return payload
 
 
-def _check_cover(g: Graph, labeling: Labeling):
-    if labeling.n != g.vertex_count:
-        raise ValueError(
-            f"labeling covers {labeling.n} vertices, graph has {g.vertex_count}"
-        )
-
-
-def weight(g: Graph, labeling: Labeling, u: int) -> int:
-    """Sum of the labels on the neighbors of ``u`` (0 for an isolated vertex)."""
-    _check_cover(g, labeling)
-    labels = labeling.labels
-    return sum(sum(labels[slice(*g.blocks[j])]) for j in g.adjacent[g.block_of(u)])
-
-
 def verify_s_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     """Check whether every vertex weight equals one constant.
 
@@ -232,7 +208,10 @@ def verify_s_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     the smaller weight) so a single mislabeled vertex shows up alone.  Equal
     weights, the common case, are recognised by one count of the first.
     """
-    _check_cover(g, labeling)
+    if labeling.n != g.vertex_count:
+        raise ValueError(
+            f"labeling covers {labeling.n} vertices, graph has {g.vertex_count}"
+        )
     labels = labeling.labels
     sums = [sum(labels[start:end]) for start, end in g.blocks]
     weights = []
@@ -268,69 +247,3 @@ def partite_sums_check(spec: PartiteSpec, labeling: Labeling) -> bool:
     """
     sums = [sum(s) for s in part_label_sets(spec, labeling)]
     return len(set(sums)) == 1
-
-
-def g_function(n: int, delta: int, Delta: int, x: int) -> Fraction:
-    """The gap polynomial ``(2*delta*(n+x) - delta^2 + delta - Delta*(Delta+1)) / 2``.
-
-    Affine in ``x`` with slope ``delta``; a negative value at ``x = 0`` rules
-    out a distance magic labeling.
-    """
-    if not 1 <= delta <= Delta <= n - 1:
-        raise DomainError(f"need 1 <= delta <= Delta <= n-1, got ({n}, {delta}, {Delta})")
-    return Fraction(2 * delta * (n + x) - delta * delta + delta - Delta * (Delta + 1), 2)
-
-
-def gap_lower_bound(g: Graph) -> int | None:
-    """Index lower bound ``ceil(|g(0)| / delta)`` when ``g(0) < 0``.
-
-    Returns ``None`` when ``g(0) >= 0``: the gap polynomial then gives no
-    information (in particular for every regular graph).  Graphs with an
-    isolated vertex are rejected.
-    """
-    delta = g.min_degree
-    if delta == 0:
-        raise DomainError("graph has an isolated vertex")
-    g0 = g_function(g.vertex_count, delta, g.max_degree, 0)
-    if g0 >= 0:
-        return None
-    return ceil(Fraction(abs(g0), delta))
-
-
-def magic_constant_multipartite(spec: PartiteSpec, alpha: int) -> Fraction:
-    """Magic constant ``alpha * (r-1) / r`` of a complete r-partite graph.
-
-    Every part sums to ``alpha/r``, so each weight is ``alpha - alpha/r``;
-    a non-integer value certifies that no labeling with total ``alpha`` works.
-    """
-    if spec.r < 2:
-        raise DomainError("need at least two parts")
-    return Fraction(alpha * (spec.r - 1), spec.r)
-
-
-def multipartite_distance_magic_check(sizes: tuple[int, ...]) -> bool:
-    """Distance magic test for complete p-partite graphs, p in {2, 3, 4}.
-
-    Conditions, for nondecreasing sizes with partial sums ``s_i`` and
-    ``n = s_p``: second-smallest part has size >= 2; ``n(n+1) = 0 (mod 2p)``;
-    and for each ``i``, the ``s_i`` largest of ``1..n`` sum to at least
-    ``i/p`` of the total.  Kept deliberately independent of the zeta-sum
-    reformulation used elsewhere so the two can cross-check each other.
-    """
-    p = len(sizes)
-    if p not in (2, 3, 4):
-        raise DomainError(f"characterization covers 2..4 parts, got {p}")
-    if list(sizes) != sorted(sizes) or min(sizes) < 1:
-        raise DomainError(f"sizes must be nondecreasing positives, got {sizes}")
-    n = sum(sizes)
-    if sizes[1] < 2:
-        return False
-    if (n * (n + 1)) % (2 * p) != 0:
-        return False
-    s_i = 0
-    for i, size in enumerate(sizes, start=1):
-        s_i += size
-        top_sum = sum(n - j + 1 for j in range(1, s_i + 1))
-        if 2 * p * top_sum < n * (n + 1) * i:
-            return False
-    return True

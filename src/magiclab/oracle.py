@@ -67,6 +67,7 @@ from __future__ import annotations
 import os
 import time
 from itertools import accumulate, combinations
+from math import isfinite
 
 from .errors import BudgetExceededError, DomainError
 from .graphs import Graph, PartiteSpec
@@ -105,7 +106,7 @@ class _OutOfTime(Exception):
 # Equal-sum partition engine
 
 
-def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, forced, ticker):
+def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, ticker):
     """Assign each label to a part or skip it; every part must hit ``target``.
 
     ``labels_desc`` is strictly decreasing, so at any depth the unprocessed
@@ -115,7 +116,6 @@ def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, forced, ticke
     total = len(labels_desc)
     state = [[size, target] for size in sizes]
     chosen: list[list[int]] = [[] for _ in sizes]
-    dedupe_ok = not forced
 
     def bounds_ok(remaining):
         slots = 0
@@ -151,20 +151,12 @@ def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, forced, ticke
         if idx == total:
             return True
         label = labels_desc[idx]
-        if label in forced:
-            indices = [forced[label]]
-        else:
-            indices = range(len(state))
         seen = set()
-        for i in indices:
+        for i in range(len(state)):
             c, d = state[i]
-            if c == 0 or d < label:
+            if c == 0 or d < label or (c, d) in seen:
                 continue
-            if dedupe_ok:
-                key = (c, d)
-                if key in seen:
-                    continue
-                seen.add(key)
+            seen.add((c, d))
             state[i][0] = c - 1
             state[i][1] = d - label
             chosen[i].append(label)
@@ -173,7 +165,7 @@ def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, forced, ticke
             chosen[i].pop()
             state[i][0] = c
             state[i][1] = d
-        if skips[0] > 0 and label not in must_use and label not in forced:
+        if skips[0] > 0 and label not in must_use:
             skips[0] -= 1
             if rec(idx + 1):
                 return True
@@ -183,36 +175,6 @@ def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, forced, ticke
     if rec(0):
         return tuple(tuple(sorted(part)) for part in chosen)
     return None
-
-
-def equal_sum_partition(labels, sizes, forced=None):
-    """Partition ``labels`` into blocks of the given sizes with equal sums.
-
-    Returns the blocks in ``sizes`` order (deterministic first solution of
-    the descending-label search) or ``None``.  ``forced`` optionally pins a
-    label to a block index.
-    """
-    labels = sorted(labels)
-    sizes = list(sizes)
-    if len(labels) != sum(sizes):
-        raise ValueError(f"{len(labels)} labels cannot fill sizes {sizes}")
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be distinct")
-    total = sum(labels)
-    r = len(sizes)
-    if total % r:
-        return None
-    asc_prefix = [0]
-    for x in labels:
-        asc_prefix.append(asc_prefix[-1] + x)
-    ticker = _Ticker(time.monotonic() + default_budget_seconds())
-    try:
-        return _pack(
-            labels[::-1], asc_prefix, sizes, total // r,
-            [0], frozenset(), forced or {}, ticker,
-        )
-    except _OutOfTime:
-        raise BudgetExceededError("equal-sum partition search ran out of time") from None
 
 
 def _tri(k: int) -> int:
@@ -243,29 +205,33 @@ def _scan_level(sizes, n, e, ticker):
     for target in targets:
         parts = _pack(
             labels_desc, asc_prefix, sizes, target,
-            [e], frozenset({n + e}), {}, ticker,
+            [e], frozenset({n + e}), ticker,
         )
         if parts is not None:
             return parts
     return None
 
 
-def _scan_levels(kind, n, max_n, max_excess, budget_seconds, refuted, search):
+def _scan_levels(kind, n, max_excess, budget_seconds, refuted, search):
     """Exact index, or exhausted bounds, from ``search(e, ticker)``: the
     labels of each block of the first labeling with top label n+e, or None.
 
     ``refuted()`` answers "no labeling at any excess" before any level.
+    The budget, ``budget_seconds`` or else ``default_budget_seconds()``,
+    must be finite: a NaN or infinite one would never end the search.
     """
-    if n > max_n:
-        raise DomainError(f"{kind} oracle capped at n={max_n}, got {n}")
+    if n > MAX_N:
+        raise DomainError(f"{kind} oracle capped at n={MAX_N}, got {n}")
     if not 0 <= max_excess <= MAX_EXCESS:
         raise DomainError(f"max_excess must lie in 0..{MAX_EXCESS}, got {max_excess}")
+    budget = default_budget_seconds() if budget_seconds is None else budget_seconds
+    if not isfinite(budget):
+        raise DomainError(f"search budget must be a finite number of seconds, got {budget}")
     exhausted = ThetaResult(
         lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
     )
     if refuted():
         return exhausted  # what the full scan proves, without scanning
-    budget = default_budget_seconds() if budget_seconds is None else budget_seconds
     ticker = _Ticker(time.monotonic() + budget)
     for e in range(max_excess + 1):
         try:
@@ -286,18 +252,15 @@ def oracle_theta_multipartite(
     spec: PartiteSpec,
     max_excess: int,
     budget_seconds: float | None = None,
-    max_n: int = MAX_N,
 ) -> ThetaResult:
     """Exact index of the complete multipartite graph of ``spec`` by search.
 
     Scans excess 0..max_excess; returns the first feasible level with a
-    witness, else the exhausted bounds ``[max_excess+1, infinity)``.  The
-    ``max_n`` guardrail can be raised explicitly when the caller accepts the
-    running time.
+    witness, else the exhausted bounds ``[max_excess+1, infinity)``.
     """
     sizes = list(spec.sizes)
     return _scan_levels(
-        "multipartite", spec.n, max_n, max_excess, budget_seconds,
+        "multipartite", spec.n, max_excess, budget_seconds,
         # two singleton parts: the neighbourhood lemma refutes
         lambda: sizes.count(1) >= 2,
         lambda e, ticker: _scan_level(sizes, spec.n, e, ticker),
@@ -394,7 +357,7 @@ def oracle_theta_general(
 ) -> ThetaResult:
     """Exact index of an arbitrary graph by one block packing per excess level."""
     return _scan_levels(
-        "general", g.vertex_count, MAX_N, max_excess, budget_seconds,
+        "general", g.vertex_count, max_excess, budget_seconds,
         lambda: _refuted_by_neighbourhoods(g),
         lambda e, ticker: _pack_blocks(g, e, ticker),
     )

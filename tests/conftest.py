@@ -3,6 +3,8 @@ import pytest
 from magiclab import PartiteSpec, oracle_theta_multipartite
 from magiclab.graphs import Graph
 
+from referees import block_of
+
 
 def tripartite_instances(max_n=13):
     """All (n1, n2, n3) with 2 <= n1 <= n2 <= n3 and n1+n2+n3 <= max_n."""
@@ -43,14 +45,14 @@ def petersen() -> Graph:
 def neighbour_sets(g: Graph) -> tuple[frozenset[int], ...]:
     """Per-vertex neighbour sets, read off the blocks of ``g``."""
     return tuple(
-        frozenset(v for j in g.adjacent[g.block_of(u)] for v in range(*g.blocks[j]))
+        frozenset(v for j in g.adjacent[block_of(g, u)] for v in range(*g.blocks[j]))
         for u in range(g.vertex_count)
     )
 
 
 def degree(g: Graph, v: int) -> int:
     """The degree of vertex ``v``: the sizes of its block's neighbouring blocks."""
-    return sum(end - start for start, end in (g.blocks[j] for j in g.adjacent[g.block_of(v)]))
+    return sum(end - start for start, end in (g.blocks[j] for j in g.adjacent[block_of(g, v)]))
 
 
 def circulant(b: int, jumps) -> Graph:

@@ -16,12 +16,9 @@ from magiclab import (
     build_complete_multipartite,
     build_cycle,
     disjoint_union,
-    g_function,
-    gap_lower_bound,
     kotzig_array,
     label_by_qmr_columns,
     lex_blowup,
-    multipartite_distance_magic_check,
     oracle_theta_multipartite,
     qmr,
     theta_bipartite,
@@ -30,11 +27,18 @@ from magiclab import (
     verify_qmr,
     verify_s_magic,
 )
-from magiclab.arrays import _line_sums, kotzig_exists_exhaustive, qmr_exists_exhaustive
+from magiclab.arrays import _line_sums
 from magiclab.cli import main
 from magiclab.tripartite import classify_tripartite, is_distance_magic_tripartite, zeta
 
 from conftest import check_decision_table_row, circulant, petersen
+from referees import (
+    g_function,
+    gap_lower_bound,
+    kotzig_exists_exhaustive,
+    multipartite_distance_magic_check,
+    qmr_exists_exhaustive,
+)
 from test_arrays import PRINTED_QMR_3_10
 
 

@@ -19,9 +19,9 @@ from magiclab.arrays import (
     _line_sums,
     _three_row_block,
     _translates,
-    kotzig_exists_exhaustive,
-    qmr_exists_exhaustive,
 )
+
+from referees import kotzig_exists_exhaustive, qmr_exists_exhaustive
 
 # the published QMR(3,10) instance; the verifier must accept it verbatim
 PRINTED_QMR_3_10 = (

@@ -562,6 +562,26 @@ def test_budget_and_size_cap_exit_codes():
     assert code == 2 and out == "" and "cap" in err
 
 
+@pytest.mark.parametrize("budget", [
+    ("--budget-seconds", "nan"),
+    ("--budget-seconds", "inf"),
+    ("--budget-seconds", "1e309"),  # overflows to inf
+    ("--budget-seconds=-inf",),  # with a space, argparse reads -inf as an option
+])
+def test_non_finite_budget_flag_exits_2(budget):
+    code, out, err = run_cli("oracle", "K(2,2)", *budget)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_budget_env_var_exits_2(monkeypatch, value):
+    monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", value)
+    code, out, err = run_cli("oracle", "K(2,2)")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "finite" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle", "C(5)"),  # the general oracle
     ("oracle", "K(2,3)"),  # the multipartite oracle

@@ -14,11 +14,11 @@ from magiclab import (
     parse_graph_spec,
     read_adjacency_file,
     verify_s_magic,
-    weight,
 )
 from magiclab.graphs import parse_spec_ast, KNode, UNode, LexNode, CNode
 
 from conftest import degree, neighbour_sets
+from referees import weight
 
 
 def test_complete_multipartite_shape():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from magiclab import (
     BudgetExceededError,
+    DomainError,
     PartiteSpec,
     build_complete_multipartite,
     build_cycle,
-    equal_sum_partition,
     oracle_theta_general,
     oracle_theta_multipartite,
     parse_graph_spec,
@@ -24,6 +24,7 @@ from magiclab.graphs import Graph
 from magiclab.oracle import _pack, _pack_blocks, _scan_level, _Ticker
 
 from conftest import neighbour_sets, petersen, tripartite_instances
+from referees import equal_sum_partition
 
 
 def test_equal_sum_partition_examples():
@@ -57,7 +58,7 @@ def test_joint_slot_bound_prunes_at_the_root():
     # each part needs 4 from one label of {1..4}, which it can reach alone,
     # but the two open slots together need 8 > 4 + 3
     ticker = _Ticker(time.monotonic() + 60)
-    assert _pack([4, 3, 2, 1], [0, 1, 3, 6, 10], [1, 1], 4, [2], frozenset(), {}, ticker) is None
+    assert _pack([4, 3, 2, 1], [0, 1, 3, 6, 10], [1, 1], 4, [2], frozenset(), ticker) is None
     assert ticker.nodes == 1
 
 
@@ -99,7 +100,7 @@ def test_pack_finds_a_packing_exactly_when_one_exists(instance):
     pool, sizes, target, skips, must_use = instance
     asc_prefix = list(accumulate(pool, initial=0))
     ticker = _Ticker(time.monotonic() + 60)
-    got = _pack(pool[::-1], asc_prefix, sizes, target, [skips], must_use, {}, ticker)
+    got = _pack(pool[::-1], asc_prefix, sizes, target, [skips], must_use, ticker)
     exists = len(pool) - sum(sizes) <= skips and _brute_pack_exists(pool, sizes, target, must_use)
     assert (got is not None) == exists
     if got is not None:
@@ -145,9 +146,17 @@ def test_closed_forms_agree_with_the_oracle_over_its_cap():
     assert kinds == {"exact": 90, "bounded": 27, "exhausted": 7}
 
 
+def _first_level(sizes, max_excess):
+    """The oracle's scan of a shape over its vertex cap: the first excess
+    level up to ``max_excess`` with an equal-sum packing, or None."""
+    ticker = _Ticker(time.monotonic() + 60)
+    levels = range(max_excess + 1)
+    return next((e for e in levels if _scan_level(list(sizes), sum(sizes), e, ticker)), None)
+
+
 def test_multipartite_oracle_golden_values():
-    assert oracle_theta_multipartite(PartiteSpec((5, 6, 7)), 0, max_n=18).theta == 0
-    assert oracle_theta_multipartite(PartiteSpec((3, 8, 9)), 8, max_n=20).theta == 7
+    assert _first_level((5, 6, 7), 0) == 0
+    assert _first_level((3, 8, 9), 8) == 7
     res = oracle_theta_multipartite(PartiteSpec((1, 1)), 6)
     assert not res.exact and res.case_tag == "oracle-exhausted"
     assert (res.lower, res.upper) == (7, None)
@@ -369,6 +378,22 @@ def _partitions(n, r, minimum=1):
 def test_budget_is_reported_not_silent():
     with pytest.raises(BudgetExceededError):
         oracle_theta_multipartite(PartiteSpec((2, 2, 9)), 14, budget_seconds=-1)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_budget_is_refused(budget):
+    # a NaN or infinite deadline never ends the search, so neither oracle runs
+    with pytest.raises(DomainError, match="finite"):
+        oracle_theta_multipartite(PartiteSpec((2, 2)), 2, budget_seconds=budget)
+    with pytest.raises(DomainError, match="finite"):
+        oracle_theta_general(build_cycle(6), 2, budget_seconds=budget)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+def test_non_finite_budget_env_var_is_refused(monkeypatch, value):
+    monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", value)
+    with pytest.raises(DomainError, match="finite"):
+        oracle_theta_multipartite(PartiteSpec((2, 2)), 2)
 
 
 def test_budget_env_var_sets_default(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 
 from magiclab import (
     PartiteSpec,
-    equal_sum_partition,
     label_bipartite,
     label_tripartite,
     partite_sums_check,
@@ -16,6 +15,8 @@ from magiclab import (
     theta_tripartite,
 )
 from magiclab import arrays, bipartite, tripartite
+
+from referees import equal_sum_partition
 
 
 def _size_tuples(n):

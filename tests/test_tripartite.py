@@ -5,7 +5,6 @@ from magiclab import (
     PartiteSpec,
     build_complete_multipartite,
     classify_tripartite,
-    g_function,
     is_distance_magic_tripartite,
     label_tripartite,
     theta_tripartite,
@@ -14,6 +13,7 @@ from magiclab import (
 )
 
 from conftest import tripartite_instances
+from referees import g_function
 
 
 def test_zeta():
@@ -122,7 +122,7 @@ def test_case3_bound_is_the_gap_bound():
 
 def test_witness_labelings():
     lab = label_tripartite(5, 6, 7)
-    assert lab.label_set == tuple(range(1, 19))
+    assert tuple(sorted(lab.labels)) == tuple(range(1, 19))
     sets = [sorted(lab.labels[0:5]), sorted(lab.labels[5:11]), sorted(lab.labels[11:18])]
     assert all(sum(s) == 57 for s in sets)
 
