@@ -44,7 +44,6 @@ from .oracle import oracle_theta_general, oracle_theta_multipartite
 from .tripartite import (
     TripartiteCase,
     classify_tripartite,
-    is_distance_magic_tripartite,
     label_tripartite,
     theta_tripartite,
     zeta,

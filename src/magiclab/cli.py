@@ -17,12 +17,18 @@ without building a dict; ``verify`` prints ``VerifyReport.to_json``;
 of a ``label`` without a labeling) goes through ``_emit``.  The JSON writers
 share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
+Every oracle run goes through ``_certified_oracle``, and every printed
+labeling is verified once, by ``_certify``.  ``main`` checks the search
+flags of ``index``, ``label`` and ``oracle`` before routing, so a bad
+budget or ``--max-excess`` is refused whether or not a search runs.
+
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input (a spec nested too deep included), a missing or unreadable
-file, a domain error, a non-finite budget (``--budget-seconds`` or
-``MAGICLAB_BUDGET_SECONDS`` of ``nan`` or ``inf``), or a size cap exceeded
-(vertices, block adjacency, QMR or Kotzig array entries, the oracle's 16
-vertices, or a ``--max-excess`` outside 0..16);
+file, a domain error, a budget that is not a finite number
+(``--budget-seconds`` or ``MAGICLAB_BUDGET_SECONDS`` of ``nan``, ``inf``
+or ``abc``), or a size cap exceeded (vertices, block adjacency, QMR or
+Kotzig array entries, the oracle's 16 vertices, or a ``--max-excess``
+outside 0..16);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
 constructive labeling path; 5 the requested array provably does not exist;
 6 an exhaustive search ran out of its time budget; 7 a construction or an
@@ -60,7 +66,7 @@ from .graphs import (
     parse_spec_ast,
 )
 from .labelings import SORTED_JSON, Labeling, ThetaResult, labels_json, verify_s_magic
-from .oracle import MAX_N, oracle_theta_general, oracle_theta_multipartite
+from .oracle import MAX_N, check_search_flags, oracle_theta_general, oracle_theta_multipartite
 from .tripartite import label_tripartite, theta_tripartite
 
 EXIT_OK = 0
@@ -143,26 +149,19 @@ def _theta_for_plan(plan) -> ThetaResult:
     raise AssertionError(kind)
 
 
-def _oracle_graph(ast):
-    """Build a graph for the oracles, rejecting a spec over their caps unbuilt."""
-    return build_from_ast(ast, max_vertices=MAX_N)
-
-
-def _run_oracle(args, graph, max_excess):
+def _certified_oracle(args, ast, max_excess):
+    """(result, report): the oracle's result on the graph of ``ast`` up to
+    ``max_excess``, a spec over its vertex cap rejected unbuilt, and
+    ``_certify``'s report on its witness, or None without one.  The one
+    place the CLI runs an oracle."""
+    graph = build_from_ast(ast, max_vertices=MAX_N)
     spec = graph.partite_spec
     if spec is not None:
-        return oracle_theta_multipartite(spec, max_excess, budget_seconds=args.budget_seconds)
-    return oracle_theta_general(graph, max_excess, budget_seconds=args.budget_seconds)
-
-
-def _certified_oracle(args, ast) -> ThetaResult:
-    """The oracle's result on ``ast`` up to ``--max-excess``, once ``_certify``
-    has passed its witness, if it has one."""
-    graph = _oracle_graph(ast)
-    result = _run_oracle(args, graph, args.max_excess)
-    if result.witness is not None:
-        _certify(graph, result.witness, result)
-    return result
+        result = oracle_theta_multipartite(spec, max_excess, budget_seconds=args.budget_seconds)
+    else:
+        result = oracle_theta_general(graph, max_excess, budget_seconds=args.budget_seconds)
+    report = None if result.witness is None else _certify(graph, result.witness, result)
+    return result, report
 
 
 def cmd_index(args) -> int:
@@ -173,7 +172,7 @@ def cmd_index(args) -> int:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        result = _certified_oracle(args, ast)
+        result, _ = _certified_oracle(args, ast, args.max_excess)
     payload = result.to_payload()
     payload.pop("witness", None)
     _emit(payload)
@@ -181,28 +180,32 @@ def cmd_index(args) -> int:
 
 
 def _witness_for_plan(plan, ast, args):
-    """(labeling or None, graph or None, ThetaResult) for the label command.
-
-    ``ast`` is the unwrapped spec the plan describes.  The graph comes back
-    only when building the witness needed it.
+    """(labeling, report, ThetaResult) for the label command, the report
+    ``_certify``'s on the labeling; labeling and report are None when no
+    construction applies.  ``ast`` is the unwrapped spec the plan describes.
     """
     kind, params = plan
     result = _theta_for_plan(plan)
+    labeling = graph = None
     if kind == "edgeless":
-        return Labeling(tuple(range(1, sum(params) + 1))), None, result
-    if kind == "bipartite":
-        return label_bipartite(*params, sum(params) + result.theta), None, result
-    if kind == "tripartite":
-        return label_tripartite(*params), None, result
-    if result.theta == 1:
+        labeling = Labeling(tuple(range(1, sum(params) + 1)))
+    elif kind == "bipartite":
+        labeling = label_bipartite(*params, sum(params) + result.theta)
+    elif kind == "tripartite":
+        labeling = label_tripartite(*params)
+    elif result.theta == 1:
         # a "lex" plan carries the base graph it built, so a FILE is read once
         graph = build_from_ast(ast, inner=params[0] if kind == "lex" else None)
         group = params[0] if kind == "Kab" else params[1]  # part or layer size
-        return families.label_by_qmr_columns(graph, group), graph, result
-    if result.theta == 0 and args.certify:
-        graph = _oracle_graph(ast)
-        return _run_oracle(args, graph, 0).witness, graph, result
-    return None, None, result
+        labeling = families.label_by_qmr_columns(graph, group)
+    elif result.theta == 0 and args.certify:
+        found, report = _certified_oracle(args, ast, 0)
+        return found.witness, report, result
+    if labeling is None:
+        return None, None, result
+    if graph is None:
+        graph = build_from_ast(ast)
+    return labeling, _certify(graph, labeling, result), result
 
 
 def cmd_label(args) -> int:
@@ -213,21 +216,17 @@ def cmd_label(args) -> int:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        graph = _oracle_graph(ast)
-        result = _run_oracle(args, graph, args.max_excess)
+        result, report = _certified_oracle(args, ast, args.max_excess)
         labeling = result.witness
-        if labeling is None:
-            _emit(result.to_payload())
-            return EXIT_NO_CONSTRUCTION
-        return _print_certified(graph, labeling, result)
-    ast = _unwrap(ast)
-    labeling, graph, result = _witness_for_plan(plan, ast, args)
+    else:
+        labeling, report, result = _witness_for_plan(plan, _unwrap(ast), args)
     if labeling is None:
         _emit(result.to_payload())
         return EXIT_NO_CONSTRUCTION
-    if graph is None:
-        graph = build_from_ast(ast)
-    return _print_certified(graph, labeling, result)
+    # the payload ``_emit`` would write, keys in sorted order
+    print('{"constant": %d, "eta": %d, "labels": %s}'
+          % (report.constant, labeling.eta, labels_json(labeling.labels)))
+    return EXIT_OK
 
 
 def _certify(graph, labeling, result):
@@ -242,15 +241,6 @@ def _certify(graph, labeling, result):
             f"top label {labeling.eta} is not n + theta = {graph.vertex_count + result.theta}"
         )
     return report
-
-
-def _print_certified(graph, labeling, result) -> int:
-    """Print ``labeling`` once ``_certify`` has passed it."""
-    report = _certify(graph, labeling, result)
-    # the payload ``_emit`` would write, keys in sorted order
-    print('{"constant": %d, "eta": %d, "labels": %s}'
-          % (report.constant, labeling.eta, labels_json(labeling.labels)))
-    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -325,7 +315,8 @@ def cmd_kotzig(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _emit(_certified_oracle(args, parse_spec_ast(args.spec)).to_payload())
+    result, _ = _certified_oracle(args, parse_spec_ast(args.spec), args.max_excess)
+    _emit(result.to_payload())
     return EXIT_OK
 
 
@@ -375,6 +366,7 @@ _COMMANDS = {
     "oracle": ("exhaustive index search on a small graph", (("spec", {}), *_SEARCH_FLAGS)),
     "tables": ("print the distance-magicness decision tables", ()),
 }
+_SEARCH_COMMANDS = ("index", "label", "oracle")  # the sub-commands with _SEARCH_FLAGS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,6 +470,8 @@ def main(argv=None) -> int:
         "tables": cmd_tables,
     }[args.command]
     try:
+        if args.command in _SEARCH_COMMANDS:
+            args.budget_seconds = check_search_flags(args.max_excess, args.budget_seconds)
         code = handler(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
         return code

@@ -61,10 +61,6 @@ class PartiteSpec:
     def n(self) -> int:
         return sum(self.sizes)
 
-    @property
-    def r(self) -> int:
-        return len(self.sizes)
-
 
 @dataclass(frozen=True)
 class Graph:

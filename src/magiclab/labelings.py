@@ -94,13 +94,6 @@ class Labeling:
     def eta(self) -> int:
         return max(self.labels)
 
-    @property
-    def total(self) -> int:
-        return sum(self.labels)
-
-    def __getitem__(self, v: int) -> int:
-        return self.labels[v]
-
     @classmethod
     def from_parts(cls, label_sets) -> "Labeling":
         """Labeling that concatenates the sorted label sets: the ids, in

@@ -67,7 +67,7 @@ from __future__ import annotations
 import os
 import time
 from itertools import accumulate, combinations
-from math import isfinite
+from math import isfinite, nan
 
 from .errors import BudgetExceededError, DomainError
 from .graphs import Graph, PartiteSpec
@@ -79,8 +79,27 @@ MAX_EXCESS = 16
 _BUDGET_CHECK_MASK = 0xFFF
 
 
-def default_budget_seconds() -> float:
-    return float(os.environ.get("MAGICLAB_BUDGET_SECONDS", "60"))
+def check_search_flags(max_excess: int, budget_seconds: float | None = None) -> float:
+    """The budget in seconds of a scan of excess levels 0..max_excess:
+    ``budget_seconds``, else ``MAGICLAB_BUDGET_SECONDS``, else 60.
+
+    Raises ``DomainError`` for a ``max_excess`` outside 0..MAX_EXCESS, and,
+    naming its source, for a budget that is not a finite number: a NaN or
+    infinite deadline would never end the search.
+    """
+    if not 0 <= max_excess <= MAX_EXCESS:
+        raise DomainError(f"max_excess must lie in 0..{MAX_EXCESS}, got {max_excess}")
+    source, given = "budget_seconds", budget_seconds
+    if budget_seconds is None:
+        source = "MAGICLAB_BUDGET_SECONDS"
+        given = os.environ.get(source, "60")
+        try:
+            budget_seconds = float(given)
+        except ValueError:
+            budget_seconds = nan
+    if not isfinite(budget_seconds):
+        raise DomainError(f"{source} must be a finite number of seconds, got {given!r}")
+    return budget_seconds
 
 
 class _Ticker:
@@ -217,16 +236,11 @@ def _scan_levels(kind, n, max_excess, budget_seconds, refuted, search):
     labels of each block of the first labeling with top label n+e, or None.
 
     ``refuted()`` answers "no labeling at any excess" before any level.
-    The budget, ``budget_seconds`` or else ``default_budget_seconds()``,
-    must be finite: a NaN or infinite one would never end the search.
+    ``check_search_flags`` checks ``max_excess`` and resolves the budget.
     """
     if n > MAX_N:
         raise DomainError(f"{kind} oracle capped at n={MAX_N}, got {n}")
-    if not 0 <= max_excess <= MAX_EXCESS:
-        raise DomainError(f"max_excess must lie in 0..{MAX_EXCESS}, got {max_excess}")
-    budget = default_budget_seconds() if budget_seconds is None else budget_seconds
-    if not isfinite(budget):
-        raise DomainError(f"search budget must be a finite number of seconds, got {budget}")
+    budget = check_search_flags(max_excess, budget_seconds)
     exhausted = ThetaResult(
         lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
     )

@@ -90,12 +90,6 @@ def classify_tripartite(n1: int, n2: int, n3: int) -> TripartiteCase:
     return TripartiteCase(tag=tag, top3=top3, total=total, bottom3=bottom3, residue=residue)
 
 
-def is_distance_magic_tripartite(n1: int, n2: int, n3: int) -> bool:
-    _validate(n1, n2, n3)
-    case = classify_tripartite(n1, n2, n3)
-    return n2 >= 2 and case.residue == 0 and case.top3 >= case.total >= case.bottom3
-
-
 def theta_tripartite(n1: int, n2: int, n3: int) -> ThetaResult:
     """Exact index or bounds for K(n1, n2, n3), by case."""
     case = classify_tripartite(n1, n2, n3)
@@ -176,7 +170,7 @@ def _label_case4(n1, n2, n3):
     """
     n = n1 + n2 + n3
     enlarged = sorted([n1 + 1, n2, n3])
-    if not is_distance_magic_tripartite(*enlarged):
+    if classify_tripartite(*enlarged).tag != "I":  # not distance magic
         return None
     idx = enlarged.index(n1 + 1)
     parts = split_equal_sums(range(1, n + 2), enlarged, forced={n + 1: idx})

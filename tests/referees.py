@@ -77,9 +77,10 @@ def magic_constant_multipartite(spec: PartiteSpec, alpha: int) -> Fraction:
     Every part sums to ``alpha/r``, so each weight is ``alpha - alpha/r``;
     a non-integer value certifies that no labeling with total ``alpha`` works.
     """
-    if spec.r < 2:
+    r = len(spec.sizes)
+    if r < 2:
         raise DomainError("need at least two parts")
-    return Fraction(alpha * (spec.r - 1), spec.r)
+    return Fraction(alpha * (r - 1), r)
 
 
 def multipartite_distance_magic_check(sizes: tuple[int, ...]) -> bool:

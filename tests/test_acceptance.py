@@ -29,7 +29,7 @@ from magiclab import (
 )
 from magiclab.arrays import _line_sums
 from magiclab.cli import main
-from magiclab.tripartite import classify_tripartite, is_distance_magic_tripartite, zeta
+from magiclab.tripartite import classify_tripartite, zeta
 
 from conftest import check_decision_table_row, circulant, petersen
 from referees import (
@@ -121,7 +121,7 @@ def test_criterion_4_oracle_formula_sweep(tri_oracle):
 def test_criterion_5_characterization_cross_check(tri_oracle):
     results, _ = tri_oracle
     for sizes, oracle_result in results.items():
-        dm = is_distance_magic_tripartite(*sizes)
+        dm = classify_tripartite(*sizes).tag == "I"
         assert dm == (oracle_result.theta == 0), sizes
         assert dm == multipartite_distance_magic_check(sizes), sizes
     report("criterion-5", f"{len(results)} instances, both characterizations agree")

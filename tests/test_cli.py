@@ -541,6 +541,25 @@ def test_oracle_witness_is_certified_before_printing(monkeypatch, argv):
     assert code == 7 and out == "" and "failed verification" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("label", "K(2,3)"),  # a closed form
+    ("label", "LEX(C(6),E(3))"),  # a QMR column labeling
+    ("label", "K(2,2,2,2)", "--certify"),  # the multipartite oracle's witness
+    ("label", "C(4)", "--oracle"),  # the general oracle's witness
+    ("oracle", "K(2,3)"),
+])
+def test_each_witness_is_verified_once(monkeypatch, argv):
+    calls = []
+
+    def counted(graph, labeling):
+        calls.append(labeling)
+        return magiclab.verify_s_magic(graph, labeling)
+
+    monkeypatch.setattr(cli, "verify_s_magic", counted)
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and out and len(calls) == 1
+
+
 def test_oracle_refutes_a_cycle_without_searching():
     # C(8) has N(0) - N(2) = {7} and N(2) - N(0) = {3}, so the neighbourhood
     # lemma answers before the search tries any of the 17 levels
@@ -562,6 +581,10 @@ def test_budget_and_size_cap_exit_codes():
     assert code == 2 and out == "" and "cap" in err
 
 
+# one command per path: the oracle, and closed forms that run no search
+SEARCH_ARGVS = [("oracle", "K(2,2)"), ("index", "K(2,3)"), ("label", "K(2,3)")]
+
+
 @pytest.mark.parametrize("budget", [
     ("--budget-seconds", "nan"),
     ("--budget-seconds", "inf"),
@@ -569,17 +592,22 @@ def test_budget_and_size_cap_exit_codes():
     ("--budget-seconds=-inf",),  # with a space, argparse reads -inf as an option
 ])
 def test_non_finite_budget_flag_exits_2(budget):
-    code, out, err = run_cli("oracle", "K(2,2)", *budget)
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "finite" in err
+    # refused before routing, also where a closed form answers and no oracle runs
+    for argv in SEARCH_ARGVS:
+        code, out, err = run_cli(*argv, *budget)
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1 and "budget_seconds must be a finite" in err, argv
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 def test_non_finite_budget_env_var_exits_2(monkeypatch, value):
     monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", value)
-    code, out, err = run_cli("oracle", "K(2,2)")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "finite" in err
+    for argv in SEARCH_ARGVS:
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1, argv
+        expected = f"MAGICLAB_BUDGET_SECONDS must be a finite number of seconds, got '{value}'"
+        assert expected in err, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,10 +615,18 @@ def test_non_finite_budget_env_var_exits_2(monkeypatch, value):
     ("oracle", "K(2,3)"),  # the multipartite oracle
     ("index", "C(4)", "--oracle"),
     ("label", "C(4)", "--oracle"),
+    ("index", "K(2,3)"),  # closed forms, no oracle
+    ("label", "K(2,3)"),
 ])
 def test_negative_max_excess_exits_2(argv):
     code, out, err = run_cli(*argv, "--max-excess", "-1")
     assert code == 2 and out == "" and "max_excess" in err
+
+
+@pytest.mark.parametrize("argv", SEARCH_ARGVS)
+def test_max_excess_over_16_exits_2(argv):
+    code, out, err = run_cli(*argv, "--max-excess", "17")
+    assert code == 2 and out == "" and "max_excess must lie in 0..16" in err
 
 
 def test_general_oracle_answers_up_to_16_vertices():

@@ -285,7 +285,7 @@ def test_block_weights_agree_with_explicit_adjacency(tmp_path_factory):
         lab = Labeling(tuple(labels))
         report = verify_s_magic(g, lab)
         for u in range(n):
-            assert report.weights[u] == sum(lab[v] for v in expected[u]), (node, u)
+            assert report.weights[u] == sum(lab.labels[v] for v in expected[u]), (node, u)
             assert weight(g, lab, u) == report.weights[u]
 
     check()

@@ -164,7 +164,7 @@ def test_magic_constant_matches_witness_constants():
         spec = PartiteSpec(sizes)
         g = build_complete_multipartite(spec)
         report = verify_s_magic(g, lab)
-        assert magic_constant_multipartite(spec, lab.total) == report.constant
+        assert magic_constant_multipartite(spec, sum(lab.labels)) == report.constant
 
 
 def test_distance_magic_characterization():

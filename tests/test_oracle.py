@@ -21,7 +21,7 @@ from magiclab import (
 )
 from magiclab.families import theta_K_ab
 from magiclab.graphs import Graph
-from magiclab.oracle import _pack, _pack_blocks, _scan_level, _Ticker
+from magiclab.oracle import _pack, _pack_blocks, _refuted_by_neighbourhoods, _scan_level, _Ticker
 
 from conftest import neighbour_sets, petersen, tripartite_instances
 from referees import equal_sum_partition
@@ -361,8 +361,11 @@ def test_two_oracles_agree_on_multipartite():
         for r in range(1, n + 1):
             for sizes in _partitions(n, r):
                 spec = PartiteSpec(sizes)
+                g = build_complete_multipartite(spec)
+                # the two refutation rules: two singleton parts, and the lemma
+                assert _refuted_by_neighbourhoods(g) == (sizes.count(1) >= 2), sizes
                 fast = oracle_theta_multipartite(spec, 6)
-                slow = oracle_theta_general(build_complete_multipartite(spec), 6)
+                slow = oracle_theta_general(g, 6)
                 assert (fast.lower, fast.upper) == (slow.lower, slow.upper), sizes
 
 
@@ -389,16 +392,17 @@ def test_non_finite_budget_is_refused(budget):
         oracle_theta_general(build_cycle(6), 2, budget_seconds=budget)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309", "abc"])
 def test_non_finite_budget_env_var_is_refused(monkeypatch, value):
     monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", value)
-    with pytest.raises(DomainError, match="finite"):
+    with pytest.raises(DomainError, match="MAGICLAB_BUDGET_SECONDS must be a finite"):
         oracle_theta_multipartite(PartiteSpec((2, 2)), 2)
 
 
 def test_budget_env_var_sets_default(monkeypatch):
-    from magiclab.oracle import default_budget_seconds
+    from magiclab.oracle import check_search_flags
 
-    assert default_budget_seconds() == 60.0
+    assert check_search_flags(0) == 60.0
     monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", "0.25")
-    assert default_budget_seconds() == 0.25
+    assert check_search_flags(0) == 0.25
+    assert check_search_flags(0, 2.0) == 2.0

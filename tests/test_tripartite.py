@@ -5,7 +5,6 @@ from magiclab import (
     PartiteSpec,
     build_complete_multipartite,
     classify_tripartite,
-    is_distance_magic_tripartite,
     label_tripartite,
     theta_tripartite,
     verify_s_magic,
@@ -72,15 +71,12 @@ def test_residue_is_never_four():
 
 
 def test_distance_magic_examples():
-    assert is_distance_magic_tripartite(5, 6, 7)
-    assert not is_distance_magic_tripartite(3, 8, 9)
-    assert is_distance_magic_tripartite(2, 2, 2)
-
-
-def test_case_one_iff_distance_magic():
+    # distance magic exactly in case I
+    assert classify_tripartite(5, 6, 7).tag == "I"
+    assert classify_tripartite(3, 8, 9).tag != "I"
+    assert classify_tripartite(2, 2, 2).tag == "I"
     for sizes in tripartite_instances(30):
         is_case_one = classify_tripartite(*sizes).tag == "I"
-        assert is_case_one == is_distance_magic_tripartite(*sizes), sizes
         assert is_case_one == (theta_tripartite(*sizes).theta == 0), sizes
 
 
