@@ -17,10 +17,11 @@ without building a dict; ``verify`` prints ``VerifyReport.to_json``;
 of a ``label`` without a labeling) goes through ``_emit``.  The JSON writers
 share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
-Every oracle run goes through ``_certified_oracle``, and every printed
-labeling is verified once, by ``_certify``.  ``main`` checks the search
-flags of ``index``, ``label`` and ``oracle`` before routing, so a bad
-budget or ``--max-excess`` is refused whether or not a search runs.
+``_plan`` is the one place that maps a spec to its closed form and its
+witness.  Every oracle run goes through ``_certified_oracle``, and every
+printed labeling is verified once, by ``_certify``.  ``main`` checks the
+search flags of ``index``, ``label`` and ``oracle`` before routing, so a
+bad budget or ``--max-excess`` is refused whether or not a search runs.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input (a spec nested too deep included), a missing or unreadable
@@ -97,56 +98,61 @@ def _unwrap(ast):
 
 
 def _plan(ast):
-    """Map a spec AST onto the most specific closed-form module."""
+    """(result, witness) for a spec AST: the most specific closed form's
+    ``ThetaResult`` and, when a construction applies, a function of no
+    arguments that returns a labeling (None if the construction finds
+    none) and the graph it labels; ``witness`` is None otherwise."""
     ast = _unwrap(ast)
+
+    def labels_then_graph(label, *params):
+        def witness():
+            labeling = label(*params)
+            return labeling, None if labeling is None else build_from_ast(ast)
+        return witness
+
+    def qmr_columns(result, group, inner=None):
+        """``result`` with the column witness on its index-1 cells."""
+        if result.theta != 1:
+            return result, None
+
+        def witness():
+            graph = build_from_ast(ast, inner=inner)
+            return families.label_by_qmr_columns(graph, group), graph
+        return result, witness
+
     if isinstance(ast, KNode):
         sizes = tuple(sorted(ast.sizes))
         r = len(sizes)
         if r == 1:
-            return ("edgeless", sizes)
+            result = ThetaResult(lower=0, upper=0, case_tag="edgeless")
+            return result, labels_then_graph(Labeling.from_parts, [range(1, sizes[0] + 1)])
         if r == 2 and sizes[1] >= 2:
-            return ("bipartite", sizes)
+            result = theta_bipartite(*sizes)
+            return result, labels_then_graph(label_bipartite, *sizes, sum(sizes) + result.theta)
         if r == 3 and sizes[0] >= 2:
-            return ("tripartite", sizes)
+            # label_tripartite returns None in cases III and V
+            return theta_tripartite(*sizes), labels_then_graph(label_tripartite, *sizes)
         if r >= 4 and len(set(sizes)) == 1 and sizes[0] >= 2:
-            return ("Kab", (sizes[0], r))
+            return qmr_columns(families.theta_K_ab(sizes[0], r), sizes[0])
         raise _Unsupported(f"no closed form for parts {sizes}")
     if isinstance(ast, UNode):
         inner = _unwrap(ast.inner)
         if isinstance(inner, KNode):
             sizes = tuple(sorted(inner.sizes))
             if len(set(sizes)) == 1 and sizes[0] >= 2 and len(sizes) >= 2:
-                return ("mKab", (ast.m, sizes[0], len(sizes)))
+                return qmr_columns(families.theta_mK_ab(ast.m, sizes[0], len(sizes)), sizes[0])
         if isinstance(inner, LexNode) and isinstance(inner.inner, CNode) and inner.a >= 2:
-            return ("mClex", (ast.m, inner.a, inner.inner.b))
+            return qmr_columns(families.theta_mC_lex(ast.m, inner.a, inner.inner.b), inner.a)
         raise _Unsupported("no closed form for this disjoint union")
     if isinstance(ast, LexNode):
         if isinstance(ast.inner, CNode):
-            return ("mClex", (1, ast.a, ast.inner.b))
+            return qmr_columns(families.theta_mC_lex(1, ast.a, ast.inner.b), ast.a)
         base = build_from_ast(ast.inner)
         if not base.is_regular:
             raise _Unsupported("blow-up base graph is not regular")
-        return ("lex", (base, ast.a))
+        # the column witness blows up this base, so a FILE is read once
+        return qmr_columns(families.theta_lex_regular(base, ast.a), ast.a, inner=base)
     raise _Unsupported("no closed form for this spec")
-
-
-def _theta_for_plan(plan) -> ThetaResult:
-    kind, params = plan
-    if kind == "edgeless":
-        return ThetaResult(lower=0, upper=0, case_tag="edgeless")
-    if kind == "bipartite":
-        return theta_bipartite(*params)
-    if kind == "tripartite":
-        return theta_tripartite(*params)
-    if kind == "Kab":
-        return families.theta_K_ab(*params)
-    if kind == "mKab":
-        return families.theta_mK_ab(*params)
-    if kind == "mClex":
-        return families.theta_mC_lex(*params)
-    if kind == "lex":
-        return families.theta_lex_regular(*params)
-    raise AssertionError(kind)
 
 
 def _certified_oracle(args, ast, max_excess):
@@ -167,7 +173,7 @@ def _certified_oracle(args, ast, max_excess):
 def cmd_index(args) -> int:
     ast = parse_spec_ast(args.spec)
     try:
-        result = _theta_for_plan(_plan(ast))
+        result = _plan(ast)[0]
     except _Unsupported as exc:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
@@ -179,39 +185,10 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _witness_for_plan(plan, ast, args):
-    """(labeling, report, ThetaResult) for the label command, the report
-    ``_certify``'s on the labeling; labeling and report are None when no
-    construction applies.  ``ast`` is the unwrapped spec the plan describes.
-    """
-    kind, params = plan
-    result = _theta_for_plan(plan)
-    labeling = graph = None
-    if kind == "edgeless":
-        labeling = Labeling(tuple(range(1, sum(params) + 1)))
-    elif kind == "bipartite":
-        labeling = label_bipartite(*params, sum(params) + result.theta)
-    elif kind == "tripartite":
-        labeling = label_tripartite(*params)
-    elif result.theta == 1:
-        # a "lex" plan carries the base graph it built, so a FILE is read once
-        graph = build_from_ast(ast, inner=params[0] if kind == "lex" else None)
-        group = params[0] if kind == "Kab" else params[1]  # part or layer size
-        labeling = families.label_by_qmr_columns(graph, group)
-    elif result.theta == 0 and args.certify:
-        found, report = _certified_oracle(args, ast, 0)
-        return found.witness, report, result
-    if labeling is None:
-        return None, None, result
-    if graph is None:
-        graph = build_from_ast(ast)
-    return labeling, _certify(graph, labeling, result), result
-
-
 def cmd_label(args) -> int:
     ast = parse_spec_ast(args.spec)
     try:
-        plan = _plan(ast)
+        result, witness = _plan(ast)
     except _Unsupported as exc:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
@@ -219,7 +196,14 @@ def cmd_label(args) -> int:
         result, report = _certified_oracle(args, ast, args.max_excess)
         labeling = result.witness
     else:
-        labeling, report, result = _witness_for_plan(plan, _unwrap(ast), args)
+        labeling = None
+        if witness is not None:
+            labeling, graph = witness()
+            if labeling is not None:
+                report = _certify(graph, labeling, result)
+        elif result.theta == 0 and args.certify:
+            found, report = _certified_oracle(args, _unwrap(ast), 0)
+            labeling = found.witness
     if labeling is None:
         _emit(result.to_payload())
         return EXIT_NO_CONSTRUCTION
@@ -250,17 +234,10 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise DomainError(f"cannot read labeling file {args.labeling}: {exc.strerror}") from None
     labeling = Labeling.from_json(text)
-
-    def check_size(n):
-        if labeling.n != n:
-            raise DomainError(f"labeling covers {labeling.n} vertices, graph has {n}")
-
-    declared = _ast_vertex_count(ast)
-    if declared:  # 0 for a FILE spec, whose size is known only once it is read
-        check_size(declared)
-    graph = build_from_ast(ast)
-    check_size(graph.vertex_count)
-    report = verify_s_magic(graph, labeling)
+    declared = _ast_vertex_count(ast)  # 0 for a FILE spec, read only when built
+    if declared and labeling.n != declared:  # refused unbuilt; verify_s_magic checks a FILE
+        raise DomainError(f"labeling covers {labeling.n} vertices, graph has {declared}")
+    report = verify_s_magic(build_from_ast(ast), labeling)
     print(report.to_json())
     return EXIT_OK if report.is_magic else 1
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from .graphs import Graph, PartiteSpec
 
@@ -219,24 +219,17 @@ def verify_s_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     return VerifyReport(is_magic=False, constant=None, weights=weights, violations=violations)
 
 
-def part_label_sets(spec: PartiteSpec, labeling: Labeling) -> list[list[int]]:
-    """Labels per part for the canonical multipartite vertex layout."""
-    if labeling.n != spec.n:
-        raise ValueError(f"labeling covers {labeling.n} vertices, spec has {spec.n}")
-    sets = []
-    start = 0
-    for size in spec.sizes:
-        sets.append(sorted(labeling.labels[start:start + size]))
-        start += size
-    return sets
-
 def partite_sums_check(spec: PartiteSpec, labeling: Labeling) -> bool:
-    """True iff all partite sets carry equal label sums.
+    """True iff all partite sets, in the canonical multipartite vertex
+    layout, carry equal label sums.
 
     On complete multipartite graphs this is equivalent to the S-magic
     property.  Note that two singleton parts can never pass (their labels
     would have to coincide), matching the fact that such graphs admit no
     S-magic labeling at all.
     """
-    sums = [sum(s) for s in part_label_sets(spec, labeling)]
-    return len(set(sums)) == 1
+    if labeling.n != spec.n:
+        raise ValueError(f"labeling covers {labeling.n} vertices, spec has {spec.n}")
+    sizes = spec.sizes
+    sums = {sum(labeling.labels[end - size:end]) for size, end in zip(sizes, accumulate(sizes))}
+    return len(sums) == 1

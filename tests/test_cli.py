@@ -136,6 +136,35 @@ def test_label_no_construction_exits_4():
     assert json.loads(out)["lower"] == 5
 
 
+C4_ADJACENCY = "0: 1 3\n1: 0 2\n2: 1 3\n3: 0 2\n"
+
+
+@pytest.mark.parametrize("spec, case, bounds", [
+    ("K(2,2,6)", "tripartite-V", (1, 4)),
+    ("LEX(FILE({c4}),E(3))", "lex-unsolved", (0, 1)),
+])
+def test_label_without_a_witness_prints_the_index_payload(tmp_path, spec, case, bounds):
+    c4 = tmp_path / "c4.adj"
+    c4.write_text(C4_ADJACENCY)
+    spec = spec.format(c4=c4)
+    code, out, err = run_cli("label", spec)
+    payload = json.loads(out)
+    assert code == 4 and err == "" and (payload["case"], payload["lower"], payload["upper"]) == (
+        case, *bounds)
+    assert (0, out, "") == run_cli("index", spec)
+
+
+@pytest.mark.parametrize("spec", ["K(2,2)", "FILE({c4})"])
+def test_verify_refuses_a_labeling_of_the_wrong_size(tmp_path, spec):
+    # K(2,2) is refused from the spec, unbuilt; a FILE only once it is read
+    c4 = tmp_path / "c4.adj"
+    c4.write_text(C4_ADJACENCY)
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(json.dumps({"labels": {"0": 1, "1": 2, "2": 3}}))
+    code, out, err = run_cli("verify", spec.format(c4=c4), str(labfile))
+    assert (code, out, err) == (2, "", "error: labeling covers 3 vertices, graph has 4\n")
+
+
 def test_label_certify_routes_through_oracle():
     code, out, _ = run_cli("label", "K(2,2,2,2)")
     assert code == 4  # index 0, construction lives outside this package
@@ -213,6 +242,8 @@ def test_cli_outputs_are_deterministic_across_jobs():
 # one run helper: the case II ones cover each shift branch (m = 0, 3 mod 4
 # with r = 0 and r > 0; otherwise q = 0, q = 1 with r = 1 and r >= 2, q > 1
 # with r = 0, 1 and >= 2), the bipartite ones the deficit with r = 0 and r > 0.
+# The edgeless K(4) and the star K(1,5) were pinned before the plan and its
+# witness became one function.
 LABEL_GOLDEN_SHA256 = {
     "K(2,2)": "0ebc2109db37189287c9b5683c20faed67f4f6727a3f7195dee310fffd4a6dee",
     "K(4,7)": "80d6749eea6c19c5ebaabe216c635d29d98f0d9ef67d7eb9d11d6565706e01af",
@@ -235,6 +266,8 @@ LABEL_GOLDEN_SHA256 = {
     "LEX(C(6),E(5))": "d9c22581c63525801b2cba7d78e8f978941a77e00ffa2751a10e30db6f217198",
     "U(2,LEX(C(5),E(3)))": "82af1f5b51f0e4c338af46652e15715fff26d9058d8c06ceadd244a4ab824177",
     "LEX(U(2,K(3,3)),E(3))": "163f8a589173ffd8ce9d8926d3949f3b0250f9b0ec20a81eeb8eca1de41c857b",
+    "K(4)": "f55956a22498b7656235c48b9bc33c1daeb51c71be422f4e3bc25e8447d48e48",
+    "K(1,5)": "621c382e4c397fe46586a84e4621564a3a0b663d07baa4417b20fae0cac82c5a",
 }
 
 
@@ -431,7 +464,7 @@ def test_disguised_k_specs_are_planned_as_their_k_form(disguised, literal):
     labels = json.loads(out)["labels"]
     labeling = magiclab.Labeling(tuple(labels[str(v)] for v in range(len(labels))))
     ast = parse_spec_ast(disguised)
-    cli._certify(build_from_ast(ast), labeling, cli._theta_for_plan(cli._plan(ast)))
+    cli._certify(build_from_ast(ast), labeling, cli._plan(ast)[0])
 
 
 def _nested(depth):

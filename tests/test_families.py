@@ -127,7 +127,7 @@ def _family_specs(max_n):
 
 def test_family_values_match_the_oracle_on_small_instances(tmp_path):
     from magiclab import oracle_theta_general, oracle_theta_multipartite, parse_graph_spec
-    from magiclab.cli import _certify, _plan, _theta_for_plan
+    from magiclab.cli import _certify, _plan
     from magiclab.graphs import parse_spec_ast
 
     c4 = tmp_path / "c4.adj"
@@ -136,7 +136,7 @@ def test_family_values_match_the_oracle_on_small_instances(tmp_path):
     specs = _family_specs(16) + ["LEX(U(2,K(1,1)),E(3))", f"LEX(FILE({c4}),E(3))"]
     assert len(specs) == 42
     for text in specs:
-        formula = _theta_for_plan(_plan(parse_spec_ast(text)))
+        formula = _plan(parse_spec_ast(text))[0]
         g = parse_graph_spec(text)
         spec = g.partite_spec
         if spec is not None:
