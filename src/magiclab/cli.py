@@ -18,8 +18,11 @@ of a ``label`` without a labeling) goes through ``_emit``.  The JSON writers
 share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 ``_plan`` is the one place that maps a spec to its closed form and its
-witness.  Every oracle run goes through ``_certified_oracle``, and every
-printed labeling is verified once, by ``_certify``.  ``main`` checks the
+witness; a witness builds its graph before it labels it, so a spec over a
+cap is refused before any labeling is made.  Every oracle run goes through
+``_certified_oracle``: ``index --oracle`` runs it on a spec no closed form
+covers, ``label --oracle`` whenever no construction gives a labeling.
+Every printed labeling is verified once, by ``_certify``.  ``main`` checks the
 search flags of ``index``, ``label`` and ``oracle`` before routing, so a
 bad budget or ``--max-excess`` is refused whether or not a search runs.
 
@@ -31,7 +34,7 @@ or ``abc``), or a size cap exceeded (vertices, block adjacency, QMR or
 Kotzig array entries, the oracle's 16 vertices, or a ``--max-excess``
 outside 0..16);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
-constructive labeling path; 5 the requested array provably does not exist;
+labeling found; 5 the requested array provably does not exist;
 6 an exhaustive search ran out of its time budget; 7 a construction or an
 oracle witness failed its check; 141 stdout was closed before everything
 was written (as by ``| head``), the status a shell gives a command that
@@ -100,38 +103,36 @@ def _unwrap(ast):
 def _plan(ast):
     """(result, witness) for a spec AST: the most specific closed form's
     ``ThetaResult`` and, when a construction applies, a function of no
-    arguments that returns a labeling (None if the construction finds
-    none) and the graph it labels; ``witness`` is None otherwise."""
+    arguments that builds the graph and returns a labeling of it (None if
+    the construction finds none) and the graph; ``witness`` is None
+    otherwise."""
     ast = _unwrap(ast)
 
-    def labels_then_graph(label, *params):
+    def witnessed(result, label, inner=None):
+        """``result`` with the witness that labels the graph by ``label(graph)``."""
         def witness():
-            labeling = label(*params)
-            return labeling, None if labeling is None else build_from_ast(ast)
-        return witness
+            graph = build_from_ast(ast, inner=inner)
+            return label(graph), graph
+        return result, witness
 
     def qmr_columns(result, group, inner=None):
         """``result`` with the column witness on its index-1 cells."""
         if result.theta != 1:
             return result, None
-
-        def witness():
-            graph = build_from_ast(ast, inner=inner)
-            return families.label_by_qmr_columns(graph, group), graph
-        return result, witness
+        return witnessed(result, lambda graph: families.label_by_qmr_columns(graph, group), inner)
 
     if isinstance(ast, KNode):
         sizes = tuple(sorted(ast.sizes))
         r = len(sizes)
         if r == 1:
             result = ThetaResult(lower=0, upper=0, case_tag="edgeless")
-            return result, labels_then_graph(Labeling.from_parts, [range(1, sizes[0] + 1)])
+            return witnessed(result, lambda _: Labeling.from_parts([range(1, sizes[0] + 1)]))
         if r == 2 and sizes[1] >= 2:
             result = theta_bipartite(*sizes)
-            return result, labels_then_graph(label_bipartite, *sizes, sum(sizes) + result.theta)
+            return witnessed(result, lambda _: label_bipartite(*sizes, sum(sizes) + result.theta))
         if r == 3 and sizes[0] >= 2:
             # label_tripartite returns None in cases III and V
-            return theta_tripartite(*sizes), labels_then_graph(label_tripartite, *sizes)
+            return witnessed(theta_tripartite(*sizes), lambda _: label_tripartite(*sizes))
         if r >= 4 and len(set(sizes)) == 1 and sizes[0] >= 2:
             return qmr_columns(families.theta_K_ab(sizes[0], r), sizes[0])
         raise _Unsupported(f"no closed form for parts {sizes}")
@@ -155,17 +156,17 @@ def _plan(ast):
     raise _Unsupported("no closed form for this spec")
 
 
-def _certified_oracle(args, ast, max_excess):
+def _certified_oracle(args, ast):
     """(result, report): the oracle's result on the graph of ``ast`` up to
-    ``max_excess``, a spec over its vertex cap rejected unbuilt, and
+    ``--max-excess``, a spec over its vertex cap rejected unbuilt, and
     ``_certify``'s report on its witness, or None without one.  The one
     place the CLI runs an oracle."""
     graph = build_from_ast(ast, max_vertices=MAX_N)
     spec = graph.partite_spec
     if spec is not None:
-        result = oracle_theta_multipartite(spec, max_excess, budget_seconds=args.budget_seconds)
+        result = oracle_theta_multipartite(spec, args.max_excess, args.budget_seconds)
     else:
-        result = oracle_theta_general(graph, max_excess, budget_seconds=args.budget_seconds)
+        result = oracle_theta_general(graph, args.max_excess, args.budget_seconds)
     report = None if result.witness is None else _certify(graph, result.witness, result)
     return result, report
 
@@ -178,7 +179,7 @@ def cmd_index(args) -> int:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        result, _ = _certified_oracle(args, ast, args.max_excess)
+        result, _ = _certified_oracle(args, ast)
     payload = result.to_payload()
     payload.pop("witness", None)
     _emit(payload)
@@ -193,17 +194,17 @@ def cmd_label(args) -> int:
         if not args.oracle:
             print(f"error: {exc}; rerun with --oracle", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        result, report = _certified_oracle(args, ast, args.max_excess)
-        labeling = result.witness
-    else:
-        labeling = None
-        if witness is not None:
-            labeling, graph = witness()
-            if labeling is not None:
-                report = _certify(graph, labeling, result)
-        elif result.theta == 0 and args.certify:
-            found, report = _certified_oracle(args, _unwrap(ast), 0)
-            labeling = found.witness
+        result = witness = None
+    labeling = None
+    if witness is not None:
+        labeling, graph = witness()
+        if labeling is not None:
+            report = _certify(graph, labeling, result)
+    if labeling is None and args.oracle:
+        found, report = _certified_oracle(args, ast)
+        labeling = found.witness
+        if result is None:  # a closed form's bounds stay what is printed
+            result = found
     if labeling is None:
         _emit(result.to_payload())
         return EXIT_NO_CONSTRUCTION
@@ -292,7 +293,7 @@ def cmd_kotzig(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    result, _ = _certified_oracle(args, parse_spec_ast(args.spec), args.max_excess)
+    result, _ = _certified_oracle(args, parse_spec_ast(args.spec))
     _emit(result.to_payload())
     return EXIT_OK
 
@@ -329,9 +330,9 @@ _COMMANDS = {
     )),
     "label": ("emit a certified S-magic labeling", (
         ("spec", {}),
-        ("--oracle", {"action": "store_true"}),
-        ("--certify", {"action": "store_true",
-                       "help": "use the oracle to witness index-0 family members"}),
+        ("--oracle", {"action": "store_true",
+                      "help": "fall back to exhaustive search when no construction "
+                              "gives a labeling"}),
         *_SEARCH_FLAGS,
     )),
     "verify": ("verify a labeling file against a graph spec", (

@@ -63,21 +63,16 @@ def theta_lex_regular(g: Graph, a: int) -> ThetaResult:
 
     The open parameter cells are surfaced as explicit [0, 1] bounds (the
     column construction still caps the index at 1 for odd ``a``) rather
-    than guessed.  ``a = 1`` leaves the graph unchanged, which none of the
-    family results cover, so only the odd-regular parity bound is returned.
+    than guessed.
     """
-    if a < 1:
-        raise DomainError(f"need a >= 1, got {a}")
+    if a < 2:
+        raise DomainError(f"need a >= 2, got {a}")
     if not g.is_regular:
         raise DomainError("base graph must be regular")
     r = g.max_degree
     b = g.vertex_count
     if r == 0:
         return ThetaResult(lower=0, upper=0, case_tag="lex-edgeless")
-    if a == 1:
-        if r % 2 == 1:
-            return ThetaResult(lower=1, upper=None, case_tag="lex-a1-uncovered")
-        return ThetaResult(lower=0, upper=None, case_tag="lex-a1-uncovered")
     if a % 2 == 0:
         return ThetaResult(lower=0, upper=0, case_tag="lex-dmg")
     if r % 2 == 1:

@@ -8,6 +8,10 @@ the labels n+e, n+e-1, ..., 1 in decreasing order and put each into a block
 with an open slot or skip it: e labels are skipped, never n+e.  So when
 label x is next, the unprocessed labels are exactly 1..x, and T(c) = 1 + ...
 + c and T(x) - T(x - c) are the least and the largest sums of c of them.
+With S open slots in all and s skips left, both searches prune by
+
+* Slots.  Each of 1..x fills an open slot or is skipped, and every open
+  slot takes one of them, so x - s <= S <= x.
 
 Complete multipartite graphs: a common part sum.  A vertex of part P has
 weight (total label sum) - l(P), so a labeling is magic exactly when all
@@ -23,11 +27,9 @@ one neighbourhood, so one weight: the sum of the label sums of the block's
 neighbouring blocks.  ``_pack_blocks`` fills the blocks directly, and the
 labels of each block, in block order, are the witness.  A label tries the
 blocks with the least label sum so far first, which finds balanced
-labelings early and cuts no branch.  With label x next, S open slots in
-all and s skips left, two necessary conditions prune:
+labelings early and cuts no branch.  Besides Slots, one more necessary
+condition prunes:
 
-* Slots.  Each of 1..x fills an open slot or is skipped, and every open
-  slot takes one of them, so x - s <= S <= x.
 * Common weight.  Let the neighbouring blocks of block P hold label sum f
   so far and c open slots.  Those c slots take c distinct labels of 1..x,
   so P's final weight lies in [f + T(c), f + T(x) - T(x - c)].  All final
@@ -125,83 +127,62 @@ class _OutOfTime(Exception):
 # Equal-sum partition engine
 
 
-def _pack(labels_desc, asc_prefix, sizes, target, skips, must_use, ticker):
-    """Assign each label to a part or skip it; every part must hit ``target``.
-
-    ``labels_desc`` is strictly decreasing, so at any depth the unprocessed
-    pool is exactly the smallest remaining labels, making the per-part bounds
-    O(1) via ``asc_prefix``.
-    """
-    total = len(labels_desc)
-    state = [[size, target] for size in sizes]
+def _pack(sizes, target, e, ticker):
+    """Labels of each part of the first packing of a label set with top
+    label n+e into parts of ``sizes``, each with label sum ``target``, or
+    None (module docstring: a common part sum)."""
+    top = sum(sizes) + e
+    asc_prefix = list(accumulate(range(top + 1)))  # asc_prefix[k] = 1 + ... + k
+    state = [(size, target) for size in sizes]  # open slots, shortfall
     chosen: list[list[int]] = [[] for _ in sizes]
+    slots = sum(sizes)
+    skips = e
 
-    def bounds_ok(remaining):
-        slots = 0
+    def rec(label):
+        # the unprocessed labels are exactly 1..label
+        nonlocal slots, skips
+        ticker.tick()
+        if not label - skips <= slots <= label:
+            return False
         need = 0
         for c, d in state:
-            if c == 0:
-                if d != 0:
-                    return False
-                continue
-            slots += c
+            if not asc_prefix[c] <= d <= asc_prefix[label] - asc_prefix[label - c]:
+                return False
             need += d
-            if c > remaining:
-                return False
-            lo = asc_prefix[c]
-            hi = asc_prefix[remaining] - asc_prefix[remaining - c]
-            if not lo <= d <= hi:
-                return False
-        if slots > remaining:
+        if not asc_prefix[slots] <= need <= asc_prefix[label] - asc_prefix[label - slots]:
             return False
-        if (remaining - slots) > skips[0]:
-            return False
-        # the open slots take distinct remaining labels, so together they
-        # sum between the `slots` smallest and the `slots` largest of them
-        lo = asc_prefix[slots]
-        hi = asc_prefix[remaining] - asc_prefix[remaining - slots]
-        return lo <= need <= hi
-
-    def rec(idx):
-        ticker.tick()
-        remaining = total - idx
-        if not bounds_ok(remaining):
-            return False
-        if idx == total:
+        if label == 0:
             return True
-        label = labels_desc[idx]
         seen = set()
-        for i in range(len(state)):
-            c, d = state[i]
+        for i, (c, d) in enumerate(state):
             if c == 0 or d < label or (c, d) in seen:
                 continue
             seen.add((c, d))
-            state[i][0] = c - 1
-            state[i][1] = d - label
+            state[i] = (c - 1, d - label)
+            slots -= 1
             chosen[i].append(label)
-            if rec(idx + 1):
+            if rec(label - 1):
                 return True
             chosen[i].pop()
-            state[i][0] = c
-            state[i][1] = d
-        if skips[0] > 0 and label not in must_use:
-            skips[0] -= 1
-            if rec(idx + 1):
+            slots += 1
+            state[i] = (c, d)
+        if skips > 0 and label != top:
+            skips -= 1
+            if rec(label - 1):
                 return True
-            skips[0] += 1
+            skips += 1
         return False
 
-    if rec(0):
-        return tuple(tuple(sorted(part)) for part in chosen)
-    return None
+    return chosen if rec(top) else None
 
 
 def _tri(k: int) -> int:
     return k * (k + 1) // 2
 
 
-def _candidate_targets(sizes, n, e):
+def _candidate_targets(sizes, e):
     """Admissible common part sums for label sets of max exactly n+e."""
+    n = sum(sizes)
     r = len(sizes)
     alpha_lo = _tri(n - 1) + (n + e)
     alpha_hi = _tri(n + e) - _tri(e)
@@ -211,21 +192,13 @@ def _candidate_targets(sizes, n, e):
     return list(range(lo, hi + 1))
 
 
-def _scan_level(sizes, n, e, ticker):
+def _scan_level(sizes, e, ticker):
     """First equal-sum packing of a label set with max exactly n+e, or None.
 
     Targets are tried in increasing order, so the witness is deterministic.
     """
-    targets = _candidate_targets(sizes, n, e)
-    if not targets:  # common for shapes with a singleton part; skip the set-up
-        return None
-    labels_desc = list(range(n + e, 0, -1))
-    asc_prefix = list(accumulate(range(n + e + 1)))  # asc_prefix[k] = 1 + ... + k
-    for target in targets:
-        parts = _pack(
-            labels_desc, asc_prefix, sizes, target,
-            [e], frozenset({n + e}), ticker,
-        )
+    for target in _candidate_targets(sizes, e):
+        parts = _pack(sizes, target, e, ticker)
         if parts is not None:
             return parts
     return None
@@ -277,7 +250,7 @@ def oracle_theta_multipartite(
         "multipartite", spec.n, max_excess, budget_seconds,
         # two singleton parts: the neighbourhood lemma refutes
         lambda: sizes.count(1) >= 2,
-        lambda e, ticker: _scan_level(sizes, spec.n, e, ticker),
+        lambda e, ticker: _scan_level(sizes, e, ticker),
     )
 
 

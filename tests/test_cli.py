@@ -165,11 +165,18 @@ def test_verify_refuses_a_labeling_of_the_wrong_size(tmp_path, spec):
     assert (code, out, err) == (2, "", "error: labeling covers 3 vertices, graph has 4\n")
 
 
-def test_label_certify_routes_through_oracle():
-    code, out, _ = run_cli("label", "K(2,2,2,2)")
-    assert code == 4  # index 0, construction lives outside this package
-    code, out, _ = run_cli("label", "K(2,2,2,2)", "--certify")
-    assert code == 0 and json.loads(out)["eta"] == 8
+@pytest.mark.parametrize("spec, eta", [
+    ("K(2,2,2,2)", 8),  # index 0, construction lives outside this package
+    ("K(2,2,6)", 12),  # tripartite V: the closed form gives bounds [1, 4] only
+])
+def test_label_oracle_witnesses_a_cell_without_a_construction(tmp_path, spec, eta):
+    assert run_cli("label", spec)[0] == 4
+    code, out, _ = run_cli("label", spec, "--oracle")
+    assert code == 0 and json.loads(out)["eta"] == eta
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(out)
+    code, out, _ = run_cli("verify", spec, str(labfile))
+    assert code == 0 and json.loads(out)["is_magic"]
 
 
 def test_array_commands():
@@ -577,7 +584,7 @@ def test_oracle_witness_is_certified_before_printing(monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ("label", "K(2,3)"),  # a closed form
     ("label", "LEX(C(6),E(3))"),  # a QMR column labeling
-    ("label", "K(2,2,2,2)", "--certify"),  # the multipartite oracle's witness
+    ("label", "K(2,2,2,2)", "--oracle"),  # the multipartite oracle's witness
     ("label", "C(4)", "--oracle"),  # the general oracle's witness
     ("oracle", "K(2,3)"),
 ])
@@ -724,7 +731,7 @@ def test_cap_scale_label_and_verify_in_bounded_memory(tmp_path, spec, groups):
     assert code == 0 and json.loads(out)["is_magic"] and rss_mb < 200, (code, rss_mb)
 
 
-@pytest.mark.parametrize("command, flags", [("oracle", ()), ("label", ("--certify",))])
+@pytest.mark.parametrize("command, flags", [("oracle", ()), ("label", ("--oracle",))])
 def test_oracle_caps_reject_before_building(command, flags):
     # 3 000 parts: the r(r-1) block adjacency of a built graph would take
     # hundreds of MB; the declared vertex count is rejected first
@@ -745,6 +752,16 @@ def test_block_adjacency_cap_rejects_before_building():
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
     code, out, _ = run_cli("index", spec)  # the closed form builds nothing
     assert code == 0 and json.loads(out)["theta"] == 1
+
+
+@pytest.mark.parametrize("spec", ["K(20000000)", "K(2,20000000)", "K(2,2,3000000)"])
+def test_label_vertex_cap_rejects_before_labeling(spec):
+    # over the vertex cap, a K route's witness refuses the graph before it
+    # makes a labeling of tens of millions of vertices
+    start = time.perf_counter()
+    code, out, rss_mb = _run_child("label", spec)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
 
 
 def test_labeling_size_rejected_before_building(tmp_path):
@@ -804,7 +821,7 @@ PLAIN_ARGVS = [
     ["index", "K(2,3,4)"],
     ["oracle", "K(2,3,4)", "--max-excess", "16", "--budget-seconds", "60", "--jobs", "1"],
     ["oracle", "--jobs", "2", "C(6)", "--max-excess", "3"],
-    ["label", "C(4)", "--certify", "--oracle", "--max-excess", "2"],
+    ["label", "C(4)", "--oracle", "--max-excess", "2"],
     ["verify", "K(2,2)", "missing.json"],
     ["qmr", "3", "--format", "json", "10"],
     ["kotzig", "3", "5", "--format", "csv"],

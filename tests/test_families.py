@@ -66,8 +66,8 @@ def test_theta_lex_open_and_uncovered():
     matching = disjoint_union(1, build_complete_multipartite(PartiteSpec((1, 1))))
     res = theta_lex_regular(matching, 5)  # a=1 mod 4 with b=2: left open
     assert (res.lower, res.upper) == (1, None) and res.case_tag == "lex-open"
-    res = theta_lex_regular(build_cycle(5), 1)  # identity blow-up: uncovered
-    assert res.case_tag == "lex-a1-uncovered"
+    with pytest.raises(DomainError):  # the identity blow-up is no family member
+        theta_lex_regular(build_cycle(5), 1)
     edgeless = build_complete_multipartite(PartiteSpec((4,)))
     assert theta_lex_regular(edgeless, 3).theta == 0
 

@@ -1,5 +1,5 @@
 import time
-from itertools import accumulate, combinations, permutations
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -58,7 +58,7 @@ def test_joint_slot_bound_prunes_at_the_root():
     # each part needs 4 from one label of {1..4}, which it can reach alone,
     # but the two open slots together need 8 > 4 + 3
     ticker = _Ticker(time.monotonic() + 60)
-    assert _pack([4, 3, 2, 1], [0, 1, 3, 6, 10], [1, 1], 4, [2], frozenset(), ticker) is None
+    assert _pack([1, 1], 4, 2, ticker) is None
     assert ticker.nodes == 1
 
 
@@ -68,23 +68,21 @@ def _pack_instances(draw):
     sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4).filter(
         lambda s: sum(s) <= 8
     ))
-    skips = draw(st.integers(0, 3))
-    count = sum(sizes) + draw(st.integers(0, skips + 1))  # at times one label too many
-    pool = sorted(draw(st.sets(st.integers(1, 12), min_size=count, max_size=count)))
-    must_use = frozenset({pool[-1]}) if draw(st.booleans()) else frozenset()
+    e = draw(st.integers(0, 3))
+    pool = range(1, sum(sizes) + e + 1)
     # half the draws take a target that has a packing, when there is one
     sums = sorted({sum(part) for part in combinations(pool, sizes[0])})
-    packable = [t for t in sums if _brute_pack_exists(pool, sizes, t, must_use)]
+    packable = [t for t in sums if _brute_pack_exists(pool, sizes, t)]
     target = draw(st.sampled_from(packable if packable and draw(st.booleans()) else sums))
-    return pool, sizes, target, skips, must_use
+    return sizes, target, e
 
 
-def _brute_pack_exists(pool, sizes, target, must_use):
+def _brute_pack_exists(pool, sizes, target):
     """Whether disjoint subsets of ``pool`` of the given sizes, all summing
-    to ``target``, use every label of ``must_use``."""
+    to ``target``, use the top label of ``pool``."""
     def rec(free, i):
         if i == len(sizes):
-            return must_use.isdisjoint(free)
+            return pool[-1] not in free
         return any(
             rec(free - set(part), i + 1)
             for part in combinations(sorted(free), sizes[i])
@@ -97,26 +95,44 @@ def _brute_pack_exists(pool, sizes, target, must_use):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_pack_instances())
 def test_pack_finds_a_packing_exactly_when_one_exists(instance):
-    pool, sizes, target, skips, must_use = instance
-    asc_prefix = list(accumulate(pool, initial=0))
+    sizes, target, e = instance
+    pool = range(1, sum(sizes) + e + 1)
     ticker = _Ticker(time.monotonic() + 60)
-    got = _pack(pool[::-1], asc_prefix, sizes, target, [skips], must_use, ticker)
-    exists = len(pool) - sum(sizes) <= skips and _brute_pack_exists(pool, sizes, target, must_use)
-    assert (got is not None) == exists
+    got = _pack(sizes, target, e, ticker)
+    assert (got is not None) == _brute_pack_exists(pool, sizes, target)
     if got is not None:
         used = [x for part in got for x in part]
         assert [len(part) for part in got] == sizes
         assert all(sum(part) == target for part in got)
         assert len(set(used)) == len(used) and set(used) <= set(pool)
-        assert must_use <= set(used)
+        assert pool[-1] in used
 
 
 def test_infeasible_levels_are_proved_in_few_nodes():
     ticker = _Ticker(time.monotonic() + 60)
-    assert _scan_level([2, 6, 8], 16, 11, ticker) is not None
+    assert _scan_level([2, 6, 8], 11, ticker) is not None
     # targets 49-52 have no packing and 53 does; the joint-slot bound
     # refutes each empty target within a few dozen nodes
     assert ticker.nodes < 1000
+
+
+@pytest.mark.parametrize("sizes, nodes", [
+    ((2, 6, 8), [0] * 9 + [8, 36, 126]),
+    ((2, 2, 9), [0] * 10 + [3, 36]),
+    ((2, 3, 4, 5), [0, 68]),
+    ((3, 3, 3, 4), [0, 20]),
+    ((3, 4, 5), [14]),
+])
+def test_search_nodes_per_level_are_pinned(sizes, nodes):
+    # the nodes each excess level visits, up to the index: a change of the
+    # search that moves them changes its branch order or its prunes
+    visited = []
+    for e in range(len(nodes)):
+        ticker = _Ticker(time.monotonic() + 60)
+        found = _scan_level(list(sizes), e, ticker)
+        visited.append(ticker.nodes)
+        assert (found is not None) == (e == len(nodes) - 1), e
+    assert visited == nodes
 
 
 def _closed_form(sizes):
@@ -151,7 +167,7 @@ def _first_level(sizes, max_excess):
     level up to ``max_excess`` with an equal-sum packing, or None."""
     ticker = _Ticker(time.monotonic() + 60)
     levels = range(max_excess + 1)
-    return next((e for e in levels if _scan_level(list(sizes), sum(sizes), e, ticker)), None)
+    return next((e for e in levels if _scan_level(list(sizes), e, ticker)), None)
 
 
 def test_multipartite_oracle_golden_values():
@@ -352,7 +368,7 @@ def test_two_singleton_parts_match_the_unpruned_scan():
         res = oracle_theta_multipartite(PartiteSpec(sizes), 16)
         assert (res.lower, res.upper, res.case_tag) == (17, None, "oracle-exhausted"), sizes
         ticker = _Ticker(time.monotonic() + 60)
-        assert all(_scan_level(list(sizes), n, e, ticker) is None for e in range(17)), sizes
+        assert all(_scan_level(list(sizes), e, ticker) is None for e in range(17)), sizes
 
 
 def test_two_oracles_agree_on_multipartite():
