@@ -17,9 +17,13 @@ without building a dict; ``verify`` prints ``VerifyReport.to_json``;
 of a ``label`` without a labeling) goes through ``_emit``.  The JSON writers
 share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
-``_plan`` is the one place that maps a spec to its closed form and its
-witness; a witness builds its graph before it labels it, so a spec over a
-cap is refused before any labeling is made.  Every oracle run goes through
+Every command that takes a spec reads it once, through
+``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs and
+writes ``U(1,G)``, ``LEX(G,E(1))`` and ``LEX(K(s),E(a))`` in their plain
+forms, so equal graphs written these ways get one answer.  ``_plan`` is the
+one place that maps that AST to its closed form and its witness; a witness
+builds its graph before it labels it, so a spec over a cap is refused
+before any labeling is made.  Every oracle run goes through
 ``_certified_oracle``: ``index --oracle`` runs it on a spec no closed form
 covers, ``label --oracle`` whenever no construction gives a labeling.
 Every printed labeling is verified once, by ``_certify``.  ``main`` checks the
@@ -27,12 +31,11 @@ search flags of ``index``, ``label`` and ``oracle`` before routing, so a
 bad budget or ``--max-excess`` is refused whether or not a search runs.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
-malformed input (a spec nested too deep included), a missing or unreadable
-file, a domain error, a budget that is not a finite number
-(``--budget-seconds`` or ``MAGICLAB_BUDGET_SECONDS`` of ``nan``, ``inf``
-or ``abc``), or a size cap exceeded (vertices, block adjacency, QMR or
-Kotzig array entries, the oracle's 16 vertices, or a ``--max-excess``
-outside 0..16);
+malformed input (a spec nested too deep included), a missing, unreadable
+or malformed file, a domain error, a ``--budget-seconds`` that is not a
+finite number (``nan``, ``inf`` or ``abc``), or a size cap exceeded
+(vertices, block adjacency, QMR or Kotzig array entries, the oracle's 16
+vertices, or a ``--max-excess`` outside 0..16);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
 labeling found; 5 the requested array provably does not exist;
 6 an exhaustive search ran out of its time budget; 7 a construction or an
@@ -65,7 +68,6 @@ from .graphs import (
     KNode,
     LexNode,
     UNode,
-    _ast_vertex_count,
     build_from_ast,
     parse_spec_ast,
 )
@@ -91,35 +93,25 @@ class _Unsupported(Exception):
     pass
 
 
-def _unwrap(ast):
-    """Strip one-copy unions and one-vertex blow-ups; read LEX(K(s),E(a)) as K(s * a)."""
-    while (isinstance(ast, UNode) and ast.m == 1) or (isinstance(ast, LexNode) and ast.a == 1):
-        ast = ast.inner
-    if isinstance(ast, LexNode) and isinstance(inner := _unwrap(ast.inner), KNode):
-        return KNode(tuple(size * ast.a for size in inner.sizes))
-    return ast
-
-
 def _plan(ast):
     """(result, witness) for a spec AST: the most specific closed form's
     ``ThetaResult`` and, when a construction applies, a function of no
     arguments that builds the graph and returns a labeling of it (None if
     the construction finds none) and the graph; ``witness`` is None
     otherwise."""
-    ast = _unwrap(ast)
 
-    def witnessed(result, label, inner=None):
+    def witnessed(result, label):
         """``result`` with the witness that labels the graph by ``label(graph)``."""
         def witness():
-            graph = build_from_ast(ast, inner=inner)
+            graph = build_from_ast(ast)
             return label(graph), graph
         return result, witness
 
-    def qmr_columns(result, group, inner=None):
+    def qmr_columns(result, group):
         """``result`` with the column witness on its index-1 cells."""
         if result.theta != 1:
             return result, None
-        return witnessed(result, lambda graph: families.label_by_qmr_columns(graph, group), inner)
+        return witnessed(result, lambda graph: families.label_by_qmr_columns(graph, group))
 
     if isinstance(ast, KNode):
         sizes = tuple(sorted(ast.sizes))
@@ -137,12 +129,12 @@ def _plan(ast):
             return qmr_columns(families.theta_K_ab(sizes[0], r), sizes[0])
         raise _Unsupported(f"no closed form for parts {sizes}")
     if isinstance(ast, UNode):
-        inner = _unwrap(ast.inner)
+        inner = ast.inner
         if isinstance(inner, KNode):
             sizes = tuple(sorted(inner.sizes))
             if len(set(sizes)) == 1 and sizes[0] >= 2 and len(sizes) >= 2:
                 return qmr_columns(families.theta_mK_ab(ast.m, sizes[0], len(sizes)), sizes[0])
-        if isinstance(inner, LexNode) and isinstance(inner.inner, CNode) and inner.a >= 2:
+        if isinstance(inner, LexNode) and isinstance(inner.inner, CNode):
             return qmr_columns(families.theta_mC_lex(ast.m, inner.a, inner.inner.b), inner.a)
         raise _Unsupported("no closed form for this disjoint union")
     if isinstance(ast, LexNode):
@@ -151,8 +143,7 @@ def _plan(ast):
         base = build_from_ast(ast.inner)
         if not base.is_regular:
             raise _Unsupported("blow-up base graph is not regular")
-        # the column witness blows up this base, so a FILE is read once
-        return qmr_columns(families.theta_lex_regular(base, ast.a), ast.a, inner=base)
+        return qmr_columns(families.theta_lex_regular(base, ast.a), ast.a)
     raise _Unsupported("no closed form for this spec")
 
 
@@ -235,9 +226,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise DomainError(f"cannot read labeling file {args.labeling}: {exc.strerror}") from None
     labeling = Labeling.from_json(text)
-    declared = _ast_vertex_count(ast)  # 0 for a FILE spec, read only when built
-    if declared and labeling.n != declared:  # refused unbuilt; verify_s_magic checks a FILE
-        raise DomainError(f"labeling covers {labeling.n} vertices, graph has {declared}")
+    # the caps refuse an oversized spec unbuilt; verify_s_magic checks the size
     report = verify_s_magic(build_from_ast(ast), labeling)
     print(report.to_json())
     return EXIT_OK if report.is_magic else 1
@@ -306,8 +295,8 @@ def cmd_tables(args) -> int:
 _SEARCH_FLAGS = (
     ("--max-excess", {"type": int, "default": 16,
                       "help": "largest label excess the oracle scans"}),
-    ("--budget-seconds", {"type": float, "default": None,
-                          "help": "search budget (default MAGICLAB_BUDGET_SECONDS or 60)"}),
+    ("--budget-seconds", {"type": float, "default": 60.0,
+                          "help": "search budget in seconds"}),
     ("--jobs", {"type": int, "default": 1,
                 "help": "accepted and ignored: the oracle runs in one process, "
                         "since worker processes did not make it faster"}),
@@ -449,7 +438,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         if args.command in _SEARCH_COMMANDS:
-            args.budget_seconds = check_search_flags(args.max_excess, args.budget_seconds)
+            check_search_flags(args.max_excess, args.budget_seconds)
         code = handler(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
         return code

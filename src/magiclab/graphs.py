@@ -24,6 +24,13 @@ The closed spec grammar::
           | "U(" int "," spec ")"       disjoint union of copies
           | "LEX(" spec ",E(" int "))"  blow-up by an empty graph
           | "FILE(" path ")"            adjacency list file
+
+``parse_spec_ast`` is the one pass that decides what a spec is.  Each node
+checks its own integers when it closes; ``FILE`` is read there, under the
+vertex and block adjacency caps; and three rewrites that keep the graph
+apply at every level: ``U(1,G)`` and ``LEX(G,E(1))`` are G, and
+``LEX(K(s),E(a))`` is K(s * a).  So every node's size is known unbuilt, and
+``build_from_ast`` checks both caps before it builds anything.
 """
 
 from __future__ import annotations
@@ -202,30 +209,43 @@ def read_adjacency_file(path: str | Path) -> Graph:
     """Read the ``id: n1 n2 ...`` adjacency format.
 
     Ids are 0-based and must be dense; blank lines and ``#`` comments are
-    ignored; the list must describe a symmetric loop-free graph.
+    ignored; the list must describe a symmetric loop-free graph.  Lines are
+    read one at a time, and ``SizeLimitError`` is raised at the first line
+    past ``DEFAULT_MAX_VERTICES`` ids or ``MAX_BLOCK_ADJACENCY`` neighbours,
+    so the memory a read takes does not grow with the file.
     """
     adj: dict[int, set[int]] = {}
+    entries = 0
     try:
-        text = Path(path).read_text()
+        lines = open(path)
     except OSError as exc:
         raise GraphSpecError(
             f"cannot read adjacency file: {exc.strerror}", position=str(path)
         ) from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, sep, tail = line.partition(":")
-        if not sep:
-            raise GraphSpecError("expected 'id: neighbors' line", position=f"line {lineno}")
-        try:
-            u = int(head.strip())
-            nbrs = {int(tok) for tok in tail.split()}
-        except ValueError as exc:
-            raise GraphSpecError(f"bad integer: {exc}", position=f"line {lineno}") from None
-        if u in adj:
-            raise GraphSpecError(f"duplicate vertex {u}", position=f"line {lineno}")
-        adj[u] = nbrs
+    with lines:
+        # splitlines on each line read keeps the line breaks of str.splitlines
+        rows = (row for line in lines for row in line.splitlines())
+        for lineno, raw in enumerate(rows, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            head, sep, tail = line.partition(":")
+            if not sep:
+                raise GraphSpecError("expected 'id: neighbors' line", position=f"line {lineno}")
+            try:
+                u = int(head.strip())
+                nbrs = {int(tok) for tok in tail.split()}
+            except ValueError as exc:
+                raise GraphSpecError(f"bad integer: {exc}", position=f"line {lineno}") from None
+            if u in adj:
+                raise GraphSpecError(f"duplicate vertex {u}", position=f"line {lineno}")
+            adj[u] = nbrs
+            entries += len(nbrs)
+            if len(adj) > DEFAULT_MAX_VERTICES or entries > MAX_BLOCK_ADJACENCY:
+                raise SizeLimitError(
+                    f"adjacency file exceeds the cap of {DEFAULT_MAX_VERTICES} vertices or "
+                    f"{MAX_BLOCK_ADJACENCY} block adjacency entries at line {lineno}"
+                )
     if not adj:
         raise GraphSpecError("empty adjacency file", position=str(path))
     n = len(adj)
@@ -266,6 +286,7 @@ class LexNode:
 @dataclass(frozen=True)
 class FileNode:
     path: str
+    graph: Graph  # read when the spec is parsed
 
 
 SpecNode = KNode | CNode | UNode | LexNode | FileNode
@@ -330,105 +351,83 @@ class _Parser:
             self.pos += 1
             sizes.append(self.integer())
         self.expect(")")
+        if any(s < 1 for s in sizes):
+            raise GraphSpecError(f"part sizes must be >= 1, got {tuple(sizes)}")
         return KNode(tuple(sizes))
 
     def _c(self) -> CNode:
         b = self.integer()
         self.expect(")")
+        if b < 3:
+            raise GraphSpecError(f"cycles need at least 3 vertices, got {b}")
         return CNode(b)
 
-    def _u(self) -> UNode:
+    def _u(self) -> SpecNode:
         m = self.integer()
         self.expect(",")
         inner = self.spec()
         self.expect(")")
-        return UNode(m, inner)
+        if m < 1:
+            raise GraphSpecError(f"unions need at least one copy, got {m}")
+        return inner if m == 1 else UNode(m, inner)
 
-    def _lex(self) -> LexNode:
+    def _lex(self) -> SpecNode:
         inner = self.spec()
         self.expect(",E(")
         a = self.integer()
         self.expect(")")
         self.expect(")")
+        if a < 1:
+            raise GraphSpecError(f"layers need at least one vertex, got {a}")
+        if a == 1:
+            return inner
+        if isinstance(inner, KNode):  # LEX(K(s),E(a)) is K(s * a)
+            return KNode(tuple(size * a for size in inner.sizes))
         return LexNode(inner, a)
 
     def _file(self) -> FileNode:
         path = self.path()
         self.expect(")")
-        return FileNode(path)
-
-
-def _validate_ast(node: SpecNode):
-    if isinstance(node, KNode):
-        if any(s < 1 for s in node.sizes):
-            raise GraphSpecError(f"part sizes must be >= 1, got {node.sizes}")
-    elif isinstance(node, CNode):
-        if node.b < 3:
-            raise GraphSpecError(f"cycles need at least 3 vertices, got {node.b}")
-    elif isinstance(node, UNode):
-        if node.m < 1:
-            raise GraphSpecError(f"unions need at least one copy, got {node.m}")
-        _validate_ast(node.inner)
-    elif isinstance(node, LexNode):
-        if node.a < 1:
-            raise GraphSpecError(f"layers need at least one vertex, got {node.a}")
-        _validate_ast(node.inner)
+        return FileNode(path, read_adjacency_file(path))
 
 
 def parse_spec_ast(text: str) -> SpecNode:
+    """The AST of ``text``, checked, with ``FILE`` graphs read, and with
+    ``U(1,G)`` and ``LEX(G,E(1))`` read as G and ``LEX(K(s),E(a))`` as
+    K(s * a) at every level: each rewrite denotes the same graph."""
     parser = _Parser(text)
     node = parser.spec()
     if not parser.eof():
         parser.error("trailing characters after spec")
-    _validate_ast(node)
     return node
 
 
-def _ast_vertex_count(node: SpecNode) -> int:
+def _ast_size(node: SpecNode) -> tuple[int, int]:
+    """(vertices, block adjacency entries) of the graph ``node`` builds."""
     if isinstance(node, KNode):
-        return sum(node.sizes)
+        return sum(node.sizes), len(node.sizes) * (len(node.sizes) - 1)
     if isinstance(node, CNode):
-        return node.b
+        return node.b, 2 * node.b
+    if isinstance(node, FileNode):
+        return node.graph.vertex_count, sum(map(len, node.graph.adjacent))
+    vertices, entries = _ast_size(node.inner)
     if isinstance(node, UNode):
-        return node.m * _ast_vertex_count(node.inner)
-    if isinstance(node, LexNode):
-        return node.a * _ast_vertex_count(node.inner)
-    return 0  # FILE size is only known after reading
+        return node.m * vertices, node.m * entries
+    return node.a * vertices, entries
 
 
-def _ast_block_adjacency(node: SpecNode) -> int:
-    """Number of block adjacency entries the built graph of ``node`` stores."""
-    if isinstance(node, KNode):
-        return len(node.sizes) * (len(node.sizes) - 1)
-    if isinstance(node, CNode):
-        return 2 * node.b
-    if isinstance(node, UNode):
-        return node.m * _ast_block_adjacency(node.inner)
-    if isinstance(node, LexNode):
-        return _ast_block_adjacency(node.inner)
-    return 0  # a FILE graph is as large as the file that lists it
-
-
-def build_from_ast(
-    node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES, inner: Graph | None = None
-) -> Graph:
-    """Build the graph of ``node`` within the vertex and block adjacency caps.
-
-    ``inner``, for a ``LEX`` node, is the graph already built from
-    ``node.inner``; it is blown up instead of being built (or read) again.
-    """
-    declared = _ast_vertex_count(node)
-    if declared > max_vertices:
-        raise SizeLimitError(f"spec declares {declared} vertices, cap is {max_vertices}")
-    entries = _ast_block_adjacency(node)
+def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
+    """Build the graph of ``node``, refused unbuilt over the vertex or block
+    adjacency cap."""
+    vertices, entries = _ast_size(node)
+    if vertices > max_vertices:
+        what = "graph has" if isinstance(node, FileNode) else "spec declares"
+        raise SizeLimitError(f"{what} {vertices} vertices, cap is {max_vertices}")
     if entries > MAX_BLOCK_ADJACENCY:
         raise SizeLimitError(
             f"spec declares {entries} block adjacency entries, cap is {MAX_BLOCK_ADJACENCY}"
         )
-    graph = _build(node) if inner is None else lex_blowup(inner, node.a)
-    if graph.vertex_count > max_vertices:
-        raise SizeLimitError(f"graph has {graph.vertex_count} vertices, cap is {max_vertices}")
-    return graph
+    return _build(node)
 
 
 def _build(node: SpecNode) -> Graph:
@@ -441,7 +440,7 @@ def _build(node: SpecNode) -> Graph:
     if isinstance(node, LexNode):
         return lex_blowup(_build(node.inner), node.a)
     if isinstance(node, FileNode):
-        return read_adjacency_file(node.path)
+        return node.graph
     raise TypeError(f"unknown spec node {node!r}")
 
 

@@ -66,10 +66,9 @@ exhaustion rather than guessing.
 
 from __future__ import annotations
 
-import os
 import time
 from itertools import accumulate, combinations
-from math import isfinite, nan
+from math import isfinite
 
 from .errors import BudgetExceededError, DomainError
 from .graphs import Graph, PartiteSpec
@@ -81,27 +80,19 @@ MAX_EXCESS = 16
 _BUDGET_CHECK_MASK = 0xFFF
 
 
-def check_search_flags(max_excess: int, budget_seconds: float | None = None) -> float:
-    """The budget in seconds of a scan of excess levels 0..max_excess:
-    ``budget_seconds``, else ``MAGICLAB_BUDGET_SECONDS``, else 60.
+def check_search_flags(max_excess: int, budget_seconds: float) -> None:
+    """Check a scan of excess levels 0..max_excess under a budget in seconds.
 
-    Raises ``DomainError`` for a ``max_excess`` outside 0..MAX_EXCESS, and,
-    naming its source, for a budget that is not a finite number: a NaN or
-    infinite deadline would never end the search.
+    Raises ``DomainError`` for a ``max_excess`` outside 0..MAX_EXCESS, and
+    for a budget that is not a finite number: a NaN or infinite deadline
+    would never end the search.
     """
     if not 0 <= max_excess <= MAX_EXCESS:
         raise DomainError(f"max_excess must lie in 0..{MAX_EXCESS}, got {max_excess}")
-    source, given = "budget_seconds", budget_seconds
-    if budget_seconds is None:
-        source = "MAGICLAB_BUDGET_SECONDS"
-        given = os.environ.get(source, "60")
-        try:
-            budget_seconds = float(given)
-        except ValueError:
-            budget_seconds = nan
     if not isfinite(budget_seconds):
-        raise DomainError(f"{source} must be a finite number of seconds, got {given!r}")
-    return budget_seconds
+        raise DomainError(
+            f"budget_seconds must be a finite number of seconds, got {budget_seconds!r}"
+        )
 
 
 class _Ticker:
@@ -209,17 +200,17 @@ def _scan_levels(kind, n, max_excess, budget_seconds, refuted, search):
     labels of each block of the first labeling with top label n+e, or None.
 
     ``refuted()`` answers "no labeling at any excess" before any level.
-    ``check_search_flags`` checks ``max_excess`` and resolves the budget.
+    ``check_search_flags`` checks ``max_excess`` and the budget.
     """
     if n > MAX_N:
         raise DomainError(f"{kind} oracle capped at n={MAX_N}, got {n}")
-    budget = check_search_flags(max_excess, budget_seconds)
+    check_search_flags(max_excess, budget_seconds)
     exhausted = ThetaResult(
         lower=max_excess + 1, upper=None, case_tag="oracle-exhausted", provenance="oracle"
     )
     if refuted():
         return exhausted  # what the full scan proves, without scanning
-    ticker = _Ticker(time.monotonic() + budget)
+    ticker = _Ticker(time.monotonic() + budget_seconds)
     for e in range(max_excess + 1):
         try:
             parts = search(e, ticker)
@@ -238,7 +229,7 @@ def _scan_levels(kind, n, max_excess, budget_seconds, refuted, search):
 def oracle_theta_multipartite(
     spec: PartiteSpec,
     max_excess: int,
-    budget_seconds: float | None = None,
+    budget_seconds: float = 60.0,
 ) -> ThetaResult:
     """Exact index of the complete multipartite graph of ``spec`` by search.
 
@@ -340,7 +331,7 @@ def _refuted_by_neighbourhoods(g: Graph) -> bool:
 def oracle_theta_general(
     g: Graph,
     max_excess: int,
-    budget_seconds: float | None = None,
+    budget_seconds: float = 60.0,
 ) -> ThetaResult:
     """Exact index of an arbitrary graph by one block packing per excess level."""
     return _scan_levels(

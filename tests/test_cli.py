@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -156,7 +157,7 @@ def test_label_without_a_witness_prints_the_index_payload(tmp_path, spec, case, 
 
 @pytest.mark.parametrize("spec", ["K(2,2)", "FILE({c4})"])
 def test_verify_refuses_a_labeling_of_the_wrong_size(tmp_path, spec):
-    # K(2,2) is refused from the spec, unbuilt; a FILE only once it is read
+    # verify_s_magic compares the sizes; a FILE is read when the spec is parsed
     c4 = tmp_path / "c4.adj"
     c4.write_text(C4_ADJACENCY)
     labfile = tmp_path / "labels.json"
@@ -474,6 +475,17 @@ def test_disguised_k_specs_are_planned_as_their_k_form(disguised, literal):
     cli._certify(build_from_ast(ast), labeling, cli._plan(ast)[0])
 
 
+@pytest.mark.parametrize("disguised, literal", [
+    ("LEX(U(1,C(4)),E(3))", "LEX(C(4),E(3))"),
+    ("LEX(LEX(C(6),E(1)),E(3))", "LEX(C(6),E(3))"),
+    ("U(2,LEX(U(1,C(6)),E(3)))", "U(2,LEX(C(6),E(3)))"),
+])
+def test_disguised_cycle_blowups_are_planned_as_their_literal_form(disguised, literal):
+    # the parser drops U(1,.) and E(1) at every level, not only at the top
+    for command in ("index", "label"):
+        assert run_cli(command, disguised) == run_cli(command, literal), command
+
+
 def _nested(depth):
     """``K(2,2)`` inside ``depth - 1`` one-copy unions: ``depth`` spec levels."""
     return "U(1," * (depth - 1) + "K(2,2)" + ")" * (depth - 1)
@@ -639,15 +651,10 @@ def test_non_finite_budget_flag_exits_2(budget):
         assert err.count("\n") == 1 and "budget_seconds must be a finite" in err, argv
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
-def test_non_finite_budget_env_var_exits_2(monkeypatch, value):
-    monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", value)
+def test_non_numeric_budget_flag_exits_2():
     for argv in SEARCH_ARGVS:
-        code, out, err = run_cli(*argv)
-        assert code == 2 and out == "", argv
-        assert err.count("\n") == 1, argv
-        expected = f"MAGICLAB_BUDGET_SECONDS must be a finite number of seconds, got '{value}'"
-        assert expected in err, argv
+        code, out, err = _run_main([*argv, "--budget-seconds", "abc"])
+        assert code == 2 and out == "" and "invalid float value: 'abc'" in err, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -701,15 +708,23 @@ sys.exit(code)
 """
 
 
+def _cap_address_space():
+    limit = 3 << 29  # 1.5 GB
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 def _run_child(*argv):
-    """(exit code, stdout, peak RSS in MB) of the CLI in a fresh process."""
+    """(exit code, stdout, stderr, peak RSS in MB) of the CLI in a fresh
+    process.  Its address space is capped at 1.5 GB, so a graph built past
+    the size caps ends in a MemoryError instead of filling the machine."""
     src = Path(magiclab.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", _HWM_CHILD, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_cap_address_space,
     )
-    return proc.returncode, proc.stdout, int(proc.stderr.split()[-1]) / 1024
+    err, _, hwm = proc.stderr.rstrip("\n").rpartition("\n")
+    return proc.returncode, proc.stdout, err, int(hwm) / 1024 if hwm.isdigit() else None
 
 
 @pytest.mark.parametrize("spec, groups", [
@@ -719,7 +734,7 @@ def _run_child(*argv):
     ("K(33000,33330,33670)", [(0, 33000), (33000, 66330), (66330, 100000)]),  # case IV
 ])
 def test_cap_scale_label_and_verify_in_bounded_memory(tmp_path, spec, groups):
-    code, out, rss_mb = _run_child("label", spec)
+    code, out, _, rss_mb = _run_child("label", spec)
     assert code == 0 and rss_mb < 200, (code, rss_mb)
     labels = json.loads(out)["labels"]
     # equal sums per part (per layer for the blow-up) make the labeling magic
@@ -727,7 +742,7 @@ def test_cap_scale_label_and_verify_in_bounded_memory(tmp_path, spec, groups):
     assert len(labels) == groups[-1][1] and len(sums) == 1
     labfile = tmp_path / "labels.json"
     labfile.write_text(out)
-    code, out, rss_mb = _run_child("verify", spec, str(labfile))
+    code, out, _, rss_mb = _run_child("verify", spec, str(labfile))
     assert code == 0 and json.loads(out)["is_magic"] and rss_mb < 200, (code, rss_mb)
 
 
@@ -737,7 +752,7 @@ def test_oracle_caps_reject_before_building(command, flags):
     # hundreds of MB; the declared vertex count is rejected first
     spec = "K(" + ",".join(["2"] * 3000) + ")"
     start = time.perf_counter()
-    code, out, rss_mb = _run_child(command, spec, *flags)
+    code, out, _, rss_mb = _run_child(command, spec, *flags)
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
 
@@ -747,7 +762,7 @@ def test_block_adjacency_cap_rejects_before_building():
     # entries would take tens of GB
     spec = "K(" + ",".join(["3"] * 20000) + ")"
     start = time.perf_counter()
-    code, out, rss_mb = _run_child("label", spec)
+    code, out, _, rss_mb = _run_child("label", spec)
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
     code, out, _ = run_cli("index", spec)  # the closed form builds nothing
@@ -759,18 +774,54 @@ def test_label_vertex_cap_rejects_before_labeling(spec):
     # over the vertex cap, a K route's witness refuses the graph before it
     # makes a labeling of tens of millions of vertices
     start = time.perf_counter()
-    code, out, rss_mb = _run_child("label", spec)
+    code, out, _, rss_mb = _run_child("label", spec)
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
 
 
+@pytest.fixture(scope="module")
+def path_files(tmp_path_factory):
+    """A 3-vertex path, a 1 000 000-vertex path and a 3-vertex labeling."""
+    root = tmp_path_factory.mktemp("paths")
+    p3, big, labels = root / "p3.adj", root / "p1m.adj", root / "p3.json"
+    p3.write_text("0: 1\n1: 0 2\n2: 1\n")
+    n = 1_000_000
+    with open(big, "w") as out:
+        out.write("0: 1\n")
+        out.writelines(f"{v}: {v - 1} {v + 1}\n" for v in range(1, n - 1))
+        out.write(f"{n - 1}: {n - 2}\n")
+    labels.write_text(json.dumps({"labels": {"0": 1, "1": 3, "2": 2}}))
+    return p3, big, labels
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "U(50000000,FILE({p3}))"),
+    ("index", "U(50000000,FILE({p3}))", "--oracle"),
+    ("label", "U(50000000,FILE({p3}))", "--oracle"),
+    ("verify", "U(50000000,FILE({p3}))", "{labels}"),
+    ("index", "FILE({big})"),
+    ("oracle", "FILE({big})"),
+])
+def test_file_specs_past_the_caps_exit_2_unbuilt(path_files, argv):
+    # a FILE is read when the spec is parsed, and at most DEFAULT_MAX_VERTICES
+    # of its ids, so every cap is checked before a graph is built
+    p3, big, labels = path_files
+    argv = [arg.format(p3=p3, big=big, labels=labels) for arg in argv]
+    start = time.perf_counter()
+    code, _, err, rss_mb = _run_child(*argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and elapsed < 1 and rss_mb < 200, (code, err, elapsed, rss_mb)
+    expected = "spec declares 150000000 vertices" if str(p3) in argv[1] else "exceeds the cap"
+    assert expected in err, err
+
+
 def test_labeling_size_rejected_before_building(tmp_path):
-    # 1 500 parts: the size mismatch is caught from the spec, unbuilt
+    # 1 500 parts: 2 248 500 block adjacency entries, refused from the spec, unbuilt
     spec = "K(" + ",".join(["2"] * 1500) + ")"
     labfile = tmp_path / "labels.json"
     labfile.write_text(json.dumps({"labels": {"0": 1}}))
     start = time.perf_counter()
-    code, out, rss_mb = _run_child("verify", spec, str(labfile))
+    code, out, _, rss_mb = _run_child("verify", spec, str(labfile))
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from magiclab import Labeling, parse_graph_spec
 from magiclab.cli import main
 from magiclab.errors import GraphSpecError
-from magiclab.graphs import _ast_vertex_count, parse_spec_ast
+from magiclab.graphs import _ast_size, parse_spec_ast
 
 from conftest import petersen
 from referees import weight
@@ -50,7 +50,7 @@ def _small(text):
     """Keep well-formed specs within the vertex bound; malformed ones pass."""
     text = text.replace("FILE(@adj)", "C(10)")  # the file holds the Petersen graph
     try:
-        return _ast_vertex_count(parse_spec_ast(text)) <= MAX_VERTICES
+        return _ast_size(parse_spec_ast(text))[0] <= MAX_VERTICES
     except GraphSpecError:
         return True
 
@@ -133,7 +133,7 @@ def admissible_specs(draw):
     for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(1, 3))
         spec = f"U({k},{spec})" if draw(st.booleans()) else f"LEX({spec},E({k}))"
-    assume(_ast_vertex_count(parse_spec_ast(spec)) <= MAX_VERTICES)
+    assume(_ast_size(parse_spec_ast(spec))[0] <= MAX_VERTICES)
     return spec
 
 
@@ -164,7 +164,7 @@ def _check_payload(argv, out, labfile):
     """Assert what a command that exited 0 printed."""
     command, spec = argv[0], argv[1]
     payload = json.loads(out)
-    n = _ast_vertex_count(parse_spec_ast(spec))
+    n = _ast_size(parse_spec_ast(spec))[0]
     if command == "label":
         labeling = _labeling(payload["labels"], n)
         assert _weights(spec, labeling) == {payload["constant"]}

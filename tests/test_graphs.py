@@ -15,7 +15,16 @@ from magiclab import (
     read_adjacency_file,
     verify_s_magic,
 )
-from magiclab.graphs import parse_spec_ast, KNode, UNode, LexNode, CNode
+from magiclab.graphs import (
+    DEFAULT_MAX_VERTICES,
+    CNode,
+    FileNode,
+    KNode,
+    LexNode,
+    UNode,
+    build_from_ast,
+    parse_spec_ast,
+)
 
 from conftest import degree, neighbour_sets
 from referees import weight
@@ -121,6 +130,68 @@ def test_parser_shapes():
     ast = parse_spec_ast("LEX(C(10),E(3))")
     assert isinstance(ast, LexNode) and ast.a == 3
     assert isinstance(ast.inner, CNode) and ast.inner.b == 10
+
+
+@pytest.mark.parametrize("text, literal", [
+    ("U(1,C(4))", CNode(4)),
+    ("LEX(C(4),E(1))", CNode(4)),
+    ("LEX(K(1,2),E(3))", KNode((3, 6))),
+    ("LEX(U(1,C(4)),E(3))", LexNode(CNode(4), 3)),
+    ("LEX(LEX(C(6),E(1)),E(3))", LexNode(CNode(6), 3)),
+    ("U(2,LEX(U(1,C(6)),E(3)))", UNode(2, LexNode(CNode(6), 3))),
+    ("U(3,LEX(U(1,LEX(K(2,1),E(2))),E(3)))", UNode(3, KNode((12, 6)))),
+    ("U(1,U(1,LEX(K(2),E(1))))", KNode((2,))),
+    ("LEX(U(2,C(5)),E(2))", LexNode(UNode(2, CNode(5)), 2)),  # no other rewrite
+])
+def test_parser_rewrites_at_every_level(text, literal):
+    assert parse_spec_ast(text) == literal
+
+
+def test_rewrites_keep_the_graph(tmp_path):
+    k12 = build_complete_multipartite(PartiteSpec((1, 2)))
+    assert parse_graph_spec("LEX(K(1,2),E(3))") == lex_blowup(k12, 3)
+    assert parse_graph_spec("LEX(K(2,1),E(3))") == lex_blowup(k12, 3)
+    assert parse_graph_spec("U(1,K(1,2))") == disjoint_union(1, k12)
+    assert parse_graph_spec("LEX(K(1,2),E(1))") == lex_blowup(k12, 1)
+    path = tmp_path / "p3.adj"
+    path.write_text("0: 1\n1: 0 2\n2: 1\n")
+    ast = parse_spec_ast(f"U(1,FILE({path}))")
+    assert ast == FileNode(str(path), read_adjacency_file(path))
+    assert build_from_ast(ast) is ast.graph
+
+
+@pytest.mark.parametrize("text, message", [
+    ("K(0,2)", "part sizes must be >= 1, got (0, 2)"),
+    ("C(2)", "cycles need at least 3 vertices, got 2"),
+    ("U(0,K(2,2))", "unions need at least one copy, got 0"),
+    ("LEX(C(3),E(0))", "layers need at least one vertex, got 0"),
+    ("U(2,LEX(K(3,0),E(2)))", "part sizes must be >= 1, got (3, 0)"),
+    ("U(1,LEX(C(6),E(0)))", "layers need at least one vertex, got 0"),
+    ("K(5,6,", "expected an integer (at 6)"),
+    ("K(5,6,7)x", "trailing characters after spec (at 8)"),
+    ("Q(3)", "expected one of K(, C(, U(, LEX(, FILE( (at 0)"),
+    ("LEX(C(4),E(3)", "expected ')' (at 13)"),
+    ("FILE()", "expected a file path (at 5)"),
+])
+def test_a_single_fault_keeps_its_message(text, message):
+    with pytest.raises(GraphSpecError) as err:
+        parse_spec_ast(text)
+    assert str(err.value) == message
+
+
+def test_file_is_read_when_parsed_and_capped(tmp_path):
+    missing = tmp_path / "missing.adj"
+    with pytest.raises(GraphSpecError, match="cannot read adjacency file"):
+        parse_spec_ast(f"U(2,FILE({missing}))")
+    path = tmp_path / "path.adj"
+    n = DEFAULT_MAX_VERTICES + 1
+    path.write_text("".join(f"{v}: {v + 1}\n" for v in range(n)))  # stops before the last id
+    with pytest.raises(SizeLimitError, match=f"at line {n}$"):
+        parse_spec_ast(f"FILE({path})")
+    path.write_text("0: 1\n1: 0 2\n2: 1\n")
+    ast = parse_spec_ast(f"U(50000000,FILE({path}))")
+    with pytest.raises(SizeLimitError, match="spec declares 150000000 vertices"):
+        build_from_ast(ast)
 
 
 def test_parser_accepts_unsorted_sizes():

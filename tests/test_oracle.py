@@ -406,19 +406,3 @@ def test_non_finite_budget_is_refused(budget):
         oracle_theta_multipartite(PartiteSpec((2, 2)), 2, budget_seconds=budget)
     with pytest.raises(DomainError, match="finite"):
         oracle_theta_general(build_cycle(6), 2, budget_seconds=budget)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309", "abc"])
-def test_non_finite_budget_env_var_is_refused(monkeypatch, value):
-    monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", value)
-    with pytest.raises(DomainError, match="MAGICLAB_BUDGET_SECONDS must be a finite"):
-        oracle_theta_multipartite(PartiteSpec((2, 2)), 2)
-
-
-def test_budget_env_var_sets_default(monkeypatch):
-    from magiclab.oracle import check_search_flags
-
-    assert check_search_flags(0) == 60.0
-    monkeypatch.setenv("MAGICLAB_BUDGET_SECONDS", "0.25")
-    assert check_search_flags(0) == 0.25
-    assert check_search_flags(0, 2.0) == 2.0
