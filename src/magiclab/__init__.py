@@ -37,7 +37,6 @@ from .labelings import (
     Labeling,
     ThetaResult,
     VerifyReport,
-    partite_sums_check,
     verify_s_magic,
 )
 from .oracle import oracle_theta_general, oracle_theta_multipartite

@@ -23,12 +23,15 @@ writes ``U(1,G)``, ``LEX(G,E(1))`` and ``LEX(K(s),E(a))`` in their plain
 forms, so equal graphs written these ways get one answer.  ``_plan`` is the
 one place that maps that AST to its closed form and its witness; a witness
 builds its graph before it labels it, so a spec over a cap is refused
-before any labeling is made.  Every oracle run goes through
+before any labeling is made (a ``LEX`` base built for its closed form is
+blown up, not built again).  Every oracle run goes through
 ``_certified_oracle``: ``index --oracle`` runs it on a spec no closed form
 covers, ``label --oracle`` whenever no construction gives a labeling.
-Every printed labeling is verified once, by ``_certify``.  ``main`` checks the
-search flags of ``index``, ``label`` and ``oracle`` before routing, so a
-bad budget or ``--max-excess`` is refused whether or not a search runs.
+``_certify``, the one check of a labeling, passes each printed one once:
+it must be magic, with top label n + e for e within the result's bounds.
+``main`` checks the search flags of ``index``, ``label`` and ``oracle``
+before routing, so a bad budget or ``--max-excess`` is refused whether or
+not a search runs.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input (a spec nested too deep included), a missing, unreadable
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -55,20 +59,15 @@ from pathlib import Path
 from . import families
 from .arrays import _line_sums, kotzig_array, qmr
 from .bipartite import label_bipartite, theta_bipartite
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    GraphSpecError,
-    InternalInconsistencyError,
-    MagiclabError,
-    SizeLimitError,
-)
+from .errors import BudgetExceededError, DomainError, InternalInconsistencyError, MagiclabError
 from .graphs import (
     CNode,
     KNode,
     LexNode,
     UNode,
     build_from_ast,
+    check_caps,
+    lex_blowup,
     parse_spec_ast,
 )
 from .labelings import SORTED_JSON, Labeling, ThetaResult, labels_json, verify_s_magic
@@ -99,11 +98,16 @@ def _plan(ast):
     arguments that builds the graph and returns a labeling of it (None if
     the construction finds none) and the graph; ``witness`` is None
     otherwise."""
+    base = None  # a LEX spec's base graph, once its closed form has built it
 
     def witnessed(result, label):
         """``result`` with the witness that labels the graph by ``label(graph)``."""
         def witness():
-            graph = build_from_ast(ast)
+            if base is None:
+                graph = build_from_ast(ast)
+            else:  # blow up the built base rather than build it again
+                check_caps(ast)
+                graph = lex_blowup(base, ast.a)
             return label(graph), graph
         return result, witness
 
@@ -120,8 +124,7 @@ def _plan(ast):
             result = ThetaResult(lower=0, upper=0, case_tag="edgeless")
             return witnessed(result, lambda _: Labeling.from_parts([range(1, sizes[0] + 1)]))
         if r == 2 and sizes[1] >= 2:
-            result = theta_bipartite(*sizes)
-            return witnessed(result, lambda _: label_bipartite(*sizes, sum(sizes) + result.theta))
+            return witnessed(theta_bipartite(*sizes), lambda _: label_bipartite(*sizes))
         if r == 3 and sizes[0] >= 2:
             # label_tripartite returns None in cases III and V
             return witnessed(theta_tripartite(*sizes), lambda _: label_tripartite(*sizes))
@@ -207,15 +210,17 @@ def cmd_label(args) -> int:
 
 def _certify(graph, labeling, result):
     """The verifier's report on ``labeling``, which must be magic on ``graph``
-    and, when ``result`` is exact, have top label n + theta; every labeling
-    or index backed by one passes here before anything is printed."""
+    with top label n + e for an e within ``result``'s bounds: n + theta on
+    an exact result.  The one check of a labeling: every labeling, or index
+    backed by one, passes here before anything is printed."""
     report = verify_s_magic(graph, labeling)
     if not report.is_magic:
         raise InternalInconsistencyError("labeling failed verification before printing")
-    if result.exact and labeling.eta != graph.vertex_count + result.theta:
+    excess = labeling.eta - graph.vertex_count
+    upper = math.inf if result.upper is None else result.upper
+    if not result.lower <= excess <= upper:
         raise InternalInconsistencyError(
-            f"top label {labeling.eta} is not n + theta = {graph.vertex_count + result.theta}"
-        )
+            f"top label {labeling.eta} is n + {excess}, outside [{result.lower}, {upper}]")
     return report
 
 
@@ -448,16 +453,13 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except (GraphSpecError, SizeLimitError, DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InternalInconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    except MagiclabError as exc:
+    except (MagiclabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

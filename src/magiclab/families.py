@@ -23,14 +23,12 @@ from .labelings import Labeling, ThetaResult
 
 
 def theta_K_ab(a: int, b: int) -> ThetaResult:
-    """Index of K(a, b): 0 unless a is odd and b even; then 1, except that
-    ``a = 1 (mod 4), b = 2`` is left open (no value is known)."""
-    if a < 2 or b < 2:
-        raise DomainError(f"need a, b >= 2, got ({a}, {b})")
+    """Index of K(a, b) for b >= 3 parts: 0 unless a is odd and b even, then 1.
+    Two parts are the bipartite graph K(a, a) of ``theta_bipartite``."""
+    if a < 2 or b < 3:
+        raise DomainError(f"need a >= 2 and b >= 3, got ({a}, {b}); two parts: theta_bipartite")
     if a % 2 == 0 or b % 2 == 1:
         return ThetaResult(lower=0, upper=0, case_tag="Kab-dmg")
-    if a % 4 == 1 and b == 2:
-        return ThetaResult(lower=1, upper=None, case_tag="Kab-open")
     return ThetaResult(lower=1, upper=1, case_tag="Kab-qmr")
 
 

@@ -416,9 +416,9 @@ def _ast_size(node: SpecNode) -> tuple[int, int]:
     return node.a * vertices, entries
 
 
-def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
-    """Build the graph of ``node``, refused unbuilt over the vertex or block
-    adjacency cap."""
+def check_caps(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
+    """Raise ``SizeLimitError`` if the graph of ``node`` is over the vertex or
+    block adjacency cap; nothing is built."""
     vertices, entries = _ast_size(node)
     if vertices > max_vertices:
         what = "graph has" if isinstance(node, FileNode) else "spec declares"
@@ -427,6 +427,11 @@ def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> 
         raise SizeLimitError(
             f"spec declares {entries} block adjacency entries, cap is {MAX_BLOCK_ADJACENCY}"
         )
+
+
+def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
+    """Build the graph of ``node``, refused unbuilt over a cap (``check_caps``)."""
+    check_caps(node, max_vertices)
     return _build(node)
 
 

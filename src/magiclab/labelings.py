@@ -6,7 +6,9 @@ constant; for a complete multipartite graph that holds exactly when all
 partite sets carry equal label sums, in which case the constant is
 ``alpha - alpha/r`` where ``alpha`` is the total label sum.
 
-The verifier works on the block structure of ``graphs.Graph``: it sums the
+``verify_s_magic`` is the one S-magic check: no constructor checks its own
+labeling, and ``cli._certify`` passes every labeling through it before
+printing.  It works on the block structure of ``graphs.Graph``: it sums the
 labels of each block once, and a vertex's weight is the sum over its
 block's neighbouring blocks, so a check costs O(n + block edges).  On a
 graph of singleton blocks (cycles, adjacency files) this is the plain
@@ -40,9 +42,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 
-from .graphs import Graph, PartiteSpec
+from .graphs import Graph
 
 # one sorted-key encoder for every JSON payload; ``json.dumps(...,
 # sort_keys=True)`` builds a new encoder on each call
@@ -218,18 +220,3 @@ def verify_s_magic(g: Graph, labeling: Labeling) -> VerifyReport:
     violations = tuple((u, w) for u, w in enumerate(weights) if w != mode)
     return VerifyReport(is_magic=False, constant=None, weights=weights, violations=violations)
 
-
-def partite_sums_check(spec: PartiteSpec, labeling: Labeling) -> bool:
-    """True iff all partite sets, in the canonical multipartite vertex
-    layout, carry equal label sums.
-
-    On complete multipartite graphs this is equivalent to the S-magic
-    property.  Note that two singleton parts can never pass (their labels
-    would have to coincide), matching the fact that such graphs admit no
-    S-magic labeling at all.
-    """
-    if labeling.n != spec.n:
-        raise ValueError(f"labeling covers {labeling.n} vertices, spec has {spec.n}")
-    sizes = spec.sizes
-    sums = {sum(labeling.labels[end - size:end]) for size, end in zip(sizes, accumulate(sizes))}
-    return len(sums) == 1

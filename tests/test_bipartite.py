@@ -3,14 +3,12 @@ import pytest
 from magiclab import (
     DomainError,
     PartiteSpec,
-    build_complete_multipartite,
     label_bipartite,
     oracle_theta_multipartite,
-    partite_sums_check,
     theta_bipartite,
-    verify_s_magic,
 )
 
+from conftest import magic_on_parts
 from referees import multipartite_distance_magic_check
 
 
@@ -36,65 +34,55 @@ def test_star_index_is_a_side_sum_and_matches_the_oracle():
         assert res.case_tag == "bipartite-star" and res.theta == n2 * (n2 + 1) // 2 - n2 - 1
         spec = PartiteSpec((1, n2))
         assert oracle_theta_multipartite(spec, 16).theta == res.theta  # 0, 2, 5, 9, 14
-        lab = label_bipartite(1, n2, n2 + 1 + res.theta)
+        lab = label_bipartite(1, n2)
         assert lab.eta == n2 + 1 + res.theta
-        assert verify_s_magic(build_complete_multipartite(spec), lab).is_magic
+        assert magic_on_parts((1, n2), lab)
 
 
 def test_witnesses_verify_and_realize_eta():
     for n1, n2 in [(2, 2), (2, 3), (2, 6), (3, 8), (4, 7), (5, 5), (2, 9)]:
         res = theta_bipartite(n1, n2)
-        lab = label_bipartite(n1, n2, n1 + n2 + res.theta)
+        lab = label_bipartite(n1, n2)
         assert lab is not None and lab.eta == n1 + n2 + res.theta
-        spec = PartiteSpec((n1, n2))
-        assert partite_sums_check(spec, lab)
-        assert verify_s_magic(build_complete_multipartite(spec), lab).is_magic
+        assert magic_on_parts((n1, n2), lab)
 
 
 def test_label_k22_golden():
-    lab = label_bipartite(2, 2, 4)
+    lab = label_bipartite(2, 2)
     assert sorted(lab.labels[:2]) == [1, 4]
     assert sorted(lab.labels[2:]) == [2, 3]
 
 
 def test_label_parity_blocked_sets():
     # sum of 1..17 is odd, so K(8,9) cannot split it; one label steps up
-    assert label_bipartite(8, 9, 17) is None
-    lab = label_bipartite(8, 9, 18)
+    lab = label_bipartite(8, 9)
     assert tuple(sorted(lab.labels)) == tuple(range(1, 17)) + (18,)
     assert sum(lab.labels[:8]) == sum(lab.labels[8:]) == 77
 
-    assert label_bipartite(6, 7, 13) is None
-    lab = label_bipartite(6, 7, 14)
+    lab = label_bipartite(6, 7)
     assert tuple(sorted(lab.labels)) == tuple(range(1, 13)) + (14,)
 
 
-def test_label_respects_budget():
-    assert label_bipartite(2, 6, 10) is None  # needs top label 11
-    assert label_bipartite(2, 6, 11) is not None
-    assert label_bipartite(2, 6, 25).eta == 11  # minimal top label regardless
-
-
 def test_label_singleton_side():
-    lab = label_bipartite(1, 3, 6)
+    lab = label_bipartite(1, 3)
     assert sorted(lab.labels[1:]) == [1, 2, 3] and lab.labels[0] == 6
-    assert label_bipartite(1, 1, 10) is None  # equal distinct labels impossible
+    assert label_bipartite(1, 1) is None  # equal distinct labels impossible
 
 
 def test_witnesses_beyond_the_lexmin_threshold():
     # large instances split by the same top-heavy greedy as small ones
     res = theta_bipartite(300, 400)
-    witness = label_bipartite(300, 400, 700 + res.theta)
+    witness = label_bipartite(300, 400)
     assert res.theta == 0 and witness.eta == 700
-    spec = PartiteSpec((300, 400))
-    assert partite_sums_check(spec, witness)
+    assert magic_on_parts((300, 400), witness)
     res = theta_bipartite(41, 60)  # near-balanced shape, one label stepped up
-    witness = label_bipartite(41, 60, 101 + res.theta)
+    witness = label_bipartite(41, 60)
     assert witness.eta == 101 + res.theta
-    assert partite_sums_check(PartiteSpec((41, 60)), witness)
+    assert magic_on_parts((41, 60), witness)
     res = theta_bipartite(3, 300)  # deficit shape at scale
-    witness = label_bipartite(3, 300, 303 + res.theta)
+    witness = label_bipartite(3, 300)
     assert res.theta == 14748 and witness.eta == 303 + res.theta
+    assert magic_on_parts((3, 300), witness)
 
 
 def test_zero_branch_agrees_with_characterization():

@@ -131,6 +131,20 @@ def test_label_file_blowup_reads_the_file_once(tmp_path, monkeypatch):
     )
 
 
+def test_label_lex_blowup_builds_its_base_once(monkeypatch):
+    # the closed form builds the base U(3,C(10)); the witness blows it up
+    builds = []
+    build = magiclab.graphs.build_cycle
+
+    def counting_build(b):
+        builds.append(b)
+        return build(b)
+
+    monkeypatch.setattr(magiclab.graphs, "build_cycle", counting_build)
+    code, out, _ = run_cli("label", "LEX(U(3,C(10)),E(3))")
+    assert code == 0 and json.loads(out)["eta"] == 91 and builds == [10]
+
+
 def test_label_no_construction_exits_4():
     code, out, _ = run_cli("label", "K(2,2,9)")
     assert code == 4
@@ -573,6 +587,17 @@ def test_column_labeling_off_by_one_exits_7(monkeypatch):
     assert code == 7 and out == "" and "top label 14" in err
 
 
+@pytest.mark.parametrize("lower, upper", [(3, None), (0, 1)])
+def test_witness_outside_claimed_bounds_exits_7(monkeypatch, lower, upper):
+    # the case IV witness of K(3,3,4) has top label 12 = n + 2: a result
+    # that claims the index is at least 3, or at most 1, must not print it
+    assert run_cli("label", "K(3,3,4)")[0] == 0
+    monkeypatch.setattr(cli, "theta_tripartite", lambda *sizes: magiclab.ThetaResult(
+        lower=lower, upper=upper, case_tag="tripartite-IV"))
+    code, out, err = run_cli("label", "K(3,3,4)")
+    assert code == 7 and out == "" and "top label 12" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle", "C(5)", "--max-excess", "2"),  # the general oracle
     ("oracle", "K(2,3)", "--max-excess", "3"),  # the multipartite oracle
@@ -595,6 +620,7 @@ def test_oracle_witness_is_certified_before_printing(monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ("label", "K(2,3)"),  # a closed form
+    ("label", "K(3,8,9)"),  # a tripartite construction
     ("label", "LEX(C(6),E(3))"),  # a QMR column labeling
     ("label", "K(2,2,2,2)", "--oracle"),  # the multipartite oracle's witness
     ("label", "C(4)", "--oracle"),  # the general oracle's witness

@@ -20,12 +20,12 @@ from conftest import check_decision_table_row, circulant, petersen
 
 
 def test_theta_K_ab_examples():
-    assert theta_K_ab(3, 2).theta == 1  # the 3-regular bipartite case
+    assert theta_K_ab(3, 4).theta == 1
     assert theta_K_ab(2, 5).theta == 0
-    open_case = theta_K_ab(5, 2)
-    assert (open_case.lower, open_case.upper) == (1, None)
     with pytest.raises(DomainError):
         theta_K_ab(1, 4)
+    with pytest.raises(DomainError, match="theta_bipartite"):
+        theta_K_ab(5, 2)  # two parts: the bipartite theorem gives index 1
 
 
 def test_theta_mK_ab_examples():
@@ -153,13 +153,9 @@ def test_family_values_match_the_oracle_on_small_instances(tmp_path):
 
 
 def test_table1_table2_rules_coincide_where_defined():
-    # single-copy decisions agree with the multi-copy rule at m=1 except the
-    # open K(a,2) cell, which the copy rule would call index 1
+    # single-copy decisions agree with the multi-copy rule at m=1
     for a in range(2, 8):
-        for b in range(2, 8):
+        for b in range(3, 8):
             single = theta_K_ab(a, b)
             copies_zero = a % 2 == 0 or (a * b) % 2 == 1
-            if single.exact:
-                assert (single.theta == 0) == copies_zero
-            else:
-                assert a % 4 == 1 and b == 2 and not copies_zero
+            assert single.exact and (single.theta == 0) == copies_zero

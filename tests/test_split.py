@@ -6,16 +6,15 @@ from itertools import combinations
 import pytest
 
 from magiclab import (
-    PartiteSpec,
     label_bipartite,
     label_tripartite,
-    partite_sums_check,
     split_equal_sums,
     theta_bipartite,
     theta_tripartite,
 )
 from magiclab import arrays, bipartite, tripartite
 
+from conftest import magic_on_parts
 from referees import equal_sum_partition
 
 
@@ -161,8 +160,8 @@ def test_split_base_case_and_rejections():
 @pytest.mark.parametrize("sizes", [(2000, 3000), (2001, 3000), (700, 4300)])
 def test_bipartite_witnesses_at_scale(sizes):
     result = theta_bipartite(*sizes)
-    witness = label_bipartite(*sizes, sum(sizes) + result.theta)
-    assert partite_sums_check(PartiteSpec(sizes), witness)
+    witness = label_bipartite(*sizes)
+    assert magic_on_parts(sizes, witness)
     assert witness.eta == sum(sizes) + result.theta
 
 
@@ -171,7 +170,7 @@ def test_tripartite_witnesses_at_scale(sizes):
     n = sum(sizes)
     result = theta_tripartite(*sizes)
     witness = label_tripartite(*sizes)
-    assert partite_sums_check(PartiteSpec(sizes), witness)
+    assert magic_on_parts(sizes, witness)
     if result.case_tag == "tripartite-IV":
         assert witness.eta <= 2 * n + 1
     else:
@@ -194,10 +193,10 @@ def test_a_witness_at_the_cap_takes_few_feasibility_probes(monkeypatch, sizes, t
     monkeypatch.setattr(bipartite, "_feasible", feasible)
     if len(sizes) == 2:
         assert theta_bipartite(*sizes).case_tag == tag
-        witness = label_bipartite(*sizes, sum(sizes))
+        witness = label_bipartite(*sizes)
     else:
         assert tripartite.classify_tripartite(*sizes).tag == tag
         witness = label_tripartite(*sizes)
-    assert partite_sums_check(PartiteSpec(sizes), witness)
+    assert magic_on_parts(sizes, witness)
     # the per-label walk took 100 001 to 216 579 probes here
     assert 0 < len(probes) < 2000
