@@ -19,19 +19,19 @@ share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 Every command that takes a spec reads it once, through
 ``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs and
-writes ``U(1,G)``, ``LEX(G,E(1))`` and ``LEX(K(s),E(a))`` in their plain
-forms, so equal graphs written these ways get one answer.  ``_plan`` is the
-one place that maps that AST to its closed form and its witness; a witness
-builds its graph before it labels it, so a spec over a cap is refused
-before any labeling is made (a ``LEX`` base built for its closed form is
-blown up, not built again).  Every oracle run goes through
-``_certified_oracle``: ``index --oracle`` runs it on a spec no closed form
-covers, ``label --oracle`` whenever no construction gives a labeling.
-``_certify``, the one check of a labeling, passes each printed one once:
-it must be magic, with top label n + e for e within the result's bounds.
-``main`` checks the search flags of ``index``, ``label`` and ``oracle``
-before routing, so a bad budget or ``--max-excess`` is refused whether or
-not a search runs.
+writes ``U(1,G)``, ``LEX(G,E(1))``, ``LEX(K(s),E(a))`` and a one-part
+``U(m,K(a))`` in their plain forms, so equal graphs so written get one
+answer.  ``_plan`` is the one place that maps that AST to its closed form
+and its witness; a witness builds its graph before it labels it, so a spec
+over a cap is refused before any labeling is made (a ``LEX`` base built for
+its closed form is blown up, not built again).  Every oracle run goes
+through ``_certified_oracle``: ``index --oracle`` runs it on a spec no
+closed form covers, ``label --oracle`` whenever no construction gives a
+labeling.  ``_certify``, the one check of a labeling, passes each printed
+one once: it must be magic, with top label n + e for e within the result's
+bounds.  ``main`` checks the search flags of ``index``, ``label`` and
+``oracle`` before routing, so a bad budget or ``--max-excess`` is refused
+whether or not a search runs.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
 malformed input (a spec nested too deep included), a missing, unreadable
@@ -135,7 +135,7 @@ def _plan(ast):
         inner = ast.inner
         if isinstance(inner, KNode):
             sizes = tuple(sorted(inner.sizes))
-            if len(set(sizes)) == 1 and sizes[0] >= 2 and len(sizes) >= 2:
+            if len(set(sizes)) == 1 and sizes[0] >= 2:
                 return qmr_columns(families.theta_mK_ab(ast.m, sizes[0], len(sizes)), sizes[0])
         if isinstance(inner, LexNode) and isinstance(inner.inner, CNode):
             return qmr_columns(families.theta_mC_lex(ast.m, inner.a, inner.inner.b), inner.a)

@@ -98,7 +98,7 @@ def label_by_qmr_columns(graph: Graph, a: int) -> Labeling:
     docstring.  Raises ``DomainError`` when a block is not a whole number of
     groups or when no such QMR exists.  The labeling is not verified here.
     """
-    if any((end - start) % a for start, end in graph.blocks):
+    if any(size % a for size in graph.sizes):
         raise DomainError(f"column labeling needs blocks of whole groups of {a} vertices")
     groups = graph.vertex_count // a
     arr = qmr(a, groups)

@@ -1,16 +1,17 @@
 """Graph families and the textual graph-spec language.
 
 Vertices are dense integers ``0..n-1``.  A graph is stored as *blocks*:
-consecutive vertex-id ranges that tile ``0..n-1``, each an independent set
-whose vertices share one neighbourhood, plus the list of neighbouring
-blocks of each block.  Every family of the spec language is built in
-O(#blocks + block edges), never per vertex pair:
+runs of consecutive ids, given by their sizes, each an independent set
+whose vertices share one neighbourhood, plus the neighbouring blocks of
+each block, or, for the parts of a complete multipartite component, one
+block range.  Every family of the spec language is built in O(#blocks +
+explicit block edges), never per vertex pair:
 
-* ``K(n1..nr)`` has one block per part, each adjacent to every other block;
+* ``K(n1..nr)`` is one complete range of r blocks, one per part;
 * ``C(b)`` and ``FILE(...)`` have one singleton block per vertex, so their
   block adjacency is the explicit adjacency list;
-* ``U(m, G)`` is ``m`` offset copies of the blocks of ``G``;
-* ``LEX(G, E(a))`` turns block ``[s, e)`` of ``G`` into ``[s*a, e*a)``.
+* ``U(m, G)`` is ``m`` offset copies of the blocks and ranges of ``G``;
+* ``LEX(G, E(a))`` is ``G`` with every block size scaled by ``a``.
 
 No other vertex layout is kept: a witness labeling lists its labels block
 by block, and ``Graph.partite_spec`` reads a complete multipartite graph
@@ -27,9 +28,10 @@ The closed spec grammar::
 
 ``parse_spec_ast`` is the one pass that decides what a spec is.  Each node
 checks its own integers when it closes; ``FILE`` is read there, under the
-vertex and block adjacency caps; and three rewrites that keep the graph
-apply at every level: ``U(1,G)`` and ``LEX(G,E(1))`` are G, and
-``LEX(K(s),E(a))`` is K(s * a).  So every node's size is known unbuilt, and
+vertex and block adjacency caps; and four rewrites that keep the graph
+apply at every level: ``U(1,G)`` and ``LEX(G,E(1))`` are G,
+``LEX(K(s),E(a))`` is K(s * a), and ``U(m,K(a))`` with one part is the
+edgeless K(m * a).  So every node's size is known unbuilt, and
 ``build_from_ast`` checks both caps before it builds anything.
 """
 
@@ -42,8 +44,8 @@ from pathlib import Path
 from .errors import GraphSpecError, SizeLimitError
 
 DEFAULT_MAX_VERTICES = 100_000
-# K(...) with r parts stores r(r-1) block adjacency entries: within the vertex
-# cap that can reach gigabytes
+# only FILE(...) and unions of it store over 2n block adjacency entries (a
+# cycle 2 per vertex, K none); a dense file's union could reach gigabytes
 MAX_BLOCK_ADJACENCY = 1_000_000
 # the parser and the builders recurse once or twice per nested U( or LEX(;
 # 200 levels stay well inside Python's default recursion limit of 1 000
@@ -74,25 +76,30 @@ class Graph:
     """Immutable simple graph stored as blocks of vertices with one shared
     neighbourhood.
 
-    ``blocks[i] = (start, end)`` is the id range ``[start, end)``; the
-    blocks tile ``0..n-1`` in order.  ``adjacent[i]`` lists the indices of
-    the blocks every vertex of block ``i`` is adjacent to.
+    Block ``i`` is the next ``sizes[i]`` ids.  ``adjacent[i]`` lists the
+    blocks every vertex of block ``i`` is adjacent to.  ``complete`` lists
+    the block ranges ``(lo, hi)``, in order and disjoint, of complete
+    multipartite components: each block of ``[lo, hi)`` is adjacent to every
+    other block of the range and to no other, and its ``adjacent`` is empty.
     """
 
-    blocks: tuple[tuple[int, int], ...]
+    sizes: tuple[int, ...]
     adjacent: tuple[tuple[int, ...], ...]
+    complete: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        expected = 0
-        for start, end in self.blocks:
-            if start != expected or end <= start:
-                raise ValueError(f"blocks must tile 0..n-1, got block [{start}, {end})")
-            expected = end
-        if len(self.adjacent) != len(self.blocks):
-            raise ValueError(
-                f"{len(self.adjacent)} adjacency lists for {len(self.blocks)} blocks"
-            )
-        k = len(self.blocks)
+        if min(self.sizes, default=1) < 1:
+            raise ValueError(f"block sizes must be >= 1, got {min(self.sizes)}")
+        k = len(self.sizes)
+        if len(self.adjacent) != k:
+            raise ValueError(f"{len(self.adjacent)} adjacency lists for {k} blocks")
+        end = 0
+        for lo, hi in self.complete:
+            if not end <= lo < hi <= k:
+                raise ValueError(f"complete range [{lo}, {hi}) is empty, out of order or overlaps")
+            if any(self.adjacent[lo:hi]):
+                raise ValueError(f"complete range [{lo}, {hi}) lists explicit neighbours")
+            end = hi
         sets = [frozenset(adj) for adj in self.adjacent]
         for i, adj in enumerate(self.adjacent):
             if len(sets[i]) != len(adj):
@@ -109,26 +116,39 @@ class Graph:
     def from_neighbors(cls, neighbors) -> "Graph":
         """Graph with one singleton block per vertex, from per-vertex
         neighbour collections: an explicit adjacency list."""
-        return cls(
-            blocks=tuple((v, v + 1) for v in range(len(neighbors))),
-            adjacent=tuple(tuple(sorted(nbrs)) for nbrs in neighbors),
-        )
+        return cls((1,) * len(neighbors), tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
 
-    @property
+    @cached_property
     def vertex_count(self) -> int:
-        return self.blocks[-1][1] if self.blocks else 0
+        return sum(self.sizes)
+
+    def neighbour_sums(self, values) -> list:
+        """Per block, the sum of ``values`` (one per block) over its neighbouring
+        blocks: in O(blocks + explicit entries), as a complete range's blocks
+        take one total less their own value."""
+        sums = [sum(map(values.__getitem__, adj)) for adj in self.adjacent]
+        for lo, hi in self.complete:
+            total = sum(values[lo:hi])
+            sums[lo:hi] = [total - value for value in values[lo:hi]]
+        return sums
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacent`` with the complete ranges written out: quadratic in a
+        range's length, so only the searches, on small graphs, read it."""
+        neighbours = list(self.adjacent)
+        for lo, hi in self.complete:
+            neighbours[lo:hi] = [tuple(j for j in range(lo, hi) if j != i) for i in range(lo, hi)]
+        return tuple(neighbours)
 
     @cached_property
     def _block_degrees(self) -> tuple[int, ...]:
         """Degree of the vertices of each block."""
-        sizes = [end - start for start, end in self.blocks]
-        return tuple(sum(sizes[j] for j in adj) for adj in self.adjacent)
+        return tuple(self.neighbour_sums(self.sizes))
 
     @property
     def edge_count(self) -> int:
-        return sum(
-            (end - start) * d for (start, end), d in zip(self.blocks, self._block_degrees)
-        ) // 2
+        return sum(size * d for size, d in zip(self.sizes, self._block_degrees)) // 2
 
     @property
     def min_degree(self) -> int:
@@ -148,27 +168,18 @@ class Graph:
         (the graph is then complete multipartite, one part per block), else
         ``None``.  Block sizes out of nondecreasing order, which no spec
         builds, also give ``None``."""
-        k = len(self.blocks)
-        if any(len(adj) != k - 1 for adj in self.adjacent):
+        k = len(self.sizes)
+        if self.complete != ((0, k),) and any(len(adj) != k - 1 for adj in self.adjacent):
             return None  # a block lists no duplicate and not itself
-        sizes = tuple(end - start for start, end in self.blocks)
-        if list(sizes) != sorted(sizes):
+        if list(self.sizes) != sorted(self.sizes):
             return None
-        return PartiteSpec(sizes)
+        return PartiteSpec(self.sizes)
 
 
 def build_complete_multipartite(spec: PartiteSpec) -> Graph:
-    """Complete multipartite graph; part ``i`` is the consecutive id block ``i``."""
-    blocks = []
-    start = 0
-    for size in spec.sizes:
-        blocks.append((start, start + size))
-        start += size
-    r = len(blocks)
-    return Graph(
-        blocks=tuple(blocks),
-        adjacent=tuple(tuple(j for j in range(r) if j != i) for i in range(r)),
-    )
+    """Complete multipartite graph: one complete range, part ``i`` block ``i``."""
+    r = len(spec.sizes)
+    return Graph(spec.sizes, ((),) * r, ((0, r),))
 
 
 def build_cycle(b: int) -> Graph:
@@ -181,12 +192,12 @@ def disjoint_union(m: int, g: Graph) -> Graph:
     """``m`` vertex-disjoint copies of ``g``; copy ``c`` is offset by ``c*|V(g)|``."""
     if m < 1:
         raise ValueError(f"need at least one copy, got {m}")
-    n, k = g.vertex_count, len(g.blocks)
-    blocks = tuple((s + c * n, e + c * n) for c in range(m) for s, e in g.blocks)
-    adjacent = tuple(
-        tuple(j + c * k for j in adj) for c in range(m) for adj in g.adjacent
+    k = len(g.sizes)
+    return Graph(
+        g.sizes * m,
+        tuple(tuple(j + c * k for j in adj) for c in range(m) for adj in g.adjacent),
+        tuple((lo + c * k, hi + c * k) for c in range(m) for lo, hi in g.complete),
     )
-    return Graph(blocks=blocks, adjacent=adjacent)
 
 
 def lex_blowup(g: Graph, a: int) -> Graph:
@@ -194,15 +205,12 @@ def lex_blowup(g: Graph, a: int) -> Graph:
 
     Vertex ``u`` of ``g`` becomes the independent layer ``{u*a, .., u*a+a-1}``;
     two vertices are adjacent iff their layers' originals were.  Twins stay
-    twins, so block ``[s, e)`` of ``g`` becomes block ``[s*a, e*a)`` with the
-    same neighbouring blocks.
+    twins, so block ``i`` of ``g`` becomes a block ``a`` times its size, with
+    the same neighbouring blocks and complete ranges.
     """
     if a < 1:
         raise ValueError(f"layer size must be >= 1, got {a}")
-    return Graph(
-        blocks=tuple((s * a, e * a) for s, e in g.blocks),
-        adjacent=g.adjacent,
-    )
+    return Graph(tuple(size * a for size in g.sizes), g.adjacent, g.complete)
 
 
 def read_adjacency_file(path: str | Path) -> Graph:
@@ -369,6 +377,8 @@ class _Parser:
         self.expect(")")
         if m < 1:
             raise GraphSpecError(f"unions need at least one copy, got {m}")
+        if isinstance(inner, KNode) and len(inner.sizes) == 1:  # U(m,K(a)) is K(m * a)
+            return KNode((m * inner.sizes[0],))
         return inner if m == 1 else UNode(m, inner)
 
     def _lex(self) -> SpecNode:
@@ -393,8 +403,9 @@ class _Parser:
 
 def parse_spec_ast(text: str) -> SpecNode:
     """The AST of ``text``, checked, with ``FILE`` graphs read, and with
-    ``U(1,G)`` and ``LEX(G,E(1))`` read as G and ``LEX(K(s),E(a))`` as
-    K(s * a) at every level: each rewrite denotes the same graph."""
+    ``U(1,G)`` and ``LEX(G,E(1))`` read as G, ``LEX(K(s),E(a))`` as
+    K(s * a) and a one-part ``U(m,K(a))`` as K(m * a) at every level: each
+    rewrite denotes the same graph."""
     parser = _Parser(text)
     node = parser.spec()
     if not parser.eof():
@@ -405,7 +416,7 @@ def parse_spec_ast(text: str) -> SpecNode:
 def _ast_size(node: SpecNode) -> tuple[int, int]:
     """(vertices, block adjacency entries) of the graph ``node`` builds."""
     if isinstance(node, KNode):
-        return sum(node.sizes), len(node.sizes) * (len(node.sizes) - 1)
+        return sum(node.sizes), 0  # one complete range, no entries
     if isinstance(node, CNode):
         return node.b, 2 * node.b
     if isinstance(node, FileNode):

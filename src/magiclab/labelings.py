@@ -10,9 +10,11 @@ partite sets carry equal label sums, in which case the constant is
 labeling, and ``cli._certify`` passes every labeling through it before
 printing.  It works on the block structure of ``graphs.Graph``: it sums the
 labels of each block once, and a vertex's weight is the sum over its
-block's neighbouring blocks, so a check costs O(n + block edges).  On a
-graph of singleton blocks (cycles, adjacency files) this is the plain
-explicit-adjacency sum.  Every vertex's weight is still compared.
+block's neighbouring blocks (``Graph.neighbour_sums``; in a complete range,
+the range's total less the block's own sum), so a check costs O(n +
+explicit block edges) at any number of parts.  On a graph of singleton
+blocks (cycles, adjacency files) this is the plain explicit-adjacency
+sum.  Every vertex's weight is still compared.
 
 All arithmetic is exact: Python integers cannot overflow, so every
 certificate this module emits is bit-exact.
@@ -42,7 +44,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .graphs import Graph
 
@@ -207,12 +209,9 @@ def verify_s_magic(g: Graph, labeling: Labeling) -> VerifyReport:
         raise ValueError(
             f"labeling covers {labeling.n} vertices, graph has {g.vertex_count}"
         )
-    labels = labeling.labels
-    sums = [sum(labels[start:end]) for start, end in g.blocks]
-    weights = []
-    for (start, end), adj in zip(g.blocks, g.adjacent):
-        weights.extend(repeat(sum(sums[j] for j in adj), end - start))
-    weights = tuple(weights)
+    labels = iter(labeling.labels)
+    sums = [sum(islice(labels, size)) for size in g.sizes]
+    weights = tuple(chain.from_iterable(map(repeat, g.neighbour_sums(sums), g.sizes)))
     if weights and weights.count(weights[0]) == len(weights):
         return VerifyReport(is_magic=True, constant=weights[0], weights=weights, violations=())
     counts = Counter(weights)

@@ -253,8 +253,8 @@ def _pack_blocks(g: Graph, e, ticker):
     """Labels of each block of the first S-magic labeling of ``g`` whose
     label set has top label n+e, or None (module docstring: block packing).
     """
-    sizes = [end - start for start, end in g.blocks]
-    adjacent = g.adjacent
+    sizes = list(g.sizes)
+    adjacent = g.neighbours
     top = sum(sizes) + e
     asc_prefix = list(accumulate(range(top + 1)))  # asc_prefix[k] = 1 + ... + k
     open_slots = sizes[:]
@@ -318,8 +318,8 @@ def _refuted_by_neighbourhoods(g: Graph) -> bool:
     P != Q are compared: for u in P and v in Q, N(u) - N(v) is the union of
     the blocks next to P and not next to Q.
     """
-    sizes = [end - start for start, end in g.blocks]
-    near = [frozenset(adj) for adj in g.adjacent]
+    sizes = g.sizes
+    near = [frozenset(adj) for adj in g.neighbours]
     for p, q in combinations(range(len(sizes)), 2):
         only_p = sum(sizes[j] for j in near[p] - near[q])
         only_q = sum(sizes[j] for j in near[q] - near[p])

@@ -8,7 +8,7 @@ from magiclab import (
 )
 from magiclab.graphs import Graph
 
-from referees import block_of
+from referees import block_of, block_ranges
 
 
 def tripartite_instances(max_n=13):
@@ -53,16 +53,17 @@ def petersen() -> Graph:
 
 
 def neighbour_sets(g: Graph) -> tuple[frozenset[int], ...]:
-    """Per-vertex neighbour sets, read off the blocks of ``g``."""
+    """Per-vertex neighbour sets, read off the explicit blocks of ``g``."""
+    ranges = block_ranges(g)
     return tuple(
-        frozenset(v for j in g.adjacent[block_of(g, u)] for v in range(*g.blocks[j]))
+        frozenset(v for j in g.neighbours[block_of(g, u)] for v in ranges[j])
         for u in range(g.vertex_count)
     )
 
 
 def degree(g: Graph, v: int) -> int:
     """The degree of vertex ``v``: the sizes of its block's neighbouring blocks."""
-    return sum(end - start for start, end in (g.blocks[j] for j in g.adjacent[block_of(g, v)]))
+    return sum(g.sizes[j] for j in g.neighbours[block_of(g, v)])
 
 
 def circulant(b: int, jumps) -> Graph:

@@ -22,26 +22,32 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import ceil
-from operator import itemgetter
 
 from magiclab import DomainError, Graph, Labeling, PartiteSpec
+
+
+def block_ranges(g: Graph) -> list[range]:
+    """The vertex ids of each block of ``g``, read off its sizes."""
+    ends = list(accumulate(g.sizes))
+    return [range(end - size, end) for size, end in zip(g.sizes, ends)]
 
 
 def block_of(g: Graph, v: int) -> int:
     """Index of the block of ``g`` holding vertex ``v``."""
     if not 0 <= v < g.vertex_count:
         raise IndexError(f"vertex {v} out of range")
-    return bisect_right(g.blocks, v, key=itemgetter(0)) - 1
+    return bisect_right(list(accumulate(g.sizes)), v)
 
 
 def weight(g: Graph, labeling: Labeling, u: int) -> int:
-    """Sum of the labels on the neighbors of ``u`` (0 for an isolated vertex)."""
+    """Sum of the labels on the neighbors of ``u`` (0 for an isolated vertex),
+    over the explicit neighbouring blocks ``g.neighbours``."""
     if labeling.n != g.vertex_count:
         raise ValueError(
             f"labeling covers {labeling.n} vertices, graph has {g.vertex_count}"
         )
-    labels = labeling.labels
-    return sum(sum(labels[slice(*g.blocks[j])]) for j in g.adjacent[block_of(g, u)])
+    ranges = block_ranges(g)
+    return sum(labeling.labels[v] for j in g.neighbours[block_of(g, u)] for v in ranges[j])
 
 
 def g_function(n: int, delta: int, Delta: int, x: int) -> Fraction:

@@ -478,6 +478,8 @@ def test_disguised_complete_multipartite_specs_match_their_k_form(disguised, lit
     ("LEX(K(2,3,4),E(3))", "K(6,9,12)"),
     ("LEX(K(1,1,1,1),E(3))", "K(3,3,3,3)"),
     ("U(2,LEX(K(3,3),E(1)))", "U(2,K(3,3))"),
+    ("U(3,K(4))", "K(12)"),
+    ("LEX(U(3,K(1)),E(2))", "K(6)"),
 ])
 def test_disguised_k_specs_are_planned_as_their_k_form(disguised, literal):
     for command in ("index", "label"):
@@ -533,6 +535,20 @@ def test_label_tripartite_cases_one_and_four_at_depth():
     for spec, eta in (("K(330,340,350)", 1020), ("K(331,340,350)", 1023)):
         code, out, _ = run_cli("label", spec)
         assert code == 0 and json.loads(out)["eta"] == eta
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0: 1\n1:\n", "adjacency not symmetric between blocks 0 and 1"),
+    ("0: 0 1\n1: 0\n", "block 0 is adjacent to itself (a self-loop)"),
+    ("0: 1\n", "neighbouring block 1 of block 0 out of range"),
+    ("0: -1\n", "neighbouring block -1 of block 0 out of range"),
+], ids=["asymmetric", "self-loop", "out-of-range", "negative"])
+def test_adjacency_file_checks_exit_2_with_their_message(tmp_path, text, message):
+    # Graph.__post_init__ is the check of FILE input
+    path = tmp_path / "bad.adj"
+    path.write_text(text)
+    for command in ("index", "oracle"):
+        assert run_cli(command, f"FILE({path})") == (2, "", f"error: {message} (at {path})\n")
 
 
 def test_unreadable_files_exit_2(tmp_path):
@@ -774,8 +790,8 @@ def test_cap_scale_label_and_verify_in_bounded_memory(tmp_path, spec, groups):
 
 @pytest.mark.parametrize("command, flags", [("oracle", ()), ("label", ("--oracle",))])
 def test_oracle_caps_reject_before_building(command, flags):
-    # 3 000 parts: the r(r-1) block adjacency of a built graph would take
-    # hundreds of MB; the declared vertex count is rejected first
+    # 3 000 parts: the searches' explicit Graph.neighbours would list r(r-1)
+    # block pairs; the declared vertex count is refused first, unbuilt
     spec = "K(" + ",".join(["2"] * 3000) + ")"
     start = time.perf_counter()
     code, out, _, rss_mb = _run_child(command, spec, *flags)
@@ -783,14 +799,35 @@ def test_oracle_caps_reject_before_building(command, flags):
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
 
 
-def test_block_adjacency_cap_rejects_before_building():
-    # 20 000 parts: inside the vertex cap, but r(r-1) = 4e8 block adjacency
-    # entries would take tens of GB
+def test_block_adjacency_cap_rejects_before_building(tmp_path):
+    # only FILE graphs and unions of them store more than 2n block adjacency
+    # entries: 12 copies of K_300 as a file are 3 600 vertices, inside the
+    # vertex cap, but 12 * 89 700 = 1 076 400 entries, refused unbuilt
+    dense = tmp_path / "k300.adj"
+    dense.write_text("".join(
+        f"{u}: " + " ".join(str(v) for v in range(300) if v != u) + "\n" for u in range(300)
+    ))
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(json.dumps({"labels": {"0": 1}}))
+    start = time.perf_counter()
+    code, out, err, rss_mb = _run_child("verify", f"U(12,FILE({dense}))", str(labfile))
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
+    assert "spec declares 1076400 block adjacency entries" in err, err
+
+
+def test_label_k_with_20000_parts_in_linear_time_and_memory(tmp_path):
+    # 60 000 vertices in 20 000 parts: one complete range, so building and
+    # verifying are O(n) at any part count
     spec = "K(" + ",".join(["3"] * 20000) + ")"
     start = time.perf_counter()
     code, out, _, rss_mb = _run_child("label", spec)
     elapsed = time.perf_counter() - start
-    assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
+    assert code == 0 and elapsed < 2 and rss_mb < 100, (code, elapsed, rss_mb)
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(out)
+    code, out, _, rss_mb = _run_child("verify", spec, str(labfile))
+    assert code == 0 and json.loads(out)["is_magic"] and rss_mb < 100, (code, rss_mb)
     code, out, _ = run_cli("index", spec)  # the closed form builds nothing
     assert code == 0 and json.loads(out)["theta"] == 1
 
@@ -841,15 +878,16 @@ def test_file_specs_past_the_caps_exit_2_unbuilt(path_files, argv):
     assert expected in err, err
 
 
-def test_labeling_size_rejected_before_building(tmp_path):
-    # 1 500 parts: 2 248 500 block adjacency entries, refused from the spec, unbuilt
+def test_labeling_size_rejected_after_a_build_linear_in_the_parts(tmp_path):
+    # 1 500 parts: one complete range, built in O(r), then refused for its size
     spec = "K(" + ",".join(["2"] * 1500) + ")"
     labfile = tmp_path / "labels.json"
     labfile.write_text(json.dumps({"labels": {"0": 1}}))
     start = time.perf_counter()
-    code, out, _, rss_mb = _run_child("verify", spec, str(labfile))
+    code, out, err, rss_mb = _run_child("verify", spec, str(labfile))
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
+    assert "labeling covers 1 vertices, graph has 3000" in err, err
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

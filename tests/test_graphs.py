@@ -1,8 +1,11 @@
+import re
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from magiclab import (
+    Graph,
     GraphSpecError,
     Labeling,
     PartiteSpec,
@@ -142,6 +145,10 @@ def test_parser_shapes():
     ("U(3,LEX(U(1,LEX(K(2,1),E(2))),E(3)))", UNode(3, KNode((12, 6)))),
     ("U(1,U(1,LEX(K(2),E(1))))", KNode((2,))),
     ("LEX(U(2,C(5)),E(2))", LexNode(UNode(2, CNode(5)), 2)),  # no other rewrite
+    ("U(3,K(4))", KNode((12,))),
+    ("LEX(U(3,K(1)),E(2))", KNode((6,))),
+    ("U(2,LEX(U(3,K(1)),E(2)))", KNode((12,))),
+    ("U(2,K(1,1))", UNode(2, KNode((1, 1)))),  # two parts: no rewrite
 ])
 def test_parser_rewrites_at_every_level(text, literal):
     assert parse_spec_ast(text) == literal
@@ -153,6 +160,11 @@ def test_rewrites_keep_the_graph(tmp_path):
     assert parse_graph_spec("LEX(K(2,1),E(3))") == lex_blowup(k12, 3)
     assert parse_graph_spec("U(1,K(1,2))") == disjoint_union(1, k12)
     assert parse_graph_spec("LEX(K(1,2),E(1))") == lex_blowup(k12, 1)
+    # an edgeless union is one part: same vertices, no edges
+    k1, k4 = (build_complete_multipartite(PartiteSpec((a,))) for a in (1, 4))
+    assert neighbour_sets(parse_graph_spec("U(3,K(4))")) == neighbour_sets(disjoint_union(3, k4))
+    assert neighbour_sets(parse_graph_spec("LEX(U(3,K(1)),E(2))")) == neighbour_sets(
+        lex_blowup(disjoint_union(3, k1), 2))
     path = tmp_path / "p3.adj"
     path.write_text("0: 1\n1: 0 2\n2: 1\n")
     ast = parse_spec_ast(f"U(1,FILE({path}))")
@@ -243,6 +255,28 @@ def test_adjacency_file_rejects_asymmetry(tmp_path):
     path.write_text("0: 1\n3: 1\n1: 0 3\n")
     with pytest.raises(GraphSpecError):
         read_adjacency_file(path)
+
+
+@pytest.mark.parametrize("sizes, adjacent, complete, message", [
+    ((1, 0), ((), ()), (), "block sizes must be >= 1, got 0"),
+    ((1, 1, 1), ((), (), ()), ((0, 2), (1, 3)), "range [1, 3) is empty, out of order or overlaps"),
+    ((1, 1, 1), ((), (), ()), ((1, 3), (0, 1)), "range [0, 1) is empty, out of order or overlaps"),
+    ((1, 1), ((1,), (0,)), ((0, 2),), "complete range [0, 2) lists explicit neighbours"),
+    ((1, 1, 1), ((), (), (0,)), ((0, 2),), "not symmetric between blocks 2 and 0"),
+    ((1, 1), ((1, 1), (0,)), (), "block 0 lists a neighbouring block twice"),
+], ids=["size-0", "overlapping", "out-of-order", "edge-inside-range", "edge-into-range",
+        "duplicate"])
+def test_graph_constructor_refuses_bad_blocks(sizes, adjacent, complete, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Graph(sizes, adjacent, complete)
+
+
+def test_complete_ranges_are_written_out_only_on_request():
+    g = parse_graph_spec("U(2,K(1,2))")
+    assert g.sizes == (1, 2, 1, 2) and g.complete == ((0, 2), (2, 4))
+    assert g.adjacent == ((),) * 4
+    assert g.neighbours == ((1,), (0,), (3,), (2,))
+    assert g.neighbour_sums([5, 7, 11, 13]) == [7, 5, 13, 11]
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +375,10 @@ def test_block_weights_agree_with_explicit_adjacency(tmp_path_factory):
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(_graph_and_labels())
+    # complete ranges offset by U and scaled by LEX, whatever the draws
+    @example((("U", 2, ("K", (1, 2))), [6, 1, 5, 2, 4, 3]))
+    @example((("LEX", ("U", 3, ("K", (2, 2))), 2), list(range(24, 0, -1))))
+    @example((("U", 2, ("LEX", ("K", (1, 1, 2)), 2)), list(range(3, 51, 3))))
     def check(case):
         node, labels = case
         g = parse_graph_spec(_render(node, files))
