@@ -25,10 +25,13 @@ each a row and its negation.  The entries are written ``d`` above these
 values straight into row tuples, the block's three rows whole and the
 bands one column progression at a time (below).  Every array passes its
 verifier before it is returned.  ``verify_qmr`` works in whole-array
-passes: one sort of all entries against ``{1..ab+1} minus {d}``, then the
-row sums and the column sums of the transpose.  ``verify_kotzig`` sorts
-and sums each distinct row once, weighted by its count (its docstring
-shows that this decides the same conditions).
+passes: the ``ab`` entries are exactly ``{1..ab+1} minus {d}`` iff their
+set has ``ab`` members (no two are equal), its least is at least 1, its
+largest at most ``ab + 1``, and it misses ``d``, which one set and two
+scans decide in O(ab) without a sort; then the row sums and the column
+sums of the transpose.  ``verify_kotzig`` sorts and sums each distinct
+row once, weighted by its count (its docstring shows that this decides
+the same conditions).
 
 *Column pair.*  For ``d`` in a set ``D``, the columns
 ``A_d = (-d, -alpha_d, alpha_d + d)`` and
@@ -201,6 +204,15 @@ def verify_kotzig(arr: MagicArray) -> bool:
     return col_sums.count(a * (b - 1) // 2) == b
 
 
+def _fills_but_hole(rows, top: int, hole: int) -> bool:
+    """Whether the ``top - 1`` entries of ``rows`` are ``1..top`` minus ``hole``:
+    they are iff they are distinct (a set of ``top - 1``), lie in ``1..top``
+    and miss ``hole``."""
+    entries = set(chain.from_iterable(rows))
+    return (len(entries) == top - 1 and hole not in entries
+            and min(entries) >= 1 and max(entries) <= top)
+
+
 def verify_qmr(arr: MagicArray) -> ArrayCheck:
     a, b = arr.rows, arr.cols
     if arr.kind != "qmr":
@@ -212,7 +224,7 @@ def verify_qmr(arr: MagicArray) -> ArrayCheck:
     d = a * b // 2 + 1
     if arr.hole != d:
         return ArrayCheck(False, f"hole is {arr.hole}, must be {d}")
-    if sorted(chain.from_iterable(arr.entries)) != [*range(1, d), *range(d + 1, a * b + 2)]:
+    if not _fills_but_hole(arr.entries, a * b + 1, d):
         return ArrayCheck(False, f"entries are not 1..{a * b + 1} minus {d}")
     rho, sigma = _line_sums(arr)
     row_sums = list(map(sum, arr.entries))

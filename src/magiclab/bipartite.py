@@ -12,14 +12,17 @@ lone vertex's label equals the other side's sum, at least ``1 + .. + n2``.
 The witness label sets realizing the first two branches are ``{1..n}`` and
 ``{1..n-1, n+1}``, split by ``split_equal_sums``; the third branch keeps
 ``{1..n2}`` on the large side and shifts the run ``{n2+1..n}`` upward on
-the small side (``_shifted_run``).  The labelings are not verified here:
+the small side (``_shifted_run``).  The splitter holds every label set,
+from the pool to the parts, as ``(lo, hi)`` runs of consecutive labels and
+writes each part out once.  The labelings are not verified here:
 ``cli._certify`` checks each one before it is printed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import DomainError, InternalInconsistencyError
 from .labelings import Labeling, ThetaResult
@@ -46,33 +49,83 @@ def _run_sum(lo: int, c: int) -> int:
     return c * (2 * lo + c - 1) // 2
 
 
-def _runs(labels) -> list[tuple[int, int]]:
-    """Ascending ``(lo, hi)`` blocks of consecutive integers covering ``labels``."""
-    xs = sorted(labels)
-    cuts = [i for i in range(1, len(xs)) if xs[i] != xs[i - 1] + 1]
-    return [(xs[i], xs[j - 1]) for i, j in zip([0, *cuts], [*cuts, len(xs)])] if xs else []
+def _read(labels) -> tuple[int, list[tuple[int, int]] | None]:
+    """``(count, runs)``: how many ``labels`` there are, and the ascending
+    ``(lo, hi)`` blocks of consecutive integers covering them, or ``None``
+    when a label repeats.  A ``range`` is read in O(1), a list by
+    ``_ascending_runs`` after a sort if it does not ascend."""
+    if isinstance(labels, range) and labels.step == 1:
+        return len(labels), [(labels.start, labels.stop - 1)] if labels else []
+    xs = list(labels)
+    runs = _ascending_runs(xs)
+    if runs is None:
+        xs.sort()
+        runs = _ascending_runs(xs)
+    return len(xs), runs
 
 
-class _Pool(list):
-    """Labels, sorted, with their ``_runs`` cut once for every pick from them."""
+def _ascending_runs(xs) -> list[tuple[int, int]] | None:
+    """The runs of the list ``xs`` if it strictly ascends, else ``None``.
 
-    def __init__(self, labels):
-        super().__init__(labels)
-        self.sort()
-        self.runs = _runs(self)
+    Along a strictly ascending list ``xs[j] - j`` never falls, and it is
+    constant exactly along a run, so bisection finds where each run ends.
+    On any list, the bisection from ``i`` stops at a ``j`` with
+    ``xs[j - 1] - (j - 1) <= xs[i] - i`` and, short of the end,
+    ``xs[j] - j > xs[i] - i``.  By the first, each run found holds at most
+    as many labels as its stretch ``xs[i:j]``, and the stretches tile
+    ``xs``.  So if the runs write out to ``xs`` (one comparison), each run
+    is its stretch, and by the second the next stretch starts at least two
+    higher: ``xs`` ascends strictly, and its runs are the ones found."""
+    runs, i = [], 0
+    while i < len(xs):
+        j = i + bisect_right(range(i, len(xs)), xs[i] - i, key=lambda j: xs[j] - j)
+        runs.append((xs[i], xs[j - 1]))
+        i = j
+    return runs if _labels(runs) == xs else None
 
 
-def _without(runs, labels) -> list[tuple[int, int]]:
-    """``runs`` less ``labels``, each run split around the labels it holds."""
-    runs = list(runs)
-    for x in labels:
+def _holds(runs, x: int) -> bool:
+    """Whether one of the ascending ``runs`` holds ``x``; by bisection."""
+    i = bisect_right(runs, x, key=itemgetter(0))
+    return i > 0 and x <= runs[i - 1][1]
+
+
+def _minus(runs, cut) -> list[tuple[int, int]]:
+    """``runs`` less the runs ``cut``, each run split around the cuts it holds."""
+    for c_lo, c_hi in cut:
         runs = [
             piece
             for lo, hi in runs
-            for piece in (((lo, x - 1), (x + 1, hi)) if lo <= x <= hi else ((lo, hi),))
+            for piece in ((lo, min(hi, c_lo - 1)), (max(lo, c_hi + 1), hi))
             if piece[0] <= piece[1]
         ]
+    return list(runs)
+
+
+def _merged(pieces) -> list[tuple[int, int]]:
+    """Disjoint runs ``pieces`` as ascending runs, touching ones joined."""
+    runs = []
+    for lo, hi in sorted(pieces):
+        if runs and runs[-1][1] + 1 == lo:
+            lo = runs.pop()[0]
+        runs.append((lo, hi))
     return runs
+
+
+def _labels(runs) -> list[int]:
+    """The labels of ``runs``, ascending."""
+    out = []
+    for lo, hi in runs:
+        out += range(lo, hi + 1)
+    return out
+
+
+def _descending(runs) -> list[tuple[int, int]]:
+    """A key that orders equal-size label sets, each given as joined ``runs``,
+    as their labels read in descending order: runs from the top, a higher top
+    first, then a lower bottom (the run that reaches lower holds the next
+    label down, where the other has a gap)."""
+    return [(hi, -lo) for lo, hi in reversed(runs)]
 
 
 def _detached(runs):
@@ -104,23 +157,23 @@ def _first(lo: int, hi: int, pred) -> int:
     return lo + bisect_left(range(lo, hi + 1), True, key=pred)
 
 
-def _top_heavy(pool, c: int, t: int, keep=(), drop=()) -> list[int] | None:
-    """The c-subset of the ``_Pool`` ``pool`` with sum ``t``, holding ``keep``
-    and missing ``drop``, that is largest first in descending order; ``None``
-    if none.  It is found a run at a time; see ``split_equal_sums`` for the
-    proof."""
-    runs = _without(pool.runs, (*keep, *drop))
+def _top_heavy(pool, c: int, t: int, keep=(), drop=()) -> list[tuple[int, int]] | None:
+    """The c-subset of the runs ``pool`` with sum ``t``, holding ``keep`` and
+    missing ``drop``, that is largest first in descending order, as joined
+    runs; ``None`` if none.  It is found a run at a time; see
+    ``split_equal_sums`` for the proof."""
+    runs = _minus(pool, [(x, x) for x in (*keep, *drop)])
     if detached := _detached(runs):
         d = detached[0]
         picks = _top_heavy(pool, c, t, keep, [*drop, d]), _top_heavy(pool, c, t, [*keep, d], drop)
-        return max(picks, key=lambda p: (p is not None, sorted(p or (), reverse=True)))
-    chosen, c, t = list(keep), c - len(keep), t - sum(keep)
+        return max(picks, key=lambda p: (p is not None, _descending(p or ())))
+    chosen, c, t = [(x, x) for x in keep], c - len(keep), t - sum(keep)
     for i in range(len(runs) - 1, -1, -1):
         lo, hi = runs[i]
         ((lo1, hi1),) = runs[:i] or [(1, 0)]  # the run below, maybe empty
         k = _first(1, min(c, hi - lo + 1), lambda j: not _feasible(
             runs[:i] + [(lo, hi - j)], c - j, t - _run_sum(hi - j + 1, j))) - 1
-        chosen += range(hi - k + 1, hi + 1)
+        chosen.append((hi - k + 1, hi))
         c, t, m = c - k, t - _run_sum(hi - k + 1, k), hi - k - 1
 
         def top(b):  # y over the b lowest labels, the run below at its least sum
@@ -131,9 +184,9 @@ def _top_heavy(pool, c: int, t: int, keep=(), drop=()) -> list[int] | None:
 
         b = _first(max(0, c - 1 - (hi1 - lo1 + 1)), c - 1, lambda b: floor(b) <= m)
         if b < c and lo + b <= min(m, (y := top(b))):
-            chosen += [y, *range(lo, lo + b)]
+            chosen += [(y, y), (lo, lo + b - 1)]
             c, t = c - 1 - b, t - y - _run_sum(lo, b)
-    return sorted(chosen) if c == t == 0 else None
+    return _merged(run for run in chosen if run[0] <= run[1]) if c == t == 0 else None
 
 
 # rows of the 3x3 magic square: the one 3-part split the U-first order misses
@@ -185,6 +238,18 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     bisection, with its largest ``y``; then ``R1`` likewise.  That is
     O(runs * log n) probes of ``_feasible`` per pick.
 
+    *Every label set is runs.*  The pool is read once into ascending
+    ``(lo, hi)`` runs of consecutive labels: in O(1) for a ``range``; for a
+    list, by bisection and one comparison of the list with its runs written
+    out, which also finds a repeated label (a list that does not ascend is
+    sorted first; no caller passes one).  Forced labels are found by
+    bisection on the runs.  A pick is a few runs, joined where they touch;
+    a complement is a run difference in O(runs); and the detached-label
+    branch compares two picks from their top runs down (``_descending``).
+    Each part is written out as a label list once, at the end.  So a split
+    costs one read of the pool, O(runs * log n) probes and one write-out
+    per part.
+
     *The U-first order is checked, not proved.*  It splits every case I
     shape with n < 160 except K(3, 3, 3), and every case IV pool with
     n < 160 with the top label forced; the tests compare it with the
@@ -194,16 +259,16 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     ``{2,6,7}``, ``{3,4,8}`` of the 3x3 magic square, ordered to honour
     ``forced``.
     """
-    labels = _Pool(labels)
+    count, runs = _read(labels)
     sizes = list(sizes)
     forced = forced or {}
-    if len(labels) != sum(sizes) or len(set(labels)) != len(labels):
-        raise ValueError(f"{len(labels)} distinct labels cannot fill sizes {sizes}")
-    if len(sizes) not in (2, 3) or not set(forced) <= set(labels):
+    if count != sum(sizes) or runs is None:
+        raise ValueError(f"{count} distinct labels cannot fill sizes {sizes}")
+    if len(sizes) not in (2, 3) or not all(_holds(runs, x) for x in forced):
         raise ValueError("split needs 2 or 3 parts and forced labels from the pool")
-    if len(labels.runs) > 2:
+    if len(runs) > 2:
         raise ValueError("split pools hold at most two runs of consecutive labels")
-    total = sum(labels)
+    total = sum(_run_sum(lo, hi - lo + 1) for lo, hi in runs)
     if total % len(sizes):
         return None
     target = total // len(sizes)
@@ -212,11 +277,11 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
         return [x for x, i in forced.items() if i in parts]
 
     if len(sizes) == 2:
-        first = _top_heavy(labels, sizes[0], target, held(0), held(1))
+        first = _top_heavy(runs, sizes[0], target, held(0), held(1))
         if first is None:
             return None
-        return [first, sorted(set(labels) - set(first))]
-    if labels == list(range(1, 10)) and sizes == [3, 3, 3]:
+        return [_labels(first), _labels(_minus(runs, first))]
+    if runs == [(1, 9)] and sizes == [3, 3, 3]:
         for rows in permutations(_MAGIC_SQUARE_ROWS):
             if all(x in rows[i] for x, i in forced.items()):
                 return [list(row) for row in rows]
@@ -228,17 +293,17 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
         orders.insert(0, (first, mid if first == large else large))
     for first, second in orders:
         (rest,) = {0, 1, 2} - {first, second}
-        union = _top_heavy(labels, sizes[first] + sizes[second], 2 * target,
+        union = _top_heavy(runs, sizes[first] + sizes[second], 2 * target,
                            held(first, second), held(rest))
         if union is None:
             continue
-        part = _top_heavy(_Pool(union), sizes[first], target, held(first), held(second))
+        part = _top_heavy(union, sizes[first], target, held(first), held(second))
         if part is None:
             continue
         parts = [[], [], []]
-        parts[first] = part
-        parts[second] = sorted(set(union) - set(part))
-        parts[rest] = sorted(set(labels) - set(union))
+        parts[first] = _labels(part)
+        parts[second] = _labels(_minus(union, part))
+        parts[rest] = _labels(_minus(runs, union))
         return parts
     return None
 

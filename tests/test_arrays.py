@@ -208,6 +208,8 @@ QMR_5_6 = qmr(5, 6).entries  # rho 96, sigma 80, hole 16; row 0 is 15, 8, 24, ..
     ({"kind": "kotzig"}, "kind is 'kotzig', not 'qmr'"),
     ({"rows": 4, "entries": QMR_5_6[:4]}, "shape 4x6 needs odd rows and even columns"),
     ({"entries": QMR_5_6[:4] + (QMR_5_6[4][:5],)}, "entries are not 5 rows of 6"),
+    ({"entries": _mutated(QMR_5_6, r0c0=0)}, "entries are not 1..31 minus 16"),
+    ({"entries": _mutated(QMR_5_6, r0c0=-15)}, "entries are not 1..31 minus 16"),
 ])
 def test_qmr_verifier_names_each_violation(change, violation):
     fields = {"rows": 5, "cols": 6, "entries": QMR_5_6, "kind": "qmr", "hole": 16, **change}

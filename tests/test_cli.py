@@ -265,7 +265,9 @@ def test_cli_outputs_are_deterministic_across_jobs():
 # with r = 0 and r > 0; otherwise q = 0, q = 1 with r = 1 and r >= 2, q > 1
 # with r = 0, 1 and >= 2), the bipartite ones the deficit with r = 0 and r > 0.
 # The edgeless K(4) and the star K(1,5) were pinned before the plan and its
-# witness became one function.
+# witness became one function.  The last five, pinned before the splitter
+# kept its label sets as runs, are label-cap sizes: the bipartite greedy and
+# deficit branches and the tripartite case II, I and IV splits.
 LABEL_GOLDEN_SHA256 = {
     "K(2,2)": "0ebc2109db37189287c9b5683c20faed67f4f6727a3f7195dee310fffd4a6dee",
     "K(4,7)": "80d6749eea6c19c5ebaabe216c635d29d98f0d9ef67d7eb9d11d6565706e01af",
@@ -290,6 +292,11 @@ LABEL_GOLDEN_SHA256 = {
     "LEX(U(2,K(3,3)),E(3))": "163f8a589173ffd8ce9d8926d3949f3b0250f9b0ec20a81eeb8eca1de41c857b",
     "K(4)": "f55956a22498b7656235c48b9bc33c1daeb51c71be422f4e3bc25e8447d48e48",
     "K(1,5)": "621c382e4c397fe46586a84e4621564a3a0b663d07baa4417b20fae0cac82c5a",
+    "K(1568,2945)": "96e7462bc079d333ac3f2448ce185077ec095ac453985e2f6b9d0739a6888022",
+    "K(661,3857)": "098e41c0c551a3714c01a51134bb7c1e325fd9f3dac754ce8b13ee5a75a53943",
+    "K(164,814,1000)": "4f05a99127e8bc752af4cbfcd76e4c59f696348d86762e065d428bbd69055f44",
+    "K(480,494,517)": "b71ba28d9a23bb776900b40832eb23267f38634b606de461769b8f7d16e76f97",
+    "K(469,499,524)": "42dd2d3108fbeff19edc5ee2e86b0fdc66846bf0bc6f164ed0dd409b2327fc6e",
 }
 
 

@@ -27,10 +27,21 @@ def _size_tuples(n):
             yield (a, b, n - a - b)
 
 
+def _runs(labels):
+    """Ascending ``(lo, hi)`` blocks of consecutive integers covering ``labels``."""
+    xs = sorted(labels)
+    cuts = [i for i in range(1, len(xs)) if xs[i] != xs[i - 1] + 1]
+    return [(xs[i], xs[j - 1]) for i, j in zip([0, *cuts], [*cuts, len(xs)])] if xs else []
+
+
+def _labels(runs):
+    return [x for lo, hi in runs for x in range(lo, hi + 1)]
+
+
 def _greedy(pool, c, t, keep=(), drop=()):
     """The per-label top-heavy pick, the referee for ``bipartite._top_heavy``:
     walk the pool downward and keep each label whose rest can be completed."""
-    runs = bipartite._runs(x for x in pool if x not in keep and x not in drop)
+    runs = _runs(x for x in pool if x not in keep and x not in drop)
     c -= len(keep)
     t -= sum(keep)
     if not bipartite._feasible(runs, c, t):
@@ -52,14 +63,17 @@ def _greedy(pool, c, t, keep=(), drop=()):
 @pytest.fixture
 def refereed(monkeypatch):
     """Check every ``_top_heavy`` call, nested ones included, against
-    ``_greedy``; returns the distinct calls checked."""
+    ``_greedy`` on the labels of its runs; returns the distinct calls checked,
+    keyed by their pools as runs."""
     real, checked = bipartite._top_heavy, {}
 
     def top_heavy(pool, c, t, keep=(), drop=()):
         call = (tuple(pool), c, t, tuple(keep), tuple(drop))
         if call not in checked:
             checked[call] = real(pool, c, t, keep, drop)
-            assert checked[call] == _greedy(pool, c, t, keep, drop), call
+            got = None if checked[call] is None else _labels(checked[call])
+            assert got == _greedy(_labels(pool), c, t, keep, drop), call
+            assert checked[call] is None or checked[call] == _runs(got), call  # joined runs
         return None if checked[call] is None else list(checked[call])
 
     monkeypatch.setattr(bipartite, "_top_heavy", top_heavy)
@@ -70,7 +84,7 @@ def test_feasible_matches_enumeration():
     # every pool of labels up to 7 with at most two runs plus two detached labels
     for mask in range(1, 128):
         pool = [x for x in range(1, 8) if mask >> (x - 1) & 1]
-        runs = bipartite._runs(pool)
+        runs = _runs(pool)
         if len(runs) - sum(lo == hi for lo, hi in runs) > 2 or len(runs) > 4:
             continue
         for c in range(len(pool) + 1):
@@ -121,7 +135,7 @@ def test_top_heavy_matches_the_greedy_on_a_seeded_sweep(refereed):
                 assert split_equal_sums(pool, sizes, forced=forced) is not None
                 done += 1
                 break
-    assert max(len(call[0]) for call in refereed) > 3000
+    assert max(len(_labels(call[0])) for call in refereed) > 3000
 
 
 def test_split_agrees_with_the_exhaustive_partition():
@@ -144,6 +158,19 @@ def test_split_agrees_with_the_exhaustive_partition():
                         assert label in got[i]
 
 
+def test_pool_read_matches_a_sort():
+    # lists in any order, with repeats and gaps, read into runs without a
+    # sort unless they do not ascend
+    rng = random.Random(5)
+    for _ in range(5000):
+        xs = [rng.randint(-3, 12) for _ in range(rng.randint(0, 9))]
+        for pool in (xs, sorted(xs), sorted(set(xs))):
+            runs = _runs(pool) if len(set(pool)) == len(pool) else None
+            assert bipartite._read(pool) == (len(pool), runs), pool
+    for pool in (range(1, 10), range(4, 4), range(1, 10, 2), range(9, 0, -1)):
+        assert bipartite._read(pool) == (len(pool), _runs(pool)), pool
+
+
 def test_split_base_case_and_rejections():
     assert split_equal_sums(range(1, 5), (2, 2)) == [[1, 4], [2, 3]]
     assert split_equal_sums(range(1, 10), (3, 3, 3)) == [[1, 5, 9], [2, 6, 7], [3, 4, 8]]
@@ -155,6 +182,19 @@ def test_split_base_case_and_rejections():
         split_equal_sums(range(1, 9), (2, 2, 2, 2))
     with pytest.raises(ValueError):
         split_equal_sums([1, 3, 5, 7], (2, 2))
+    for repeated in ([1, 2, 2, 3], [2, 3, 1, 2]):
+        with pytest.raises(ValueError, match=r"^4 distinct labels cannot fill sizes \[2, 2\]$"):
+            split_equal_sums(repeated, (2, 2))
+    shuffled = list(range(1, 33))
+    random.Random(3).shuffle(shuffled)
+    for sizes in ((12, 20), (8, 10, 14)):
+        split = split_equal_sums(range(1, 33), sizes)
+        assert split is not None and split_equal_sums(shuffled, sizes) == split
+    assert split_equal_sums([4, 1, 3, 2], (2, 2)) == [[1, 4], [2, 3]]
+    with pytest.raises(ValueError, match="^split needs 2 or 3 parts and forced labels from the"):
+        split_equal_sums(range(1, 5), (2, 2), forced={5: 0})  # a forced label outside the pool
+    with pytest.raises(ValueError, match="^split pools hold at most two runs of consecutive"):
+        split_equal_sums([1, 2, 4, 5, 7, 8], (3, 3))  # three runs
 
 
 @pytest.mark.parametrize("sizes", [(2000, 3000), (2001, 3000), (700, 4300)])
