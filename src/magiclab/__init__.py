@@ -25,7 +25,6 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    PartiteSpec,
     build_complete_multipartite,
     build_cycle,
     disjoint_union,

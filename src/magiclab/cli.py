@@ -18,13 +18,14 @@ of a ``label`` without a labeling) goes through ``_emit``.  The JSON writers
 share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 Every command that takes a spec reads it once, through
-``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs and
-writes ``U(1,G)``, ``LEX(G,E(1))``, ``LEX(K(s),E(a))`` and a one-part
-``U(m,K(a))`` in their plain forms, so equal graphs so written get one
-answer.  ``_plan`` is the one place that maps that AST to its closed form
-and its witness; a witness builds its graph before it labels it, so a spec
-over a cap is refused before any labeling is made (a ``LEX`` base built for
-its closed form is blown up, not built again).  Every oracle run goes
+``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs, sorts
+K part sizes and writes ``U(1,G)``, ``LEX(G,E(1))``, ``U(m,U(k,G))``,
+``LEX(K(s),E(a))`` and a one-part ``U(m,K(a))`` in their plain forms, so
+equal graphs so written get one answer.  ``_plan`` is the one place that
+maps that AST to its closed form and its witness; a witness builds its
+graph before it labels it, so a spec over a cap is refused before any
+labeling is made (a ``LEX`` base built for its closed form is blown up, not
+built again).  Every oracle run goes
 through ``_certified_oracle``: ``index --oracle`` runs it on a spec no
 closed form covers, ``label --oracle`` whenever no construction gives a
 labeling.  ``_certify``, the one check of a labeling, passes each printed
@@ -71,7 +72,8 @@ from .graphs import (
     parse_spec_ast,
 )
 from .labelings import SORTED_JSON, Labeling, ThetaResult, labels_json, verify_s_magic
-from .oracle import MAX_N, check_search_flags, oracle_theta_general, oracle_theta_multipartite
+from .oracle import BUDGET_SECONDS, MAX_EXCESS, MAX_N, check_search_flags
+from .oracle import oracle_theta_general, oracle_theta_multipartite
 from .tripartite import label_tripartite, theta_tripartite
 
 EXIT_OK = 0
@@ -118,7 +120,7 @@ def _plan(ast):
         return witnessed(result, lambda graph: families.label_by_qmr_columns(graph, group))
 
     if isinstance(ast, KNode):
-        sizes = tuple(sorted(ast.sizes))
+        sizes = ast.sizes
         r = len(sizes)
         if r == 1:
             result = ThetaResult(lower=0, upper=0, case_tag="edgeless")
@@ -134,7 +136,7 @@ def _plan(ast):
     if isinstance(ast, UNode):
         inner = ast.inner
         if isinstance(inner, KNode):
-            sizes = tuple(sorted(inner.sizes))
+            sizes = inner.sizes
             if len(set(sizes)) == 1 and sizes[0] >= 2:
                 return qmr_columns(families.theta_mK_ab(ast.m, sizes[0], len(sizes)), sizes[0])
         if isinstance(inner, LexNode) and isinstance(inner.inner, CNode):
@@ -154,13 +156,12 @@ def _certified_oracle(args, ast):
     """(result, report): the oracle's result on the graph of ``ast`` up to
     ``--max-excess``, a spec over its vertex cap rejected unbuilt, and
     ``_certify``'s report on its witness, or None without one.  The one
-    place the CLI runs an oracle."""
+    place the CLI runs an oracle: the multipartite one on a complete
+    multipartite graph, however the spec wrote it, the general one on any
+    other."""
     graph = build_from_ast(ast, max_vertices=MAX_N)
-    spec = graph.partite_spec
-    if spec is not None:
-        result = oracle_theta_multipartite(spec, args.max_excess, args.budget_seconds)
-    else:
-        result = oracle_theta_general(graph, args.max_excess, args.budget_seconds)
+    oracle = oracle_theta_multipartite if graph.is_complete_multipartite else oracle_theta_general
+    result = oracle(graph, args.max_excess, args.budget_seconds)
     report = None if result.witness is None else _certify(graph, result.witness, result)
     return result, report
 
@@ -298,9 +299,9 @@ def cmd_tables(args) -> int:
 
 
 _SEARCH_FLAGS = (
-    ("--max-excess", {"type": int, "default": 16,
+    ("--max-excess", {"type": int, "default": MAX_EXCESS,
                       "help": "largest label excess the oracle scans"}),
-    ("--budget-seconds", {"type": float, "default": 60.0,
+    ("--budget-seconds", {"type": float, "default": BUDGET_SECONDS,
                           "help": "search budget in seconds"}),
     ("--jobs", {"type": int, "default": 1,
                 "help": "accepted and ignored: the oracle runs in one process, "

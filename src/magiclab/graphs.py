@@ -14,9 +14,9 @@ explicit block edges), never per vertex pair:
 * ``LEX(G, E(a))`` is ``G`` with every block size scaled by ``a``.
 
 No other vertex layout is kept: a witness labeling lists its labels block
-by block, and ``Graph.partite_spec`` reads a complete multipartite graph
-off the blocks, however the spec wrote it (``LEX(K(2,3),E(2))`` is
-K(4,6)).
+by block, and ``Graph.is_complete_multipartite`` reads a complete
+multipartite graph off the blocks, however the spec wrote it
+(``LEX(K(2,3),E(2))`` is K(4,6)).
 
 The closed spec grammar::
 
@@ -28,11 +28,14 @@ The closed spec grammar::
 
 ``parse_spec_ast`` is the one pass that decides what a spec is.  Each node
 checks its own integers when it closes; ``FILE`` is read there, under the
-vertex and block adjacency caps; and four rewrites that keep the graph
+vertex and block adjacency caps; and five rewrites that keep the graph
 apply at every level: ``U(1,G)`` and ``LEX(G,E(1))`` are G,
-``LEX(K(s),E(a))`` is K(s * a), and ``U(m,K(a))`` with one part is the
-edgeless K(m * a).  So every node's size is known unbuilt, and
-``build_from_ast`` checks both caps before it builds anything.
+``U(m,U(k,G))`` is U(m * k, G), ``LEX(K(s),E(a))`` is K(s * a), and
+``U(m,K(a))`` with one part is the edgeless K(m * a).  So every node's
+size is known unbuilt, and ``build_from_ast`` checks both caps before it
+builds anything.  The parser is also the one place that orders K parts:
+every ``KNode`` holds its part sizes nondecreasing, and no later layer
+sorts them.
 """
 
 from __future__ import annotations
@@ -50,25 +53,6 @@ MAX_BLOCK_ADJACENCY = 1_000_000
 # the parser and the builders recurse once or twice per nested U( or LEX(;
 # 200 levels stay well inside Python's default recursion limit of 1 000
 MAX_SPEC_DEPTH = 200
-
-
-@dataclass(frozen=True)
-class PartiteSpec:
-    """Ordered multiset of partite-set sizes, nondecreasing."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.sizes:
-            raise ValueError("partite spec needs at least one part")
-        if any(s < 1 for s in self.sizes):
-            raise ValueError(f"part sizes must be >= 1, got {self.sizes}")
-        if any(a > b for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError(f"part sizes must be nondecreasing, got {self.sizes}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -163,23 +147,18 @@ class Graph:
         return self.min_degree == self.max_degree
 
     @cached_property
-    def partite_spec(self) -> PartiteSpec | None:
-        """The block sizes when every block is adjacent to every other block
-        (the graph is then complete multipartite, one part per block), else
-        ``None``.  Block sizes out of nondecreasing order, which no spec
-        builds, also give ``None``."""
+    def is_complete_multipartite(self) -> bool:
+        """True when every block is adjacent to every other block: the graph
+        is then complete multipartite, one part per block of ``sizes``."""
         k = len(self.sizes)
-        if self.complete != ((0, k),) and any(len(adj) != k - 1 for adj in self.adjacent):
-            return None  # a block lists no duplicate and not itself
-        if list(self.sizes) != sorted(self.sizes):
-            return None
-        return PartiteSpec(self.sizes)
+        # a block lists no duplicate and not itself
+        return self.complete == ((0, k),) or all(len(adj) == k - 1 for adj in self.adjacent)
 
 
-def build_complete_multipartite(spec: PartiteSpec) -> Graph:
+def build_complete_multipartite(sizes: tuple[int, ...]) -> Graph:
     """Complete multipartite graph: one complete range, part ``i`` block ``i``."""
-    r = len(spec.sizes)
-    return Graph(spec.sizes, ((),) * r, ((0, r),))
+    r = len(sizes)
+    return Graph(sizes, ((),) * r, ((0, r),))
 
 
 def build_cycle(b: int) -> Graph:
@@ -271,7 +250,7 @@ def read_adjacency_file(path: str | Path) -> Graph:
 
 @dataclass(frozen=True)
 class KNode:
-    sizes: tuple[int, ...]
+    sizes: tuple[int, ...]  # nondecreasing: the parser sorts the written parts
 
 
 @dataclass(frozen=True)
@@ -361,7 +340,7 @@ class _Parser:
         self.expect(")")
         if any(s < 1 for s in sizes):
             raise GraphSpecError(f"part sizes must be >= 1, got {tuple(sizes)}")
-        return KNode(tuple(sizes))
+        return KNode(tuple(sorted(sizes)))
 
     def _c(self) -> CNode:
         b = self.integer()
@@ -379,6 +358,8 @@ class _Parser:
             raise GraphSpecError(f"unions need at least one copy, got {m}")
         if isinstance(inner, KNode) and len(inner.sizes) == 1:  # U(m,K(a)) is K(m * a)
             return KNode((m * inner.sizes[0],))
+        if isinstance(inner, UNode):  # U(m,U(k,G)) is U(m * k, G)
+            return UNode(m * inner.m, inner.inner)
         return inner if m == 1 else UNode(m, inner)
 
     def _lex(self) -> SpecNode:
@@ -402,10 +383,11 @@ class _Parser:
 
 
 def parse_spec_ast(text: str) -> SpecNode:
-    """The AST of ``text``, checked, with ``FILE`` graphs read, and with
-    ``U(1,G)`` and ``LEX(G,E(1))`` read as G, ``LEX(K(s),E(a))`` as
-    K(s * a) and a one-part ``U(m,K(a))`` as K(m * a) at every level: each
-    rewrite denotes the same graph."""
+    """The AST of ``text``, checked, with ``FILE`` graphs read, K part sizes
+    sorted, and with ``U(1,G)`` and ``LEX(G,E(1))`` read as G,
+    ``U(m,U(k,G))`` as U(m * k, G), ``LEX(K(s),E(a))`` as K(s * a) and a
+    one-part ``U(m,K(a))`` as K(m * a) at every level: each rewrite denotes
+    the same graph."""
     parser = _Parser(text)
     node = parser.spec()
     if not parser.eof():
@@ -448,7 +430,7 @@ def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> 
 
 def _build(node: SpecNode) -> Graph:
     if isinstance(node, KNode):
-        return build_complete_multipartite(PartiteSpec(tuple(sorted(node.sizes))))
+        return build_complete_multipartite(node.sizes)
     if isinstance(node, CNode):
         return build_cycle(node.b)
     if isinstance(node, UNode):

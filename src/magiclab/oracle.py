@@ -71,11 +71,12 @@ from itertools import accumulate, combinations
 from math import isfinite
 
 from .errors import BudgetExceededError, DomainError
-from .graphs import Graph, PartiteSpec
+from .graphs import Graph
 from .labelings import Labeling, ThetaResult
 
 MAX_N = 16
 MAX_EXCESS = 16
+BUDGET_SECONDS = 60.0  # default of both oracles and of --budget-seconds
 
 _BUDGET_CHECK_MASK = 0xFFF
 
@@ -227,18 +228,23 @@ def _scan_levels(kind, n, max_excess, budget_seconds, refuted, search):
 
 
 def oracle_theta_multipartite(
-    spec: PartiteSpec,
+    g: Graph,
     max_excess: int,
-    budget_seconds: float = 60.0,
+    budget_seconds: float = BUDGET_SECONDS,
 ) -> ThetaResult:
-    """Exact index of the complete multipartite graph of ``spec`` by search.
+    """Exact index of a complete multipartite graph by one equal-sum packing
+    of its blocks, its parts, per excess level.
 
     Scans excess 0..max_excess; returns the first feasible level with a
-    witness, else the exhausted bounds ``[max_excess+1, infinity)``.
+    witness, its labels block by block, else the exhausted bounds
+    ``[max_excess+1, infinity)``.  Raises ``DomainError`` when ``g`` is not
+    complete multipartite (``Graph.is_complete_multipartite``).
     """
-    sizes = list(spec.sizes)
+    if not g.is_complete_multipartite:
+        raise DomainError("multipartite oracle needs a complete multipartite graph")
+    sizes = list(g.sizes)
     return _scan_levels(
-        "multipartite", spec.n, max_excess, budget_seconds,
+        "multipartite", g.vertex_count, max_excess, budget_seconds,
         # two singleton parts: the neighbourhood lemma refutes
         lambda: sizes.count(1) >= 2,
         lambda e, ticker: _scan_level(sizes, e, ticker),
@@ -331,7 +337,7 @@ def _refuted_by_neighbourhoods(g: Graph) -> bool:
 def oracle_theta_general(
     g: Graph,
     max_excess: int,
-    budget_seconds: float = 60.0,
+    budget_seconds: float = BUDGET_SECONDS,
 ) -> ThetaResult:
     """Exact index of an arbitrary graph by one block packing per excess level."""
     return _scan_levels(

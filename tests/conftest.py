@@ -1,7 +1,6 @@
 import pytest
 
 from magiclab import (
-    PartiteSpec,
     build_complete_multipartite,
     oracle_theta_multipartite,
     verify_s_magic,
@@ -35,13 +34,13 @@ def tri_oracle():
     start = time.monotonic()
     results = {}
     for sizes in tripartite_instances():
-        results[sizes] = oracle_theta_multipartite(PartiteSpec(sizes), 14)
+        results[sizes] = oracle_theta_multipartite(build_complete_multipartite(sizes), 14)
     return results, time.monotonic() - start
 
 
 def magic_on_parts(sizes, labeling) -> bool:
     """Whether ``labeling`` is S-magic on K(sizes); no constructor checks its own."""
-    return verify_s_magic(build_complete_multipartite(PartiteSpec(sizes)), labeling).is_magic
+    return verify_s_magic(build_complete_multipartite(sizes), labeling).is_magic
 
 
 def petersen() -> Graph:
@@ -97,17 +96,17 @@ def verdict_of(result):
 
 def regular_example(r_cond, b_cond) -> Graph:
     """A concrete regular graph realizing one (degree, order) parity cell."""
-    from magiclab import PartiteSpec, build_complete_multipartite, build_cycle
+    from magiclab import build_complete_multipartite, build_cycle
 
     examples = {
         ("0mod4", "0mod4"): lambda: circulant(8, (1, 2)),
-        ("0mod4", "2mod4"): lambda: build_complete_multipartite(PartiteSpec((2, 2, 2))),
+        ("0mod4", "2mod4"): lambda: build_complete_multipartite((2, 2, 2)),
         ("0mod4", "odd"): lambda: circulant(7, (1, 2)),
         ("2mod4", "0mod4"): lambda: build_cycle(8),
         ("2mod4", "2mod4"): lambda: build_cycle(6),
         ("2mod4", "odd"): lambda: build_cycle(5),
-        ("odd", "0mod4"): lambda: build_complete_multipartite(PartiteSpec((1, 1, 1, 1))),
-        ("odd", "2mod4"): lambda: build_complete_multipartite(PartiteSpec((3, 3))),
+        ("odd", "0mod4"): lambda: build_complete_multipartite((1, 1, 1, 1)),
+        ("odd", "2mod4"): lambda: build_complete_multipartite((3, 3)),
         ("even", "any"): lambda: build_cycle(6),
         ("odd", "even"): lambda: petersen(),
     }

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations
 from math import ceil
 
-from magiclab import DomainError, Graph, Labeling, PartiteSpec
+from magiclab import DomainError, Graph, Labeling
 
 
 def block_ranges(g: Graph) -> list[range]:
@@ -77,13 +77,13 @@ def gap_lower_bound(g: Graph) -> int | None:
     return ceil(Fraction(abs(g0), delta))
 
 
-def magic_constant_multipartite(spec: PartiteSpec, alpha: int) -> Fraction:
+def magic_constant_multipartite(sizes: tuple[int, ...], alpha: int) -> Fraction:
     """Magic constant ``alpha * (r-1) / r`` of a complete r-partite graph.
 
     Every part sums to ``alpha/r``, so each weight is ``alpha - alpha/r``;
     a non-integer value certifies that no labeling with total ``alpha`` works.
     """
-    r = len(spec.sizes)
+    r = len(sizes)
     if r < 2:
         raise DomainError("need at least two parts")
     return Fraction(alpha * (r - 1), r)

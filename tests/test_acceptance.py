@@ -12,7 +12,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from magiclab import (
     DECISION_TABLES,
     MagicArray,
-    PartiteSpec,
     build_complete_multipartite,
     build_cycle,
     disjoint_union,
@@ -134,7 +133,7 @@ def test_criterion_6_bipartite_formula_sweep():
         for n1 in range(2, n // 2 + 1):
             n2 = n - n1
             formula = theta_bipartite(n1, n2)
-            oracle_result = oracle_theta_multipartite(PartiteSpec((n1, n2)), 16)
+            oracle_result = oracle_theta_multipartite(build_complete_multipartite((n1, n2)), 16)
             assert oracle_result.theta == formula.theta, (n1, n2)
             checked += 1
     elapsed = time.monotonic() - start
@@ -148,7 +147,7 @@ def test_criterion_7_case3_identity(tri_oracle):
     for sizes, oracle_result in results.items():
         n1, n2, n3 = sizes
         n = n1 + n2 + n3
-        g = build_complete_multipartite(PartiteSpec(sizes))
+        g = build_complete_multipartite(sizes)
         bound = gap_lower_bound(g)
         if bound is not None:
             assert bound <= oracle_result.theta, sizes
@@ -170,9 +169,9 @@ _MCLEX = [(1, 3, 6), (1, 3, 10), (2, 3, 3), (2, 3, 5), (1, 5, 6), (2, 5, 3)]
 
 
 def _lex_instances():
-    k2 = build_complete_multipartite(PartiteSpec((1, 1)))
-    k4 = build_complete_multipartite(PartiteSpec((1, 1, 1, 1)))
-    k33 = build_complete_multipartite(PartiteSpec((3, 3)))
+    k2 = build_complete_multipartite((1, 1))
+    k4 = build_complete_multipartite((1, 1, 1, 1))
+    k33 = build_complete_multipartite((3, 3))
     yield from ((k2, a) for a in (3, 7, 11, 15))
     yield from ((disjoint_union(2, k2), a) for a in (3, 5, 7))
     yield from ((disjoint_union(3, k2), a) for a in (3, 5))
@@ -201,10 +200,10 @@ def test_criterion_8_family_rules_and_witnesses():
 
     for a, b in _KAB:
         sigma = a * (a * b + 2) // 2
-        certify(build_complete_multipartite(PartiteSpec((a,) * b)), a, sigma * (b - 1))
+        certify(build_complete_multipartite((a,) * b), a, sigma * (b - 1))
     for m, a, b in _MKAB:
         sigma = a * (a * m * b + 2) // 2
-        k_ab = build_complete_multipartite(PartiteSpec((a,) * b))
+        k_ab = build_complete_multipartite((a,) * b)
         certify(disjoint_union(m, k_ab), a, sigma * (b - 1))
     for m, a, b in _MCLEX:
         sigma = a * (a * m * b + 2) // 2

@@ -2,7 +2,7 @@ import pytest
 
 from magiclab import (
     DomainError,
-    PartiteSpec,
+    build_complete_multipartite,
     label_bipartite,
     oracle_theta_multipartite,
     theta_bipartite,
@@ -32,8 +32,8 @@ def test_star_index_is_a_side_sum_and_matches_the_oracle():
     for n2 in range(2, 7):
         res = theta_bipartite(1, n2)
         assert res.case_tag == "bipartite-star" and res.theta == n2 * (n2 + 1) // 2 - n2 - 1
-        spec = PartiteSpec((1, n2))
-        assert oracle_theta_multipartite(spec, 16).theta == res.theta  # 0, 2, 5, 9, 14
+        star = build_complete_multipartite((1, n2))
+        assert oracle_theta_multipartite(star, 16).theta == res.theta  # 0, 2, 5, 9, 14
         lab = label_bipartite(1, n2)
         assert lab.eta == n2 + 1 + res.theta
         assert magic_on_parts((1, n2), lab)

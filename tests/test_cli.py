@@ -462,6 +462,24 @@ def test_oracle_stdout_goldens():
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
 
 
+@pytest.mark.parametrize("argv", [
+    ("index",),
+    ("label",),
+    ("oracle", "--max-excess", "4"),
+    ("label", "--oracle"),
+])
+@pytest.mark.parametrize("written, sorted_", [("K(3,2)", "K(2,3)"), ("K(5,2,3)", "K(2,3,5)")])
+def test_k_parts_in_any_order_print_the_same(argv, written, sorted_):
+    command, *flags = argv
+    assert run_cli(command, written, *flags) == run_cli(command, sorted_, *flags)
+
+
+def test_nested_unions_are_read_as_one_union():
+    assert run_cli("index", "U(2,U(2,K(2,2)))") == run_cli("index", "U(4,K(2,2))")
+    code, out, _ = run_cli("index", "U(2,U(2,K(2,2)))")
+    assert code == 0 and json.loads(out)["case"] == "mKab-dmg"
+
+
 @pytest.mark.parametrize("disguised, literal", [
     ("LEX(K(1,1),E(5))", "K(5,5)"),
     ("LEX(K(2,3),E(2))", "K(4,6)"),
@@ -487,6 +505,7 @@ def test_disguised_complete_multipartite_specs_match_their_k_form(disguised, lit
     ("U(2,LEX(K(3,3),E(1)))", "U(2,K(3,3))"),
     ("U(3,K(4))", "K(12)"),
     ("LEX(U(3,K(1)),E(2))", "K(6)"),
+    ("U(2,U(3,K(3,3)))", "U(6,K(3,3))"),
 ])
 def test_disguised_k_specs_are_planned_as_their_k_form(disguised, literal):
     for command in ("index", "label"):
@@ -629,10 +648,9 @@ def test_witness_outside_claimed_bounds_exits_7(monkeypatch, lower, upper):
 def test_oracle_witness_is_certified_before_printing(monkeypatch, argv):
     # an oracle that claims index 0 with a labeling no weight check passes
     def wrong(graph, max_excess, budget_seconds=None):
-        n = graph.n if isinstance(graph, magiclab.PartiteSpec) else graph.vertex_count
         return magiclab.ThetaResult(
             lower=0, upper=0, case_tag="oracle", provenance="oracle",
-            witness=magiclab.Labeling(tuple(range(1, n + 1))),
+            witness=magiclab.Labeling(tuple(range(1, graph.vertex_count + 1))),
         )
 
     monkeypatch.setattr(cli, "oracle_theta_general", wrong)

@@ -8,7 +8,6 @@ from magiclab import (
     disjoint_union,
     label_by_qmr_columns,
     lex_blowup,
-    PartiteSpec,
     theta_K_ab,
     theta_lex_regular,
     theta_mC_lex,
@@ -49,7 +48,7 @@ def test_theta_lex_regular_examples():
     four_regular_odd = circulant(7, (1, 2))
     assert theta_lex_regular(four_regular_odd, 3).theta == 0
     with pytest.raises(DomainError):
-        theta_lex_regular(build_complete_multipartite(PartiteSpec((1, 2))), 3)
+        theta_lex_regular(build_complete_multipartite((1, 2)), 3)
 
 
 def test_theta_lex_unresolved_cells():
@@ -63,12 +62,12 @@ def test_theta_lex_unresolved_cells():
 
 
 def test_theta_lex_open_and_uncovered():
-    matching = disjoint_union(1, build_complete_multipartite(PartiteSpec((1, 1))))
+    matching = disjoint_union(1, build_complete_multipartite((1, 1)))
     res = theta_lex_regular(matching, 5)  # a=1 mod 4 with b=2: left open
     assert (res.lower, res.upper) == (1, None) and res.case_tag == "lex-open"
     with pytest.raises(DomainError):  # the identity blow-up is no family member
         theta_lex_regular(build_cycle(5), 1)
-    edgeless = build_complete_multipartite(PartiteSpec((4,)))
+    edgeless = build_complete_multipartite((4,))
     assert theta_lex_regular(edgeless, 3).theta == 0
 
 
@@ -89,10 +88,10 @@ def _column_constant(g, a):
 
 
 def test_family_witnesses():
-    assert _column_constant(build_complete_multipartite(PartiteSpec((3, 3))), 3) == 12
+    assert _column_constant(build_complete_multipartite((3, 3)), 3) == 12
 
     sigma = 3 * (3 * 6 + 2) // 2  # column sum of QMR(3, 6)
-    k333 = build_complete_multipartite(PartiteSpec((3, 3, 3)))
+    k333 = build_complete_multipartite((3, 3, 3))
     assert _column_constant(disjoint_union(2, k333), 3) == sigma * 2
 
     assert _column_constant(lex_blowup(petersen(), 3), 3) == 144  # eta 31
@@ -103,11 +102,11 @@ def test_family_witnesses():
 
 def test_family_witness_gate():
     with pytest.raises(DomainError):  # index 0: no QMR with an even number of rows
-        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2,) * 5)), 2)
+        label_by_qmr_columns(build_complete_multipartite((2,) * 5), 2)
     with pytest.raises(DomainError):  # open cell: no QMR(5, 2)
-        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((5, 5))), 5)
+        label_by_qmr_columns(build_complete_multipartite((5, 5)), 5)
     with pytest.raises(DomainError):  # a block of 3 is not whole groups of 2
-        label_by_qmr_columns(build_complete_multipartite(PartiteSpec((2, 3))), 2)
+        label_by_qmr_columns(build_complete_multipartite((2, 3)), 2)
 
 
 def _family_specs(max_n):
@@ -138,9 +137,8 @@ def test_family_values_match_the_oracle_on_small_instances(tmp_path):
     for text in specs:
         formula = _plan(parse_spec_ast(text))[0]
         g = parse_graph_spec(text)
-        spec = g.partite_spec
-        if spec is not None:
-            found = oracle_theta_multipartite(spec, 16)
+        if g.is_complete_multipartite:
+            found = oracle_theta_multipartite(g, 16)
         else:
             found = oracle_theta_general(g, 2)
         assert found.exact, text

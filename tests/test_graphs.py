@@ -8,7 +8,6 @@ from magiclab import (
     Graph,
     GraphSpecError,
     Labeling,
-    PartiteSpec,
     SizeLimitError,
     build_complete_multipartite,
     build_cycle,
@@ -34,20 +33,20 @@ from referees import weight
 
 
 def test_complete_multipartite_shape():
-    g = build_complete_multipartite(PartiteSpec((5, 6, 7)))
+    g = build_complete_multipartite((5, 6, 7))
     assert g.vertex_count == 18
     assert degree(g, 0) == 13  # a part-1 vertex misses only its own part
     assert g.edge_count == 5 * 6 + 6 * 7 + 5 * 7
 
 
 def test_single_part_is_edgeless():
-    g = build_complete_multipartite(PartiteSpec((1,)))
+    g = build_complete_multipartite((1,))
     assert g.vertex_count == 1
     assert g.edge_count == 0
 
 
 def test_k33_is_cubic():
-    g = build_complete_multipartite(PartiteSpec((3, 3)))
+    g = build_complete_multipartite((3, 3))
     assert g.vertex_count == 6
     assert g.edge_count == 9
     assert g.is_regular and g.max_degree == 3
@@ -55,8 +54,8 @@ def test_k33_is_cubic():
 
 def test_partite_spec_roundtrip():
     for sizes in [(1,), (2, 2), (1, 2, 3), (2, 3, 3, 4)]:
-        g = build_complete_multipartite(PartiteSpec(sizes))
-        assert g.partite_spec.sizes == sizes
+        g = build_complete_multipartite(sizes)
+        assert g.is_complete_multipartite and g.sizes == sizes
 
 
 def test_partite_spec_is_read_off_the_blocks():
@@ -67,18 +66,19 @@ def test_partite_spec_is_read_off_the_blocks():
         ("U(1,K(2,3))", (2, 3)),
         ("LEX(C(3),E(2))", (2, 2, 2)),
     ]:
-        assert parse_graph_spec(text).partite_spec.sizes == sizes, text
+        g = parse_graph_spec(text)
+        assert g.is_complete_multipartite and g.sizes == sizes, text
     for text in ("C(4)", "U(2,K(3,3))", "LEX(C(4),E(2))"):
-        assert parse_graph_spec(text).partite_spec is None, text
+        assert not parse_graph_spec(text).is_complete_multipartite, text
+    # an explicit graph whose blocks are out of size order is one too
+    assert Graph((2, 1), ((1,), (0,))).is_complete_multipartite
 
 
 def test_partite_spec_validation():
     with pytest.raises(ValueError):
-        PartiteSpec((3, 2))
+        build_complete_multipartite((0, 1))
     with pytest.raises(ValueError):
-        PartiteSpec((0, 1))
-    with pytest.raises(ValueError):
-        PartiteSpec(())
+        build_complete_multipartite(())
 
 
 def test_cycles():
@@ -91,7 +91,7 @@ def test_cycles():
 
 
 def test_disjoint_union():
-    k33 = build_complete_multipartite(PartiteSpec((3, 3)))
+    k33 = build_complete_multipartite((3, 3))
     g = disjoint_union(2, k33)
     assert g.vertex_count == 12
     assert g.edge_count == 18
@@ -105,14 +105,14 @@ def test_lex_blowup():
     g = lex_blowup(build_cycle(4), 2)
     assert g.vertex_count == 8
     assert g.is_regular and g.max_degree == 4
-    base = build_complete_multipartite(PartiteSpec((3, 3)))
+    base = build_complete_multipartite((3, 3))
     blown = lex_blowup(base, 3)
     assert blown.vertex_count == 18 and blown.is_regular and blown.max_degree == 9
     assert lex_blowup(base, 1) == base
 
 
 def test_lex_blowup_degree_identity():
-    base = build_complete_multipartite(PartiteSpec((1, 2, 3)))
+    base = build_complete_multipartite((1, 2, 3))
     for a in (1, 2, 3):
         g = lex_blowup(base, a)
         for u in range(base.vertex_count):
@@ -142,26 +142,35 @@ def test_parser_shapes():
     ("LEX(U(1,C(4)),E(3))", LexNode(CNode(4), 3)),
     ("LEX(LEX(C(6),E(1)),E(3))", LexNode(CNode(6), 3)),
     ("U(2,LEX(U(1,C(6)),E(3)))", UNode(2, LexNode(CNode(6), 3))),
-    ("U(3,LEX(U(1,LEX(K(2,1),E(2))),E(3)))", UNode(3, KNode((12, 6)))),
+    ("U(3,LEX(U(1,LEX(K(2,1),E(2))),E(3)))", UNode(3, KNode((6, 12)))),
     ("U(1,U(1,LEX(K(2),E(1))))", KNode((2,))),
     ("LEX(U(2,C(5)),E(2))", LexNode(UNode(2, CNode(5)), 2)),  # no other rewrite
     ("U(3,K(4))", KNode((12,))),
     ("LEX(U(3,K(1)),E(2))", KNode((6,))),
     ("U(2,LEX(U(3,K(1)),E(2)))", KNode((12,))),
     ("U(2,K(1,1))", UNode(2, KNode((1, 1)))),  # two parts: no rewrite
+    ("U(2,U(2,K(2,2)))", UNode(4, KNode((2, 2)))),
+    ("U(2,U(3,C(5)))", UNode(6, CNode(5))),
+    ("U(2,U(1,U(3,K(2,1))))", UNode(6, KNode((1, 2)))),
+    ("U(2,LEX(U(2,U(3,C(4))),E(2)))", UNode(2, LexNode(UNode(6, CNode(4)), 2))),
+    ("U(2,U(2,K(3)))", KNode((12,))),
 ])
 def test_parser_rewrites_at_every_level(text, literal):
     assert parse_spec_ast(text) == literal
 
 
 def test_rewrites_keep_the_graph(tmp_path):
-    k12 = build_complete_multipartite(PartiteSpec((1, 2)))
+    k12 = build_complete_multipartite((1, 2))
     assert parse_graph_spec("LEX(K(1,2),E(3))") == lex_blowup(k12, 3)
     assert parse_graph_spec("LEX(K(2,1),E(3))") == lex_blowup(k12, 3)
     assert parse_graph_spec("U(1,K(1,2))") == disjoint_union(1, k12)
     assert parse_graph_spec("LEX(K(1,2),E(1))") == lex_blowup(k12, 1)
+    # a union of unions is one union: same blocks, same ids
+    assert parse_graph_spec("U(2,U(3,K(2,1)))") == disjoint_union(2, disjoint_union(3, k12))
+    c5 = build_cycle(5)
+    assert parse_graph_spec("U(2,U(2,C(5)))") == disjoint_union(2, disjoint_union(2, c5))
     # an edgeless union is one part: same vertices, no edges
-    k1, k4 = (build_complete_multipartite(PartiteSpec((a,))) for a in (1, 4))
+    k1, k4 = (build_complete_multipartite((a,)) for a in (1, 4))
     assert neighbour_sets(parse_graph_spec("U(3,K(4))")) == neighbour_sets(disjoint_union(3, k4))
     assert neighbour_sets(parse_graph_spec("LEX(U(3,K(1)),E(2))")) == neighbour_sets(
         lex_blowup(disjoint_union(3, k1), 2))
@@ -208,7 +217,11 @@ def test_file_is_read_when_parsed_and_capped(tmp_path):
 
 def test_parser_accepts_unsorted_sizes():
     g = parse_graph_spec("K(7,6,5)")
-    assert g.partite_spec.sizes == (5, 6, 7)
+    assert g.is_complete_multipartite and g.sizes == (5, 6, 7)
+    # the parser is the one place that orders K parts, at every level
+    assert parse_spec_ast("K(3,2)") == KNode((2, 3))
+    assert parse_spec_ast("U(2,K(3,2))") == UNode(2, KNode((2, 3)))
+    assert parse_spec_ast("LEX(K(3,1),E(2))") == KNode((2, 6))
 
 
 def test_parser_errors_carry_position():

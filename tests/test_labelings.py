@@ -11,7 +11,6 @@ from magiclab import (
     DomainError,
     Graph,
     Labeling,
-    PartiteSpec,
     VerifyReport,
     build_complete_multipartite,
     build_cycle,
@@ -30,25 +29,25 @@ from referees import (
 
 
 def test_weight_basics():
-    g = build_complete_multipartite(PartiteSpec((3, 3)))
+    g = build_complete_multipartite((3, 3))
     identity = Labeling(tuple(range(1, 7)))
     assert weight(g, identity, 0) == 4 + 5 + 6
-    lonely = build_complete_multipartite(PartiteSpec((1,)))
+    lonely = build_complete_multipartite((1,))
     assert weight(lonely, Labeling((1,)), 0) == 0
 
 
 def test_weight_on_constructed_tripartite_witness():
-    g = build_complete_multipartite(PartiteSpec((5, 6, 7)))
+    g = build_complete_multipartite((5, 6, 7))
     lab = label_tripartite(5, 6, 7)
     assert all(weight(g, lab, u) == 114 for u in range(18))
 
 
 def test_verify_reports_constant_and_violations():
-    g = build_complete_multipartite(PartiteSpec((5, 6, 7)))
+    g = build_complete_multipartite((5, 6, 7))
     report = verify_s_magic(g, label_tripartite(5, 6, 7))
     assert report.is_magic and report.constant == 114 and not report.violations
 
-    edge = build_complete_multipartite(PartiteSpec((1, 1)))
+    edge = build_complete_multipartite((1, 1))
     report = verify_s_magic(edge, Labeling((1, 2)))
     assert not report.is_magic and report.constant is None
     assert report.weights == (2, 1)
@@ -75,7 +74,7 @@ def _reference_report(g, labeling):
     ((1, 1), (1, 2), ((0, 2),)),  # weights 2 and 1 tie: the mode is 1
 ])
 def test_verify_report_by_the_modal_weight(spec, labels, violations):
-    g = build_complete_multipartite(PartiteSpec(spec))
+    g = build_complete_multipartite(spec)
     report = verify_s_magic(g, Labeling(labels))
     assert report == _reference_report(g, Labeling(labels))
     assert report.violations == violations
@@ -88,7 +87,7 @@ def test_verify_on_no_vertices_raises_as_before():
 
 def test_no_cubic_bijection_is_magic():
     # odd-regular graphs admit no distance magic labeling at all
-    g = build_complete_multipartite(PartiteSpec((3, 3)))
+    g = build_complete_multipartite((3, 3))
     for perm in permutations(range(1, 7)):
         assert not verify_s_magic(g, Labeling(perm)).is_magic
 
@@ -101,9 +100,8 @@ def test_partite_sums_matches_verifier_on_small_graphs():
     specs = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3),
              (1, 2), (1, 3), (1, 1), (1, 1, 2), (1, 2, 3)]
     for sizes in specs:
-        spec = PartiteSpec(sizes)
-        g = build_complete_multipartite(spec)
-        n = spec.n
+        g = build_complete_multipartite(sizes)
+        n = g.vertex_count
         perms = permutations(range(1, n + 1))
         if n > 6:
             perms = islice(perms, 2000)
@@ -132,29 +130,27 @@ def test_g_function_is_affine_with_slope_delta():
 
 
 def test_gap_lower_bound():
-    assert gap_lower_bound(build_complete_multipartite(PartiteSpec((2, 2, 9)))) == 5
+    assert gap_lower_bound(build_complete_multipartite((2, 2, 9))) == 5
     assert gap_lower_bound(build_cycle(5)) is None  # regular: no information
-    assert gap_lower_bound(build_complete_multipartite(PartiteSpec((3, 8, 9)))) is None
-    lonely = build_complete_multipartite(PartiteSpec((1,)))
+    assert gap_lower_bound(build_complete_multipartite((3, 8, 9))) is None
+    lonely = build_complete_multipartite((1,))
     with pytest.raises(DomainError):
         gap_lower_bound(lonely)
 
 
 def test_magic_constant():
-    assert magic_constant_multipartite(PartiteSpec((5, 6, 7)), 171) == 114
-    assert magic_constant_multipartite(PartiteSpec((3, 8, 9)), 231) == 154
-    assert magic_constant_multipartite(PartiteSpec((1, 1)), 3) == Fraction(3, 2)
+    assert magic_constant_multipartite((5, 6, 7), 171) == 114
+    assert magic_constant_multipartite((3, 8, 9), 231) == 154
+    assert magic_constant_multipartite((1, 1), 3) == Fraction(3, 2)
     with pytest.raises(DomainError):
-        magic_constant_multipartite(PartiteSpec((4,)), 10)
+        magic_constant_multipartite((4,), 10)
 
 
 def test_magic_constant_matches_witness_constants():
     for sizes in [(5, 6, 7), (3, 8, 9), (2, 2, 3)]:
         lab = label_tripartite(*sizes)
-        spec = PartiteSpec(sizes)
-        g = build_complete_multipartite(spec)
-        report = verify_s_magic(g, lab)
-        assert magic_constant_multipartite(spec, sum(lab.labels)) == report.constant
+        report = verify_s_magic(build_complete_multipartite(sizes), lab)
+        assert magic_constant_multipartite(sizes, sum(lab.labels)) == report.constant
 
 
 def test_distance_magic_characterization():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from magiclab import (
     BudgetExceededError,
     DomainError,
-    PartiteSpec,
     build_complete_multipartite,
     build_cycle,
     oracle_theta_general,
@@ -151,7 +150,7 @@ def test_closed_forms_agree_with_the_oracle_over_its_cap():
     kinds = {"exact": 0, "bounded": 0, "exhausted": 0}
     for sizes in shapes:
         formula = _closed_form(sizes)
-        found = oracle_theta_multipartite(PartiteSpec(sizes), 16)
+        found = oracle_theta_multipartite(build_complete_multipartite(sizes), 16)
         if found.exact:
             assert formula.lower <= found.theta, sizes
             assert formula.upper is None or found.theta <= formula.upper, sizes
@@ -173,15 +172,15 @@ def _first_level(sizes, max_excess):
 def test_multipartite_oracle_golden_values():
     assert _first_level((5, 6, 7), 0) == 0
     assert _first_level((3, 8, 9), 8) == 7
-    res = oracle_theta_multipartite(PartiteSpec((1, 1)), 6)
+    res = oracle_theta_multipartite(build_complete_multipartite((1, 1)), 6)
     assert not res.exact and res.case_tag == "oracle-exhausted"
     assert (res.lower, res.upper) == (7, None)
 
 
 def test_oracle_witnesses_verify():
     for sizes in [(2, 3), (2, 2, 2), (3, 3, 4), (2, 2, 6), (2, 3, 5)]:
-        res = oracle_theta_multipartite(PartiteSpec(sizes), 8)
-        g = build_complete_multipartite(PartiteSpec(sizes))
+        res = oracle_theta_multipartite(build_complete_multipartite(sizes), 8)
+        g = build_complete_multipartite(sizes)
         assert verify_s_magic(g, res.witness).is_magic
         assert res.witness.eta == sum(sizes) + res.theta
 
@@ -189,7 +188,7 @@ def test_oracle_witnesses_verify():
 def test_feasibility_monotone_in_excess():
     for sizes, theta in [((2, 3), 1), ((2, 2, 6), 2), ((3, 3), 1)]:
         for budget in range(theta, theta + 3):
-            res = oracle_theta_multipartite(PartiteSpec(sizes), budget)
+            res = oracle_theta_multipartite(build_complete_multipartite(sizes), budget)
             assert res.theta == theta
 
 
@@ -365,7 +364,7 @@ def test_two_singleton_parts_match_the_unpruned_scan():
     ]
     for sizes in shapes:
         n = sum(sizes)
-        res = oracle_theta_multipartite(PartiteSpec(sizes), 16)
+        res = oracle_theta_multipartite(build_complete_multipartite(sizes), 16)
         assert (res.lower, res.upper, res.case_tag) == (17, None, "oracle-exhausted"), sizes
         ticker = _Ticker(time.monotonic() + 60)
         assert all(_scan_level(list(sizes), e, ticker) is None for e in range(17)), sizes
@@ -376,13 +375,25 @@ def test_two_oracles_agree_on_multipartite():
     for n in range(1, 11):
         for r in range(1, n + 1):
             for sizes in _partitions(n, r):
-                spec = PartiteSpec(sizes)
-                g = build_complete_multipartite(spec)
+                g = build_complete_multipartite(sizes)
                 # the two refutation rules: two singleton parts, and the lemma
                 assert _refuted_by_neighbourhoods(g) == (sizes.count(1) >= 2), sizes
-                fast = oracle_theta_multipartite(spec, 6)
+                fast = oracle_theta_multipartite(g, 6)
                 slow = oracle_theta_general(g, 6)
                 assert (fast.lower, fast.upper) == (slow.lower, slow.upper), sizes
+
+
+def test_multipartite_oracle_refuses_other_graphs():
+    with pytest.raises(DomainError, match="complete multipartite"):
+        oracle_theta_multipartite(build_cycle(5), 4)
+
+
+def test_multipartite_oracle_labels_blocks_out_of_size_order():
+    # K(1,2) written explicitly with its parts in decreasing order: the
+    # witness lists its labels block by block, whatever the block order
+    g = Graph((2, 1), ((1,), (0,)))
+    res = oracle_theta_multipartite(g, 4)
+    assert res.theta == 0 and verify_s_magic(g, res.witness).is_magic
 
 
 def _partitions(n, r, minimum=1):
@@ -396,13 +407,13 @@ def _partitions(n, r, minimum=1):
 
 def test_budget_is_reported_not_silent():
     with pytest.raises(BudgetExceededError):
-        oracle_theta_multipartite(PartiteSpec((2, 2, 9)), 14, budget_seconds=-1)
+        oracle_theta_multipartite(build_complete_multipartite((2, 2, 9)), 14, budget_seconds=-1)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_budget_is_refused(budget):
     # a NaN or infinite deadline never ends the search, so neither oracle runs
     with pytest.raises(DomainError, match="finite"):
-        oracle_theta_multipartite(PartiteSpec((2, 2)), 2, budget_seconds=budget)
+        oracle_theta_multipartite(build_complete_multipartite((2, 2)), 2, budget_seconds=budget)
     with pytest.raises(DomainError, match="finite"):
         oracle_theta_general(build_cycle(6), 2, budget_seconds=budget)

@@ -2,7 +2,6 @@ import pytest
 
 from magiclab import (
     DomainError,
-    PartiteSpec,
     build_complete_multipartite,
     classify_tripartite,
     label_tripartite,
@@ -124,7 +123,7 @@ def test_witness_labelings():
 
     lab = label_tripartite(3, 8, 9)
     assert lab.eta == 27
-    g = build_complete_multipartite(PartiteSpec((3, 8, 9)))
+    g = build_complete_multipartite((3, 8, 9))
     assert verify_s_magic(g, lab).constant == 154
 
     assert label_tripartite(2, 2, 9) is None  # case III: no construction
@@ -136,7 +135,7 @@ def test_case4_witness_merges_one_label():
         n = sum(sizes)
         lab = label_tripartite(*sizes)
         assert lab is not None
-        g = build_complete_multipartite(PartiteSpec(sizes))
+        g = build_complete_multipartite(sizes)
         assert verify_s_magic(g, lab).is_magic
         assert lab.eta <= 2 * n + 1
 
@@ -155,11 +154,11 @@ def test_witnesses_at_scale():
     # beyond the oracle range; the verifier is the referee
     lab = label_tripartite(20, 150, 200)
     res = theta_tripartite(20, 150, 200)
-    g = build_complete_multipartite(PartiteSpec((20, 150, 200)))
+    g = build_complete_multipartite((20, 150, 200))
     report = verify_s_magic(g, lab)
     assert report.is_magic and lab.eta == 370 + res.theta
     lab = label_tripartite(100, 120, 140)
-    g = build_complete_multipartite(PartiteSpec((100, 120, 140)))
+    g = build_complete_multipartite((100, 120, 140))
     assert verify_s_magic(g, lab).is_magic and lab.eta == 360
 
 
