@@ -19,13 +19,12 @@ share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 Every command that takes a spec reads it once, through
 ``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs, sorts
-K part sizes and writes ``U(1,G)``, ``LEX(G,E(1))``, ``U(m,U(k,G))``,
-``LEX(K(s),E(a))`` and a one-part ``U(m,K(a))`` in their plain forms, so
-equal graphs so written get one answer.  ``_plan`` is the one place that
-maps that AST to its closed form and its witness; a witness builds its
-graph before it labels it, so a spec over a cap is refused before any
-labeling is made (a ``LEX`` base built for its closed form is blown up, not
-built again).  Every oracle run goes
+K part sizes and writes it in the one flat form ``Spec(base, m, a)``, the
+graph ``U(m,LEX(base,E(a)))``, so nested spellings of one graph get one
+answer.  ``_plan`` is the one place that maps that spec to its closed form
+and its witness; a witness builds its graph before it labels it, so a spec
+over a cap is refused before any labeling is made (a blow-up base built for
+its closed form is blown up, not built again).  Every oracle run goes
 through ``_certified_oracle``: ``index --oracle`` runs it on a spec no
 closed form covers, ``label --oracle`` whenever no construction gives a
 labeling.  ``_certify``, the one check of a labeling, passes each printed
@@ -61,16 +60,7 @@ from . import families
 from .arrays import _line_sums, kotzig_array, qmr
 from .bipartite import label_bipartite, theta_bipartite
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError, MagiclabError
-from .graphs import (
-    CNode,
-    KNode,
-    LexNode,
-    UNode,
-    build_from_ast,
-    check_caps,
-    lex_blowup,
-    parse_spec_ast,
-)
+from .graphs import CNode, KNode, Spec, build_from_ast, check_caps, lex_blowup, parse_spec_ast
 from .labelings import SORTED_JSON, Labeling, ThetaResult, labels_json, verify_s_magic
 from .oracle import BUDGET_SECONDS, MAX_EXCESS, MAX_N, check_search_flags
 from .oracle import oracle_theta_general, oracle_theta_multipartite
@@ -94,22 +84,29 @@ class _Unsupported(Exception):
     pass
 
 
-def _plan(ast):
-    """(result, witness) for a spec AST: the most specific closed form's
+def _plan(spec):
+    """(result, witness) for a flat ``Spec``: the most specific closed form's
     ``ThetaResult`` and, when a construction applies, a function of no
     arguments that builds the graph and returns a labeling of it (None if
     the construction finds none) and the graph; ``witness`` is None
-    otherwise."""
-    base = None  # a LEX spec's base graph, once its closed form has built it
+    otherwise.
+
+    It reads (base, m, a) once, with no recursion.  With a = 1: the K
+    closed forms for one copy, ``theta_mK_ab`` for m > 1 copies of a K with
+    equal parts, no closed form otherwise.  With a > 1: ``theta_mC_lex`` on
+    a cycle base, else ``theta_lex_regular`` on the built G = U(m, base),
+    except that a complete multipartite G (only a ``FILE`` of K_n is one)
+    blows up to K(a, .., a) and takes the K closed forms."""
+    base = None  # the built U(m, base) of a blow-up, once its closed form has built it
 
     def witnessed(result, label):
         """``result`` with the witness that labels the graph by ``label(graph)``."""
         def witness():
             if base is None:
-                graph = build_from_ast(ast)
+                graph = build_from_ast(spec)
             else:  # blow up the built base rather than build it again
-                check_caps(ast)
-                graph = lex_blowup(base, ast.a)
+                check_caps(spec)
+                graph = lex_blowup(base, spec.a)
             return label(graph), graph
         return result, witness
 
@@ -119,47 +116,47 @@ def _plan(ast):
             return result, None
         return witnessed(result, lambda graph: families.label_by_qmr_columns(graph, group))
 
-    if isinstance(ast, KNode):
-        sizes = ast.sizes
-        r = len(sizes)
-        if r == 1:
-            result = ThetaResult(lower=0, upper=0, case_tag="edgeless")
-            return witnessed(result, lambda _: Labeling.from_parts([range(1, sizes[0] + 1)]))
-        if r == 2 and sizes[1] >= 2:
-            return witnessed(theta_bipartite(*sizes), lambda _: label_bipartite(*sizes))
-        if r == 3 and sizes[0] >= 2:
-            # label_tripartite returns None in cases III and V
-            return witnessed(theta_tripartite(*sizes), lambda _: label_tripartite(*sizes))
-        if r >= 4 and len(set(sizes)) == 1 and sizes[0] >= 2:
-            return qmr_columns(families.theta_K_ab(sizes[0], r), sizes[0])
-        raise _Unsupported(f"no closed form for parts {sizes}")
-    if isinstance(ast, UNode):
-        inner = ast.inner
-        if isinstance(inner, KNode):
-            sizes = inner.sizes
-            if len(set(sizes)) == 1 and sizes[0] >= 2:
-                return qmr_columns(families.theta_mK_ab(ast.m, sizes[0], len(sizes)), sizes[0])
-        if isinstance(inner, LexNode) and isinstance(inner.inner, CNode):
-            return qmr_columns(families.theta_mC_lex(ast.m, inner.a, inner.inner.b), inner.a)
+    node, m, a = spec.base, spec.m, spec.a
+    if a > 1:
+        if isinstance(node, CNode):
+            return qmr_columns(families.theta_mC_lex(m, a, node.b), a)
+        base = build_from_ast(Spec(node, m))
+        if not base.is_complete_multipartite:
+            if not base.is_regular:
+                raise _Unsupported("blow-up base graph is not regular")
+            return qmr_columns(families.theta_lex_regular(base, a), a)
+        # a FILE of K_n, one vertex per block: the blow-up is K(a, .., a)
+        node = KNode((a,) * len(base.sizes))
+    if m > 1:
+        if isinstance(node, KNode) and len(set(node.sizes)) == 1 and node.sizes[0] >= 2:
+            sizes = node.sizes
+            return qmr_columns(families.theta_mK_ab(m, sizes[0], len(sizes)), sizes[0])
         raise _Unsupported("no closed form for this disjoint union")
-    if isinstance(ast, LexNode):
-        if isinstance(ast.inner, CNode):
-            return qmr_columns(families.theta_mC_lex(1, ast.a, ast.inner.b), ast.a)
-        base = build_from_ast(ast.inner)
-        if not base.is_regular:
-            raise _Unsupported("blow-up base graph is not regular")
-        return qmr_columns(families.theta_lex_regular(base, ast.a), ast.a)
-    raise _Unsupported("no closed form for this spec")
+    if not isinstance(node, KNode):
+        raise _Unsupported("no closed form for this spec")
+    sizes = node.sizes
+    r = len(sizes)
+    if r == 1:
+        result = ThetaResult(lower=0, upper=0, case_tag="edgeless")
+        return witnessed(result, lambda _: Labeling.from_parts([range(1, sizes[0] + 1)]))
+    if r == 2 and sizes[1] >= 2:
+        return witnessed(theta_bipartite(*sizes), lambda _: label_bipartite(*sizes))
+    if r == 3 and sizes[0] >= 2:
+        # label_tripartite returns None in cases III and V
+        return witnessed(theta_tripartite(*sizes), lambda _: label_tripartite(*sizes))
+    if r >= 4 and len(set(sizes)) == 1 and sizes[0] >= 2:
+        return qmr_columns(families.theta_K_ab(sizes[0], r), sizes[0])
+    raise _Unsupported(f"no closed form for parts {sizes}")
 
 
-def _certified_oracle(args, ast):
-    """(result, report): the oracle's result on the graph of ``ast`` up to
+def _certified_oracle(args, spec):
+    """(result, report): the oracle's result on the graph of ``spec`` up to
     ``--max-excess``, a spec over its vertex cap rejected unbuilt, and
     ``_certify``'s report on its witness, or None without one.  The one
     place the CLI runs an oracle: the multipartite one on a complete
     multipartite graph, however the spec wrote it, the general one on any
     other."""
-    graph = build_from_ast(ast, max_vertices=MAX_N)
+    graph = build_from_ast(spec, max_vertices=MAX_N)
     oracle = oracle_theta_multipartite if graph.is_complete_multipartite else oracle_theta_general
     result = oracle(graph, args.max_excess, args.budget_seconds)
     report = None if result.witness is None else _certify(graph, result.witness, result)

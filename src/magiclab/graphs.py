@@ -27,11 +27,20 @@ The closed spec grammar::
           | "FILE(" path ")"            adjacency list file
 
 ``parse_spec_ast`` is the one pass that decides what a spec is.  Each node
-checks its own integers when it closes; ``FILE`` is read there, under the
-vertex and block adjacency caps; and five rewrites that keep the graph
-apply at every level: ``U(1,G)`` and ``LEX(G,E(1))`` are G,
-``U(m,U(k,G))`` is U(m * k, G), ``LEX(K(s),E(a))`` is K(s * a), and
-``U(m,K(a))`` with one part is the edgeless K(m * a).  So every node's
+checks its own integers when it closes, and ``FILE`` is read there, under
+the vertex and block adjacency caps.  Every spec parses to one flat form,
+``Spec(base, m, a)``, which means ``U(m,LEX(base,E(a)))`` with a K, C or
+FILE base: ``U(m,Spec(b,k,a))`` is Spec(b, m * k, a) and
+``LEX(Spec(b,m,a'),E(a))`` is Spec(b, m, a' * a).  Both keep the graph
+and its vertex ids: ``LEX(U(m,G),E(a))`` and ``U(m,LEX(G,E(a)))`` send
+vertex v of copy c to c*n*a + v*a + i, and ``LEX(LEX(G,E(a)),E(b))`` is
+LEX(G, E(a * b)).  Two K rules also hold: ``LEX(K(s),E(a))`` with one copy
+is K(s * a), and ``U(m,K(s))`` with one part is the edgeless K(m * s).  A
+K under a union keeps its layers: ``LEX(U(2,K(3,3)),E(3))`` is
+Spec(K(3,3), 2, 3), not U(2,K(9,9)), although both are one graph: its
+labeling comes from the blow-up form, QMR(3, 12) columns one per layer,
+while U(2,K(9,9)) takes the mK(a,b) form and QMR(9, 4) columns, a
+different labeling of the same vertices.  So every spec's
 size is known unbuilt, and ``build_from_ast`` checks both caps before it
 builds anything.  The parser is also the one place that orders K parts:
 every ``KNode`` holds its part sizes nondecreasing, and no later layer
@@ -50,7 +59,7 @@ DEFAULT_MAX_VERTICES = 100_000
 # only FILE(...) and unions of it store over 2n block adjacency entries (a
 # cycle 2 per vertex, K none); a dense file's union could reach gigabytes
 MAX_BLOCK_ADJACENCY = 1_000_000
-# the parser and the builders recurse once or twice per nested U( or LEX(;
+# the parser recurses twice per nested U( or LEX( (the builders do not);
 # 200 levels stay well inside Python's default recursion limit of 1 000
 MAX_SPEC_DEPTH = 200
 
@@ -259,24 +268,18 @@ class CNode:
 
 
 @dataclass(frozen=True)
-class UNode:
-    m: int
-    inner: "SpecNode"
-
-
-@dataclass(frozen=True)
-class LexNode:
-    inner: "SpecNode"
-    a: int
-
-
-@dataclass(frozen=True)
 class FileNode:
     path: str
     graph: Graph  # read when the spec is parsed
 
 
-SpecNode = KNode | CNode | UNode | LexNode | FileNode
+@dataclass(frozen=True)
+class Spec:
+    """The spec ``U(m,LEX(base,E(a)))``: the one form every spec parses to."""
+
+    base: KNode | CNode | FileNode
+    m: int = 1
+    a: int = 1
 
 
 class _Parser:
@@ -320,19 +323,19 @@ class _Parser:
             self.error("expected a file path")
         return self.text[start:self.pos]
 
-    def spec(self) -> SpecNode:
+    def spec(self) -> Spec:
         self.depth += 1
         if self.depth > MAX_SPEC_DEPTH:
             self.error(f"specs nest at most {MAX_SPEC_DEPTH} levels deep")
         for head in ("K(", "C(", "U(", "LEX(", "FILE("):
             if self.text.startswith(head, self.pos):
                 self.pos += len(head)
-                node = getattr(self, "_" + head[:-1].lower())()
+                spec = getattr(self, "_" + head[:-1].lower())()
                 self.depth -= 1
-                return node
+                return spec
         self.error("expected one of K(, C(, U(, LEX(, FILE(")
 
-    def _k(self) -> KNode:
+    def _k(self) -> Spec:
         sizes = [self.integer()]
         while not self.eof() and self.text[self.pos] == ",":
             self.pos += 1
@@ -340,29 +343,28 @@ class _Parser:
         self.expect(")")
         if any(s < 1 for s in sizes):
             raise GraphSpecError(f"part sizes must be >= 1, got {tuple(sizes)}")
-        return KNode(tuple(sorted(sizes)))
+        return Spec(KNode(tuple(sorted(sizes))))
 
-    def _c(self) -> CNode:
+    def _c(self) -> Spec:
         b = self.integer()
         self.expect(")")
         if b < 3:
             raise GraphSpecError(f"cycles need at least 3 vertices, got {b}")
-        return CNode(b)
+        return Spec(CNode(b))
 
-    def _u(self) -> SpecNode:
+    def _u(self) -> Spec:
         m = self.integer()
         self.expect(",")
         inner = self.spec()
         self.expect(")")
         if m < 1:
             raise GraphSpecError(f"unions need at least one copy, got {m}")
-        if isinstance(inner, KNode) and len(inner.sizes) == 1:  # U(m,K(a)) is K(m * a)
-            return KNode((m * inner.sizes[0],))
-        if isinstance(inner, UNode):  # U(m,U(k,G)) is U(m * k, G)
-            return UNode(m * inner.m, inner.inner)
-        return inner if m == 1 else UNode(m, inner)
+        base = inner.base
+        if isinstance(base, KNode) and len(base.sizes) == 1:  # U(m,K(s)) is K(m * s)
+            return Spec(KNode((m * base.sizes[0],)))
+        return Spec(base, m * inner.m, inner.a)
 
-    def _lex(self) -> SpecNode:
+    def _lex(self) -> Spec:
         inner = self.spec()
         self.expect(",E(")
         a = self.integer()
@@ -370,51 +372,49 @@ class _Parser:
         self.expect(")")
         if a < 1:
             raise GraphSpecError(f"layers need at least one vertex, got {a}")
-        if a == 1:
-            return inner
-        if isinstance(inner, KNode):  # LEX(K(s),E(a)) is K(s * a)
-            return KNode(tuple(size * a for size in inner.sizes))
-        return LexNode(inner, a)
+        base = inner.base
+        if isinstance(base, KNode) and inner.m == 1:  # LEX(K(s),E(a)) is K(s * a)
+            return Spec(KNode(tuple(size * a for size in base.sizes)))
+        return Spec(base, inner.m, inner.a * a)
 
-    def _file(self) -> FileNode:
+    def _file(self) -> Spec:
         path = self.path()
         self.expect(")")
-        return FileNode(path, read_adjacency_file(path))
+        return Spec(FileNode(path, read_adjacency_file(path)))
 
 
-def parse_spec_ast(text: str) -> SpecNode:
-    """The AST of ``text``, checked, with ``FILE`` graphs read, K part sizes
-    sorted, and with ``U(1,G)`` and ``LEX(G,E(1))`` read as G,
-    ``U(m,U(k,G))`` as U(m * k, G), ``LEX(K(s),E(a))`` as K(s * a) and a
-    one-part ``U(m,K(a))`` as K(m * a) at every level: each rewrite denotes
-    the same graph."""
+def parse_spec_ast(text: str) -> Spec:
+    """The flat ``Spec`` of ``text``, checked, with ``FILE`` graphs read and
+    K part sizes sorted.  ``U(m,Spec(b,k,a))`` is read as Spec(b, m * k, a)
+    and ``LEX(Spec(b,m,a'),E(a))`` as Spec(b, m, a' * a); over a K base,
+    ``LEX`` with one copy is K(s * a) and ``U`` of one part is K(m * s).
+    Each rewrite denotes the same graph with the same vertex ids."""
     parser = _Parser(text)
-    node = parser.spec()
+    spec = parser.spec()
     if not parser.eof():
         parser.error("trailing characters after spec")
-    return node
+    return spec
 
 
-def _ast_size(node: SpecNode) -> tuple[int, int]:
-    """(vertices, block adjacency entries) of the graph ``node`` builds."""
-    if isinstance(node, KNode):
-        return sum(node.sizes), 0  # one complete range, no entries
-    if isinstance(node, CNode):
-        return node.b, 2 * node.b
-    if isinstance(node, FileNode):
-        return node.graph.vertex_count, sum(map(len, node.graph.adjacent))
-    vertices, entries = _ast_size(node.inner)
-    if isinstance(node, UNode):
-        return node.m * vertices, node.m * entries
-    return node.a * vertices, entries
+def _ast_size(spec: Spec) -> tuple[int, int]:
+    """(vertices, block adjacency entries) of the graph ``spec`` builds."""
+    base = spec.base
+    if isinstance(base, KNode):
+        vertices, entries = sum(base.sizes), 0  # one complete range, no entries
+    elif isinstance(base, CNode):
+        vertices, entries = base.b, 2 * base.b
+    else:
+        vertices, entries = base.graph.vertex_count, sum(map(len, base.graph.adjacent))
+    return spec.m * spec.a * vertices, spec.m * entries
 
 
-def check_caps(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
-    """Raise ``SizeLimitError`` if the graph of ``node`` is over the vertex or
+def check_caps(spec: Spec, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
+    """Raise ``SizeLimitError`` if the graph of ``spec`` is over the vertex or
     block adjacency cap; nothing is built."""
-    vertices, entries = _ast_size(node)
+    vertices, entries = _ast_size(spec)
     if vertices > max_vertices:
-        what = "graph has" if isinstance(node, FileNode) else "spec declares"
+        bare_file = isinstance(spec.base, FileNode) and spec.m == spec.a == 1
+        what = "graph has" if bare_file else "spec declares"
         raise SizeLimitError(f"{what} {vertices} vertices, cap is {max_vertices}")
     if entries > MAX_BLOCK_ADJACENCY:
         raise SizeLimitError(
@@ -422,24 +422,22 @@ def check_caps(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> None
         )
 
 
-def build_from_ast(node: SpecNode, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
-    """Build the graph of ``node``, refused unbuilt over a cap (``check_caps``)."""
-    check_caps(node, max_vertices)
-    return _build(node)
-
-
-def _build(node: SpecNode) -> Graph:
-    if isinstance(node, KNode):
-        return build_complete_multipartite(node.sizes)
-    if isinstance(node, CNode):
-        return build_cycle(node.b)
-    if isinstance(node, UNode):
-        return disjoint_union(node.m, _build(node.inner))
-    if isinstance(node, LexNode):
-        return lex_blowup(_build(node.inner), node.a)
-    if isinstance(node, FileNode):
-        return node.graph
-    raise TypeError(f"unknown spec node {node!r}")
+def build_from_ast(spec: Spec, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
+    """Build the graph of ``spec``, refused unbuilt over a cap (``check_caps``):
+    its base, then ``m`` copies of it, then each vertex blown up to ``a``."""
+    check_caps(spec, max_vertices)
+    base = spec.base
+    if isinstance(base, KNode):
+        graph = build_complete_multipartite(base.sizes)
+    elif isinstance(base, CNode):
+        graph = build_cycle(base.b)
+    else:
+        graph = base.graph
+    if spec.m > 1:
+        graph = disjoint_union(spec.m, graph)
+    if spec.a > 1:
+        graph = lex_blowup(graph, spec.a)
+    return graph
 
 
 def parse_graph_spec(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:

@@ -18,7 +18,7 @@ import magiclab
 from magiclab import cli
 from magiclab.cli import main
 from magiclab.errors import InternalInconsistencyError
-from magiclab.graphs import MAX_SPEC_DEPTH, build_from_ast, parse_spec_ast
+from magiclab.graphs import MAX_SPEC_DEPTH, _ast_size, build_from_ast, parse_spec_ast
 
 from conftest import petersen
 from test_cli_fuzz import _files, command_lines
@@ -132,17 +132,26 @@ def test_label_file_blowup_reads_the_file_once(tmp_path, monkeypatch):
 
 
 def test_label_lex_blowup_builds_its_base_once(monkeypatch):
-    # the closed form builds the base U(3,C(10)); the witness blows it up
     builds = []
-    build = magiclab.graphs.build_cycle
+    build_cycle = magiclab.graphs.build_cycle
+    build_k = magiclab.graphs.build_complete_multipartite
 
-    def counting_build(b):
+    def counting_build_cycle(b):
         builds.append(b)
-        return build(b)
+        return build_cycle(b)
 
-    monkeypatch.setattr(magiclab.graphs, "build_cycle", counting_build)
+    def counting_build_k(sizes):
+        builds.append(sizes)
+        return build_k(sizes)
+
+    monkeypatch.setattr(magiclab.graphs, "build_cycle", counting_build_cycle)
+    monkeypatch.setattr(magiclab.graphs, "build_complete_multipartite", counting_build_k)
     code, out, _ = run_cli("label", "LEX(U(3,C(10)),E(3))")
     assert code == 0 and json.loads(out)["eta"] == 91 and builds == [10]
+    # the closed form builds the base U(2,K(3,3)); the witness blows it up
+    builds.clear()
+    code, out, _ = run_cli("label", "LEX(U(2,K(3,3)),E(3))")
+    assert code == 0 and json.loads(out)["eta"] == 37 and builds == [(3, 3)]
 
 
 def test_label_no_construction_exits_4():
@@ -521,11 +530,67 @@ def test_disguised_k_specs_are_planned_as_their_k_form(disguised, literal):
     ("LEX(U(1,C(4)),E(3))", "LEX(C(4),E(3))"),
     ("LEX(LEX(C(6),E(1)),E(3))", "LEX(C(6),E(3))"),
     ("U(2,LEX(U(1,C(6)),E(3)))", "U(2,LEX(C(6),E(3)))"),
+    ("LEX(LEX(C(4),E(2)),E(3))", "LEX(C(4),E(6))"),
+    ("LEX(U(2,C(4)),E(3))", "U(2,LEX(C(4),E(3)))"),
+    ("U(2,LEX(U(2,C(4)),E(3)))", "U(4,LEX(C(4),E(3)))"),
 ])
 def test_disguised_cycle_blowups_are_planned_as_their_literal_form(disguised, literal):
-    # the parser drops U(1,.) and E(1) at every level, not only at the top
+    # the parser reads every nesting as one U(m,LEX(C(b),E(a)))
     for command in ("index", "label"):
         assert run_cli(command, disguised) == run_cli(command, literal), command
+
+
+def test_blow_ups_of_a_complete_file_are_planned_as_their_k_form(tmp_path):
+    # a built base that is complete multipartite gets the K rule: only a
+    # FILE of K_n can be one, and its blow-up by E(a) is K(a, .., a)
+    k2 = tmp_path / "k2.adj"
+    k2.write_text("0: 1\n1: 0\n")
+    for a in range(2, 7):
+        for command in ("index", "label"):
+            blown = run_cli(command, f"LEX(FILE({k2}),E({a}))")
+            assert blown == run_cli(command, f"K({a},{a})"), (command, a)
+    # E(9) alone is the lex-open cell of a regular base, with no labeling
+    spec = f"LEX(LEX(FILE({k2}),E(3)),E(3))"
+    code, out, _ = run_cli("label", spec)
+    assert code == 0
+    labfile = tmp_path / "labels.json"
+    labfile.write_text(out)
+    code, out, _ = run_cli("verify", spec, str(labfile))
+    assert code == 0 and json.loads(out)["is_magic"]
+
+
+def _wrapped(spec, levels):
+    """``spec`` under at most ``levels`` of U(m,.) and LEX(.,E(a)), m, a in 2..4."""
+    yield spec
+    if levels:
+        for f in (2, 3, 4):
+            yield from _wrapped(f"U({f},{spec})", levels - 1)
+            yield from _wrapped(f"LEX({spec},E({f}))", levels - 1)
+
+
+def test_index_bounds_hold_the_oracle_theta_on_nested_specs(tmp_path):
+    k2, c4 = tmp_path / "k2.adj", tmp_path / "c4.adj"
+    k2.write_text("0: 1\n1: 0\n")
+    c4.write_text(C4_ADJACENCY)
+    bases = ["K(2,2)", "K(1,2)", "K(3,3)", "C(4)", "C(5)", "C(6)", f"FILE({k2})", f"FILE({c4})"]
+    checked = 0
+    for base in bases:
+        for spec in _wrapped(base, 2):
+            if _ast_size(parse_spec_ast(spec))[0] > 16:
+                continue
+            code, out, _ = run_cli("index", spec)
+            if code == 3:  # no closed form: no bounds to hold
+                continue
+            index = json.loads(out)
+            code, out, _ = run_cli("oracle", spec, "--max-excess", "3")
+            found = json.loads(out)
+            assert code == 0, spec
+            if found["exact"]:
+                checked += 1
+                upper = index["upper"]
+                assert index["lower"] <= found["theta"], spec
+                assert upper is None or found["theta"] <= upper, spec
+    assert checked >= 50
 
 
 def _nested(depth):

@@ -22,8 +22,7 @@ from magiclab.graphs import (
     CNode,
     FileNode,
     KNode,
-    LexNode,
-    UNode,
+    Spec,
     build_from_ast,
     parse_spec_ast,
 )
@@ -127,33 +126,37 @@ def test_degree_sum_is_twice_edges():
 
 
 def test_parser_shapes():
-    ast = parse_spec_ast("U(2,K(3,3))")
-    assert isinstance(ast, UNode) and ast.m == 2
-    assert isinstance(ast.inner, KNode) and ast.inner.sizes == (3, 3)
-    ast = parse_spec_ast("LEX(C(10),E(3))")
-    assert isinstance(ast, LexNode) and ast.a == 3
-    assert isinstance(ast.inner, CNode) and ast.inner.b == 10
+    spec = parse_spec_ast("U(2,K(3,3))")
+    assert (spec.m, spec.a) == (2, 1)
+    assert isinstance(spec.base, KNode) and spec.base.sizes == (3, 3)
+    spec = parse_spec_ast("LEX(C(10),E(3))")
+    assert (spec.m, spec.a) == (1, 3)
+    assert isinstance(spec.base, CNode) and spec.base.b == 10
 
 
 @pytest.mark.parametrize("text, literal", [
-    ("U(1,C(4))", CNode(4)),
-    ("LEX(C(4),E(1))", CNode(4)),
-    ("LEX(K(1,2),E(3))", KNode((3, 6))),
-    ("LEX(U(1,C(4)),E(3))", LexNode(CNode(4), 3)),
-    ("LEX(LEX(C(6),E(1)),E(3))", LexNode(CNode(6), 3)),
-    ("U(2,LEX(U(1,C(6)),E(3)))", UNode(2, LexNode(CNode(6), 3))),
-    ("U(3,LEX(U(1,LEX(K(2,1),E(2))),E(3)))", UNode(3, KNode((6, 12)))),
-    ("U(1,U(1,LEX(K(2),E(1))))", KNode((2,))),
-    ("LEX(U(2,C(5)),E(2))", LexNode(UNode(2, CNode(5)), 2)),  # no other rewrite
-    ("U(3,K(4))", KNode((12,))),
-    ("LEX(U(3,K(1)),E(2))", KNode((6,))),
-    ("U(2,LEX(U(3,K(1)),E(2)))", KNode((12,))),
-    ("U(2,K(1,1))", UNode(2, KNode((1, 1)))),  # two parts: no rewrite
-    ("U(2,U(2,K(2,2)))", UNode(4, KNode((2, 2)))),
-    ("U(2,U(3,C(5)))", UNode(6, CNode(5))),
-    ("U(2,U(1,U(3,K(2,1))))", UNode(6, KNode((1, 2)))),
-    ("U(2,LEX(U(2,U(3,C(4))),E(2)))", UNode(2, LexNode(UNode(6, CNode(4)), 2))),
-    ("U(2,U(2,K(3)))", KNode((12,))),
+    ("U(1,C(4))", Spec(CNode(4))),
+    ("LEX(C(4),E(1))", Spec(CNode(4))),
+    ("LEX(K(1,2),E(3))", Spec(KNode((3, 6)))),
+    ("LEX(U(1,C(4)),E(3))", Spec(CNode(4), 1, 3)),
+    ("LEX(LEX(C(6),E(1)),E(3))", Spec(CNode(6), 1, 3)),
+    ("U(2,LEX(U(1,C(6)),E(3)))", Spec(CNode(6), 2, 3)),
+    ("U(3,LEX(U(1,LEX(K(2,1),E(2))),E(3)))", Spec(KNode((6, 12)), 3)),
+    ("U(1,U(1,LEX(K(2),E(1))))", Spec(KNode((2,)))),
+    ("LEX(U(2,C(5)),E(2))", Spec(CNode(5), 2, 2)),  # one union of blow-ups
+    ("U(3,K(4))", Spec(KNode((12,)))),
+    ("LEX(U(3,K(1)),E(2))", Spec(KNode((6,)))),
+    ("U(2,LEX(U(3,K(1)),E(2)))", Spec(KNode((12,)))),
+    ("U(2,K(1,1))", Spec(KNode((1, 1)), 2)),  # two parts: no K rule
+    ("U(2,U(2,K(2,2)))", Spec(KNode((2, 2)), 4)),
+    ("U(2,U(3,C(5)))", Spec(CNode(5), 6)),
+    ("U(2,U(1,U(3,K(2,1))))", Spec(KNode((1, 2)), 6)),
+    ("U(2,LEX(U(2,U(3,C(4))),E(2)))", Spec(CNode(4), 12, 2)),
+    ("U(2,U(2,K(3)))", Spec(KNode((12,)))),
+    ("LEX(LEX(C(4),E(2)),E(3))", Spec(CNode(4), 1, 6)),
+    # a K under a union keeps its layers, not U(2,K(9,9))
+    ("LEX(U(2,K(3,3)),E(3))", Spec(KNode((3, 3)), 2, 3)),
+    ("U(2,LEX(U(2,K(3,3)),E(3)))", Spec(KNode((3, 3)), 4, 3)),
 ])
 def test_parser_rewrites_at_every_level(text, literal):
     assert parse_spec_ast(text) == literal
@@ -174,11 +177,15 @@ def test_rewrites_keep_the_graph(tmp_path):
     assert neighbour_sets(parse_graph_spec("U(3,K(4))")) == neighbour_sets(disjoint_union(3, k4))
     assert neighbour_sets(parse_graph_spec("LEX(U(3,K(1)),E(2))")) == neighbour_sets(
         lex_blowup(disjoint_union(3, k1), 2))
+    # a blow-up of a union is a union of blow-ups, and two blow-ups are one
+    assert parse_graph_spec("LEX(U(2,C(5)),E(3))") == lex_blowup(disjoint_union(2, c5), 3)
+    assert parse_graph_spec("LEX(U(2,C(5)),E(3))") == disjoint_union(2, lex_blowup(c5, 3))
+    assert parse_graph_spec("LEX(LEX(C(5),E(2)),E(3))") == lex_blowup(lex_blowup(c5, 2), 3)
     path = tmp_path / "p3.adj"
     path.write_text("0: 1\n1: 0 2\n2: 1\n")
-    ast = parse_spec_ast(f"U(1,FILE({path}))")
-    assert ast == FileNode(str(path), read_adjacency_file(path))
-    assert build_from_ast(ast) is ast.graph
+    spec = parse_spec_ast(f"U(1,FILE({path}))")
+    assert spec == Spec(FileNode(str(path), read_adjacency_file(path)))
+    assert build_from_ast(spec) is spec.base.graph
 
 
 @pytest.mark.parametrize("text, message", [
@@ -219,9 +226,9 @@ def test_parser_accepts_unsorted_sizes():
     g = parse_graph_spec("K(7,6,5)")
     assert g.is_complete_multipartite and g.sizes == (5, 6, 7)
     # the parser is the one place that orders K parts, at every level
-    assert parse_spec_ast("K(3,2)") == KNode((2, 3))
-    assert parse_spec_ast("U(2,K(3,2))") == UNode(2, KNode((2, 3)))
-    assert parse_spec_ast("LEX(K(3,1),E(2))") == KNode((2, 6))
+    assert parse_spec_ast("K(3,2)") == Spec(KNode((2, 3)))
+    assert parse_spec_ast("U(2,K(3,2))") == Spec(KNode((2, 3)), 2)
+    assert parse_spec_ast("LEX(K(3,1),E(2))") == Spec(KNode((2, 6)))
 
 
 def test_parser_errors_carry_position():
