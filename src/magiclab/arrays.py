@@ -21,17 +21,56 @@ coordinates ``entry - d``: with ``b = 2m``, place ``+-1..+-am`` so that
 every row and column sums to zero.  For ``b = 2`` the rows are ``(x, -x)``
 with the column signed greedily.  Otherwise three rows form a block of m
 column pairs, and the other ``a - 3`` rows are ``c = (a - 3)/2`` bands,
-each a row and its negation.  The entries are written ``d`` above these
-values straight into row tuples, the block's three rows whole and the
-bands one column progression at a time (below).  Every array passes its
-verifier before it is returned.  ``verify_qmr`` works in whole-array
-passes: the ``ab`` entries are exactly ``{1..ab+1} minus {d}`` iff their
-set has ``ab`` members (no two are equal), its least is at least 1, its
-largest at most ``ab + 1``, and it misses ``d``, which one set and two
-scans decide in O(ab) without a sort; then the row sums and the column
-sums of the transpose.  ``verify_kotzig`` sorts and sums each distinct
-row once, weighted by its count (its docstring shows that this decides
-the same conditions).
+each a row and its negation.  The entries are ``d`` above these values.
+Every array passes its verifier before it is returned.
+``verify_kotzig`` sorts and sums each distinct row once, weighted by its
+count (its docstring shows that this decides the same conditions).
+
+*Row progressions.*  A QMR is held as explicit rows ``0..n-1`` and row
+progressions ``(first, stride, copies, row, shift)``: rows
+``first + i * stride`` hold ``row + i * shift`` for ``i < copies``.  An
+explicit row is a progression of one copy.  The block, QMR(a, 2) and every
+band class with fewer than ``_COLUMN_COPIES`` copies are explicit rows; a
+class with more is one progression and its mirror another (*Shape
+classes*, below).  ``MagicArray.written`` writes the rows out in row
+order, one ``range`` per column of a progression turned into rows by
+``zip``; the CSV printer formats each row as it is written, and
+``entries`` is the written-out rows, on demand.
+
+``verify_qmr`` decides on the progressions, never on written-out rows,
+in O(progressions * b + explicit entries) Python steps (the bytearray
+slices below run in C):
+
+* *Tiling.*  Every row and every shift of a multi-copy progression has b
+  entries; every progression's positions lie in ``n..a-1`` (the first
+  ``>= n``, the stride ``>= 1``, ``1 <= copies`` and the last ``< a``); one
+  bytearray slice per progression marks its positions; there are
+  ``a - n`` of them, and every position in ``n..a-1`` is marked.  So no
+  position is marked twice, and the progressions with the explicit rows
+  write out an ``a x b`` array.
+* *Entries.*  The hole is marked in a bytearray over ``0..ab+1``.  Column
+  j of a multi-copy progression is the arithmetic progression
+  ``x, x + s, ..., x + (copies-1) s`` with ``x = row[j]`` and
+  ``s = shift[j]``.  With ``s != 0`` its values are distinct, its least
+  and largest are its two ends, which must lie in ``1..ab+1``, and its
+  values are exactly the slice ``lo..hi`` by ``|s|`` of the bytearray.
+  That slice must be all zero before it is marked, so the column misses
+  the hole and every column marked before it.  The explicit entries (the
+  explicit rows and one-copy progressions) are one set: as many members
+  as entries, none below 1 or above ``ab + 1``, not the hole, and none
+  marked.  So all ``ab`` entries are distinct members of
+  ``{1..ab+1} minus {d}``, which has ``ab`` members: they are exactly it.
+* *Rows.*  Row ``first + i * stride`` sums to ``sum(row) + i * sum(shift)``,
+  so every row of a progression sums to ``rho`` iff ``sum(row) = rho`` and,
+  when ``copies > 1``, ``sum(shift) = 0``; the least failing row is the
+  first, or else the second.
+* *Columns.*  Column j of a progression adds
+  ``sum_i (x + i s) = copies * x + copies(copies-1)/2 * s``; with the
+  explicit rows these give every column sum, which must be ``sigma``.
+
+On explicit rows the verifier makes the checks it always made, in the
+same order, so an array given as explicit rows gets the same verdict and
+the same violation message.
 
 *Column pair.*  For ``d`` in a set ``D``, the columns
 ``A_d = (-d, -alpha_d, alpha_d + d)`` and
@@ -121,23 +160,24 @@ So only the first band of each class is dealt and split.  With ``p`` the
 period (1 or 2) and ``s_j v_j`` the signed value in column j of a class's
 first band, the copies ``i = 0, 1, ...`` put ``d + s_j (v_j + i p b)`` in
 every ``2p``-th row from the class's first band row and the negations
-below them.  So column j of a class's band rows is the arithmetic
-progression ``d + s_j v_j, d + s_j (v_j + p b), ...`` and that of their
-negations the mirror progression ``d - s_j v_j, d - s_j (v_j + p b), ...``.
-A class with many copies (a tall array) is written as one ``range`` per
-column, which ``zip`` turns into rows; one with few copies (a short
-array, where b ranges cost more than the rows) a row at a time, each row
-the previous one plus ``+-p b`` in every column.  Either way the rows go
-into every ``2p``-th row by one extended-slice assignment.
+below them.  So a class's band rows are the progression with stride
+``2p``, row ``d + s_j v_j`` and shift ``s_j p b``, and their negations the
+mirror progression one row below, row ``d - s_j v_j`` and shift
+``-s_j p b``.  Every class but a trade's first band has the same number of
+copies, ``(c - head) / p``, so either all of them are progressions (a tall
+array), which then hold every row after the block and that first band,
+or none is (a short array, where b ranges cost more than the rows).  A
+short array's classes are written a row at a time, each row the previous
+one plus ``+-p b`` in every column, into every ``2p``-th row by one
+extended-slice assignment.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
-from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul
+from typing import NamedTuple
 
 from .bipartite import split_equal_sums
 from .errors import DomainError, InternalInconsistencyError, SizeLimitError
@@ -145,17 +185,61 @@ from .errors import DomainError, InternalInconsistencyError, SizeLimitError
 MAX_ARRAY_ENTRIES = 100_000  # largest Kotzig array or QMR the constructions build
 
 
-@dataclass(frozen=True)
+class Progression(NamedTuple):
+    """Rows ``first + i * stride`` hold ``row + i * shift``, for ``i < copies``.
+
+    A one-copy progression is an explicit row; its ``shift`` is unused."""
+
+    first: int
+    stride: int
+    copies: int
+    row: tuple[int, ...]
+    shift: tuple[int, ...] = ()
+
+
+def _written(line: Progression) -> list[tuple[int, ...]] | zip:
+    """The rows of one progression: column j is one ``range``, and ``zip``
+    turns the ranges into rows."""
+    _, _, copies, row, shift = line
+    if copies == 1:
+        return [row]
+    stops = map(add, row, map(mul, shift, repeat(copies)))
+    return zip(*map(range, row, stops, shift))
+
+
 class MagicArray:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-    kind: str  # "kotzig" | "qmr"
-    hole: int | None = None
+    """An ``a x b`` Kotzig array or QMR: explicit rows, then row progressions.
+
+    ``MagicArray(rows, cols, entries, kind, hole)`` takes explicit rows;
+    they are rows ``0..len(entries)-1``, one-copy progressions kept as the
+    row tuples given.  ``progressions`` holds the other rows.  ``entries``
+    writes every row out, in row order, on each read.
+    """
+
+    __slots__ = ("rows", "cols", "kind", "hole", "explicit", "progressions")
+
+    def __init__(self, rows: int, cols: int, entries, kind: str, hole: int | None = None,
+                 progressions=()):
+        self.rows, self.cols, self.kind, self.hole = rows, cols, kind, hole
+        self.explicit = tuple(entries)  # as given: Kotzig arrays share row objects
+        self.progressions: tuple[Progression, ...] = tuple(progressions)
+
+    def written(self, form=None) -> list:
+        """The rows in row order, each passed through ``form`` if given."""
+        out = list(self.explicit if form is None else map(form, self.explicit))
+        if lines := self.progressions:
+            out += [None] * sum([line.copies for line in lines])
+            for line in lines:
+                rows = _written(line) if form is None else map(form, _written(line))
+                out[line.first:line.first + line.copies * line.stride:line.stride] = rows
+        return out
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.written())
 
 
-@dataclass(frozen=True)
-class ArrayCheck:
+class ArrayCheck(NamedTuple):
     valid: bool
     violation: str | None = None
 
@@ -192,9 +276,10 @@ def verify_kotzig(arr: MagicArray) -> bool:
     most four distinct rows.
     """
     a, b = arr.rows, arr.cols
-    if arr.kind != "kotzig" or len(arr.entries) != a:
+    entries = arr.entries
+    if arr.kind != "kotzig" or len(entries) != a:
         return False
-    counts = Counter(arr.entries)
+    counts = Counter(entries)
     if list(map(sorted, counts)).count(list(range(b))) != len(counts):
         return False
     weighted = [row if n == 1 else map(mul, row, repeat(n)) for row, n in counts.items()]
@@ -204,33 +289,98 @@ def verify_kotzig(arr: MagicArray) -> bool:
     return col_sums.count(a * (b - 1) // 2) == b
 
 
-def _fills_but_hole(rows, top: int, hole: int) -> bool:
-    """Whether the ``top - 1`` entries of ``rows`` are ``1..top`` minus ``hole``:
-    they are iff they are distinct (a set of ``top - 1``), lie in ``1..top``
-    and miss ``hole``."""
-    entries = set(chain.from_iterable(rows))
-    return (len(entries) == top - 1 and hole not in entries
-            and min(entries) >= 1 and max(entries) <= top)
+def _tiles(rows, lines, a: int, b: int) -> bool:
+    """Whether the explicit ``rows`` and the progressions ``lines`` tile
+    ``0..a-1``, each row and each shift of a multi-copy progression ``b``
+    long.  The ``n`` explicit rows are ``0..n-1``; every progression's
+    positions lie in ``n..a-1``, one slice per progression marks them all,
+    and there are ``a - n`` of them, so none is marked twice."""
+    n = len(rows)
+    if set(map(len, rows)) - {b}:
+        return False
+    if not lines:
+        return n == a
+    marks = bytearray(a)
+    for first, stride, copies, row, shift in lines:
+        if len(row) != b or copies > 1 and len(shift) != b:
+            return False
+        if first < n or stride < 1 or copies < 1 or first + (copies - 1) * stride >= a:
+            return False
+        marks[first:first + copies * stride:stride] = bytes([1]) * copies
+    return n + sum([line.copies for line in lines]) == a and 0 not in marks[n:]
+
+
+def _fills_but_hole(rows, lines, top: int, hole: int) -> bool:
+    """Whether the entries of the explicit ``rows`` and the progressions
+    ``lines`` are distinct, lie in ``1..top`` and miss ``hole``; tiled into
+    ``top - 1`` entries they are then ``1..top`` minus ``hole``.
+
+    Each column of a multi-copy progression is marked with one slice of a
+    bytearray, after a check that none of it was marked before; the hole is
+    marked first.  The explicit entries are one set, checked against the
+    marks.
+    """
+    explicit = [*rows, *[line.row for line in lines if line.copies == 1]] if lines else rows
+    entries = set(chain.from_iterable(explicit))
+    if len(entries) != sum(map(len, explicit)) or hole in entries:
+        return False
+    if entries and (min(entries) < 1 or max(entries) > top):
+        return False
+    if len(explicit) == len(rows) + len(lines):
+        return True  # no progression has a second copy
+    marks = bytearray(top + 1)
+    marks[hole] = 1
+    for first, stride, copies, row, shift in lines:
+        if copies > 1:
+            ones = bytes([1]) * copies
+            for x, s in zip(row, shift):
+                lo, hi = sorted((x, x + (copies - 1) * s))
+                cut = slice(lo, hi + 1, abs(s))
+                if s == 0 or lo < 1 or hi > top or 1 in marks[cut]:
+                    return False
+                marks[cut] = ones
+    return not any(map(marks.__getitem__, entries))
+
+
+def _column_sums(line: Progression):
+    """Column j of ``line`` sums to ``copies * row[j] + copies(copies-1)/2 * shift[j]``."""
+    _, _, copies, row, shift = line
+    if copies == 1:
+        return row
+    return map(add, map(mul, row, repeat(copies)), map(mul, shift, repeat(copies * (copies - 1) // 2)))
 
 
 def verify_qmr(arr: MagicArray) -> ArrayCheck:
+    """Whether ``arr`` is QMR(a, b : ab/2+1), decided on its explicit rows
+    and row progressions (module docstring), with the first violation
+    found."""
     a, b = arr.rows, arr.cols
     if arr.kind != "qmr":
         return ArrayCheck(False, f"kind is {arr.kind!r}, not 'qmr'")
     if a % 2 == 0 or b % 2 == 1:
         return ArrayCheck(False, f"shape {a}x{b} needs odd rows and even columns")
-    if len(arr.entries) != a or set(map(len, arr.entries)) != {b}:
+    rows, lines = arr.explicit, arr.progressions
+    if not _tiles(rows, lines, a, b):
         return ArrayCheck(False, f"entries are not {a} rows of {b}")
     d = a * b // 2 + 1
     if arr.hole != d:
         return ArrayCheck(False, f"hole is {arr.hole}, must be {d}")
-    if not _fills_but_hole(arr.entries, a * b + 1, d):
+    if not _fills_but_hole(rows, lines, a * b + 1, d):
         return ArrayCheck(False, f"entries are not 1..{a * b + 1} minus {d}")
     rho, sigma = _line_sums(arr)
-    row_sums = list(map(sum, arr.entries))
-    if (i := _first_miss(row_sums, rho)) is not None:
-        return ArrayCheck(False, f"row {i} sums to {row_sums[i]}, expected {rho}")
-    col_sums = list(map(sum, zip(*arr.entries)))
+    row_sums = list(map(sum, rows))
+    misses = [] if (i := _first_miss(row_sums, rho)) is None else [(i, row_sums[i])]
+    # row first + i * stride sums to sum(row) + i * sum(shift): the least
+    # failing row of a progression is its first, or else its second
+    for first, stride, copies, row, shift in lines:
+        if (s := sum(row)) != rho:
+            misses.append((first, s))
+        elif copies > 1 and (t := sum(shift)):
+            misses.append((first + stride, s + t))
+    if misses:
+        i, s = min(misses)
+        return ArrayCheck(False, f"row {i} sums to {s}, expected {rho}")
+    col_sums = list(map(sum, zip(*rows, *map(_column_sums, lines))))
     if (j := _first_miss(col_sums, sigma)) is not None:
         return ArrayCheck(False, f"column {j} sums to {col_sums[j]}, expected {sigma}")
     return ArrayCheck(True)
@@ -355,36 +505,30 @@ def _mirror_columns(a: int, hole: int) -> list[tuple[int, int]]:
     return rows
 
 
-# Band classes with this many copies or more are written a column at a
-# time.  Setting up one range per column costs about as much as 8 to 16 rows
-# of map(add, ...), and beyond that the ranges, transposed by zip, cost a
-# third to a half as much per entry (Python 3.11).
+def _plus(row: tuple[int, ...], shift: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, row, shift))
+
+
+# Band classes with this many copies or more are kept as one progression
+# each; classes with fewer are written out as explicit rows.  Below it, one
+# range per column costs more to set up than the rows cost to write, and the
+# verifier's b slice marks per column cost more than one set of the entries
+# (Python 3.11).
 _COLUMN_COPIES = 16
 
 
-def _translates(first: tuple[int, ...], shift: list[int], copies: int) -> Iterable[tuple[int, ...]]:
-    """The rows ``first + i * shift`` for ``i < copies``.
-
-    Column j is the progression ``first[j], first[j] + shift[j], ...``.
-    With ``_COLUMN_COPIES`` copies or more it is one ``range``, and ``zip``
-    turns the ranges into the rows; with fewer each row is the previous
-    one plus ``shift``.
-    """
-    if copies >= _COLUMN_COPIES:
-        return zip(*[range(x, x + copies * s, s) for x, s in zip(first, shift)])
-    rows = [first]
-    for _ in range(copies - 1):
-        rows.append(tuple(map(add, rows[-1], shift)))
-    return rows
-
-
-def _qmr_shifted_banded(a: int, b: int) -> list[tuple[int, ...]]:
-    """The rows of QMR(a, b) for b >= 4: the 3-row block, then the bands,
-    one shape class at a time (module docstring)."""
+def _qmr_shifted_banded(a: int, b: int) -> tuple[list[tuple[int, ...]], list[Progression]]:
+    """QMR(a, b) for b >= 4 as ``(rows, lines)``: the explicit rows
+    ``0..len(rows)-1`` and the row progressions.  The 3-row block comes
+    first, then the bands, one shape class and its mirror at a time (module
+    docstring).  All classes but a trade's first band have the same number
+    of copies, so either all of them are progressions, which then hold every
+    row after the block and that first band, or none is."""
     m, hole, bands = b // 2, a * b // 2 + 1, (a - 3) // 2
     trade = m % 2 == 1 and a % 4 == 1
     k_const, alpha, spare = _block_table(m, trade)
     rows = [*_three_row_block(k_const, alpha, hole), *[()] * (a - 3)]
+    lines = []
     # only the first band of each shape class is dealt; the rest are translates
     head, period = int(trade), 2 if m % 2 else 1
     dealt = (head + period) * b
@@ -397,16 +541,20 @@ def _qmr_shifted_banded(a: int, b: int) -> list[tuple[int, ...]]:
         if halves is None:
             raise InternalInconsistencyError(f"QMR({a},{b}): a band has no equal split")
         plus = set(halves[0])
-        top = tuple(hole + v if v in plus else hole - v for v in band)
-        shift = [period * b if x > hole else -period * b for x in top]
+        top = tuple([hole + v if v in plus else hole - v for v in band])
+        shift = tuple([period * b if x > hole else -period * b for x in top])
         # copy i of the band is the row pair 3 + 2k + 2 * period * i
         copies = 1 if k < head else (bands - head) // period
         first, stride = 3 + 2 * k, 2 * period
-        last = first + copies * stride
-        rows[first:last:stride] = _translates(top, shift, copies)
-        mirror = tuple([2 * hole - x for x in top])
-        rows[first + 1:last:stride] = _translates(mirror, [-s for s in shift], copies)
-    return rows
+        mirror = (first + 1, tuple([2 * hole - x for x in top]), tuple([-s for s in shift]))
+        for start, row, step in (first, top, shift), mirror:
+            if copies >= _COLUMN_COPIES:
+                lines.append(Progression(start, stride, copies, row, step))
+            else:  # explicit rows, each the one above it plus the shift
+                rows[start:first + copies * stride:stride] = accumulate(
+                    repeat(step, copies - 1), _plus, initial=row)
+    # with progressions, the explicit rows are the block and a trade's first band
+    return (rows[:3 + 2 * head] if lines else rows), lines
 
 
 def qmr(a: int, b: int) -> MagicArray | None:
@@ -422,8 +570,8 @@ def qmr(a: int, b: int) -> MagicArray | None:
     if b == 2 and a % 4 == 1:
         return None
     d = a * b // 2 + 1
-    rows = _mirror_columns(a, d) if b == 2 else _qmr_shifted_banded(a, b)
-    arr = MagicArray(rows=a, cols=b, entries=tuple(rows), kind="qmr", hole=d)
+    rows, lines = (_mirror_columns(a, d), ()) if b == 2 else _qmr_shifted_banded(a, b)
+    arr = MagicArray(a, b, rows, "qmr", d, lines)
     check = verify_qmr(arr)
     if not check.valid:
         raise InternalInconsistencyError(f"QMR({a},{b}): {check.violation}")

@@ -242,7 +242,8 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     ``(lo, hi)`` runs of consecutive labels: in O(1) for a ``range``; for a
     list, by bisection and one comparison of the list with its runs written
     out, which also finds a repeated label (a list that does not ascend is
-    sorted first; no caller passes one).  Forced labels are found by
+    sorted first; no caller passes one); ``label_bipartite`` hands over its
+    pool ``{1..n-1, n+theta}`` as runs, unread.  Forced labels are found by
     bisection on the runs.  A pick is a few runs, joined where they touch;
     a complement is a run difference in O(runs); and the detached-label
     branch compares two picks from their top runs down (``_descending``).
@@ -260,9 +261,18 @@ def split_equal_sums(labels, sizes, forced=None) -> list[list[int]] | None:
     ``forced``.
     """
     count, runs = _read(labels)
+    if runs is None:
+        raise ValueError(f"{count} distinct labels cannot fill sizes {list(sizes)}")
+    return _split_runs(runs, sizes, forced)
+
+
+def _split_runs(runs, sizes, forced=None) -> list[list[int]] | None:
+    """``split_equal_sums`` of the pool given as its ascending, joined
+    ``(lo, hi)`` runs."""
+    count = sum(hi - lo + 1 for lo, hi in runs)
     sizes = list(sizes)
     forced = forced or {}
-    if count != sum(sizes) or runs is None:
+    if count != sum(sizes):
         raise ValueError(f"{count} distinct labels cannot fill sizes {sizes}")
     if len(sizes) not in (2, 3) or not all(_holds(runs, x) for x in forced):
         raise ValueError("split needs 2 or 3 parts and forced labels from the pool")
@@ -335,7 +345,7 @@ def label_bipartite(n1: int, n2: int) -> Labeling | None:
     if theta is None:
         return None
     if n * (n + 1) >= 2 * n2 * (n2 + 1):
-        sides = split_equal_sums([*range(1, n), n + theta], (n1, n2))
+        sides = _split_runs(_merged([(1, n - 1), (n + theta, n + theta)]), (n1, n2))
     else:  # a star K(1, n2 >= 3) too: its lone label is the run {n2+1} raised
         sides = (_shifted_run(n2 + 1, n1, 2 * _run_sum(1, n2) - _run_sum(1, n)),
                  list(range(1, n2 + 1)))

@@ -12,9 +12,10 @@ everything else, so help, error messages and exit codes are its own.
 Output writers: ``label`` prints its certified labeling through
 ``labelings.labels_json``, which writes the label map in sorted-key order
 without building a dict; ``verify`` prints ``VerifyReport.to_json``;
-``_print_array`` writes CSV arrays row by row; every other JSON payload
-(``index``, ``oracle``, ``tables``, ``--format json`` arrays and the result
-of a ``label`` without a labeling) goes through ``_emit``.  The JSON writers
+``_print_array`` writes CSV arrays row by row, a QMR's straight from its
+row progressions; every other JSON payload (``index``, ``oracle``,
+``tables``, ``--format json`` arrays and the result of a ``label`` without
+a labeling) goes through ``_emit``.  The JSON writers
 share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 Every command that takes a spec reads it once, through
@@ -245,14 +246,16 @@ def _print_array(arr, fmt) -> int:
     line = ",".join(["%d"] * arr.cols)
     if arr.kind == "qmr":
         header = f"# d={arr.hole} rho={rho} sigma={sigma}\n"
-        # the entries are distinct, so no row repeats: one format per row
-        lines = map(line.__mod__, arr.entries)
+        # the entries are distinct, so no row repeats: each row is formatted
+        # as it is written out of its progression
+        lines = arr.written(line.__mod__)
     else:
         header = f"# c={sigma}\n"
         # kotzig_array shares one tuple per direction: one format per tuple
-        distinct = dict(zip(map(id, arr.entries), arr.entries))
+        entries = arr.entries
+        distinct = dict(zip(map(id, entries), entries))
         text = {key: line % row for key, row in distinct.items()}
-        lines = map(text.__getitem__, map(id, arr.entries))
+        lines = map(text.__getitem__, map(id, entries))
     # print writes the closing newline on its own: with unbuffered stdout a
     # raw write that comes up short drops the rest silently, and that second
     # write then raises BrokenPipeError instead of exiting 0 on truncated output

@@ -12,6 +12,9 @@ paths cannot hide in the check of that path.
   p-partite graphs, p in 2..4, by partial sums rather than zeta sums.
 * ``kotzig_exists_exhaustive`` and ``qmr_exists_exhaustive``: exhaustive
   array searches on small sizes.
+* ``qmr_violation``: the QMR conditions checked entry by entry on the
+  written-out rows, for ``arrays.verify_qmr``, which decides on row
+  progressions.
 * ``equal_sum_partition``: a depth-first equal-sum partitioner with label
   pins, for the splitter of ``bipartite.split_equal_sums``.
 """
@@ -203,6 +206,36 @@ def qmr_exists_exhaustive(a: int, b: int) -> bool:
         return False
 
     return rec(0)
+
+
+def qmr_violation(arr) -> str | None:
+    """The first condition of QMR(a, b : ab/2+1) that ``arr`` breaks, worded
+    as ``verify_qmr`` words it, or ``None``.  It reads ``arr.entries``, the
+    rows written out, and checks them entry by entry: the entries sorted
+    against ``1..ab+1`` minus the hole, then every row sum, then every
+    column sum."""
+    a, b = arr.rows, arr.cols
+    if arr.kind != "qmr":
+        return f"kind is {arr.kind!r}, not 'qmr'"
+    if a % 2 == 0 or b % 2 == 1:
+        return f"shape {a}x{b} needs odd rows and even columns"
+    rows = arr.entries
+    if len(rows) != a or any(len(row) != b for row in rows):
+        return f"entries are not {a} rows of {b}"
+    d = a * b // 2 + 1
+    if arr.hole != d:
+        return f"hole is {arr.hole}, must be {d}"
+    if sorted(x for row in rows for x in row) != [x for x in range(1, a * b + 2) if x != d]:
+        return f"entries are not 1..{a * b + 1} minus {d}"
+    rho, sigma = b * (a * b + 2) // 2, a * (a * b + 2) // 2
+    for i, row in enumerate(rows):
+        if sum(row) != rho:
+            return f"row {i} sums to {sum(row)}, expected {rho}"
+    for j in range(b):
+        column = sum(row[j] for row in rows)
+        if column != sigma:
+            return f"column {j} sums to {column}, expected {sigma}"
+    return None
 
 
 def equal_sum_partition(labels, sizes, forced=None):

@@ -1,5 +1,7 @@
 import random
 import time
+from itertools import product
+from operator import sub
 
 import pytest
 
@@ -12,16 +14,17 @@ from magiclab import (
     verify_kotzig,
     verify_qmr,
 )
+from magiclab import arrays
 from magiclab.arrays import (
     _COLUMN_COPIES,
     ArrayCheck,
+    Progression,
     _block_table,
     _line_sums,
     _three_row_block,
-    _translates,
 )
 
-from referees import kotzig_exists_exhaustive, qmr_exists_exhaustive
+from referees import kotzig_exists_exhaustive, qmr_exists_exhaustive, qmr_violation
 
 # the published QMR(3,10) instance; the verifier must accept it verbatim
 PRINTED_QMR_3_10 = (
@@ -117,6 +120,10 @@ def test_qmr_existence_grid():
                 assert check.valid, (a, b, check.violation)
                 ab = a * b
                 assert sum(sum(row) for row in arr.entries) == ab * (ab + 2) // 2
+                # the referee reads the rows written out, entry by entry
+                assert qmr_violation(arr) is None, (a, b)
+                explicit = MagicArray(a, b, arr.entries, "qmr", arr.hole)
+                assert verify_qmr(explicit) == check, (a, b)
 
 
 def test_qmr_nonexistence_confirmed_exhaustively():
@@ -160,13 +167,23 @@ def test_three_row_block_tables(table):
         assert sorted(v for row in rows for v in row) == sorted(mags | {-x for x in mags}), m
 
 
-def test_translates_by_rows_and_by_columns():
-    # below _COLUMN_COPIES the copies are written a row at a time, from it on
-    # as one range per column; both must give first + i * shift
-    first, shift = (40, 7, 23, 12), [4, -4, 4, -4]
-    for copies in range(1, 2 * _COLUMN_COPIES + 2):
-        expected = [tuple(x + i * s for x, s in zip(first, shift)) for i in range(copies)]
-        assert list(_translates(first, shift, copies)) == expected, copies
+def test_band_classes_write_out_by_rows_and_by_columns(monkeypatch):
+    # from _COLUMN_COPIES copies on, every band class but a trade's first
+    # band is one progression, written out one range per column; below it,
+    # explicit rows, each the one above it plus the shift.  Both forms must
+    # write out the same rows.
+    for a, b in product(range(5, 4 * _COLUMN_COPIES + 8, 2), (4, 6, 10)):
+        m = b // 2
+        head, period = int(m % 2 == 1 and a % 4 == 1), 2 if m % 2 else 1
+        copies = ((a - 3) // 2 - head) // period
+        rows, lines = arrays._qmr_shifted_banded(a, b)
+        assert len(lines) == (2 * period if copies >= _COLUMN_COPIES else 0), (a, b)
+        assert all(line.copies == copies for line in lines), (a, b)
+        monkeypatch.setattr(arrays, "_COLUMN_COPIES", a)  # no class has a copies
+        explicit, none = arrays._qmr_shifted_banded(a, b)
+        monkeypatch.undo()
+        assert none == [] and len(explicit) == a, (a, b)
+        assert MagicArray(a, b, rows, "qmr", progressions=lines).entries == tuple(explicit), (a, b)
 
 
 @pytest.mark.parametrize("a, b", [(3, 33332), (5, 20000), (5, 19998), (9, 11106), (12499, 6)])
@@ -210,11 +227,108 @@ QMR_5_6 = qmr(5, 6).entries  # rho 96, sigma 80, hole 16; row 0 is 15, 8, 24, ..
     ({"entries": QMR_5_6[:4] + (QMR_5_6[4][:5],)}, "entries are not 5 rows of 6"),
     ({"entries": _mutated(QMR_5_6, r0c0=0)}, "entries are not 1..31 minus 16"),
     ({"entries": _mutated(QMR_5_6, r0c0=-15)}, "entries are not 1..31 minus 16"),
+    ({"entries": QMR_5_6[:4]}, "entries are not 5 rows of 6"),
 ])
 def test_qmr_verifier_names_each_violation(change, violation):
     fields = {"rows": 5, "cols": 6, "entries": QMR_5_6, "kind": "qmr", "hole": 16, **change}
     assert verify_qmr(MagicArray(**fields)) == ArrayCheck(False, violation)
+    assert qmr_violation(MagicArray(**fields)) == violation
     assert verify_qmr(MagicArray(5, 6, QMR_5_6, "qmr", 16)).valid
+
+
+# QMR(69, 6): rows 0..4 explicit (the block and the first band pair), then
+# four band classes of 16 copies, one progression each, at rows 5, 6, 7, 8
+# (mod 4); hole 208, ab + 1 = 415, rho 1248, sigma 14352.  TALL holds every
+# row as a progression, the explicit ones with one copy.
+TALL = [*(Progression(i, 1, 1, row) for i, row in enumerate(qmr(69, 6).explicit)),
+        *qmr(69, 6).progressions]
+
+
+def _tall(*lines, **changes):
+    """QMR(69, 6) as the progressions ``TALL``, line ``k`` of
+    ``changes["k<k>"]`` given as its changed fields, and ``lines`` appended."""
+    out = list(TALL)
+    for key, fields in changes.items():
+        k = int(key[1:])
+        out[k] = out[k]._replace(**fields)
+    return MagicArray(69, 6, (), "qmr", 208, [*out, *lines])
+
+
+def _bumped(values, j, by):
+    return (*values[:j], values[j] + by, *values[j + 1:])
+
+
+@pytest.mark.parametrize("arr, violation", [
+    # rows 7, 11, .. overlap rows 5, 9, ..; rows 7 + 4i stay empty
+    (_tall(k7={"first": 5}), "entries are not 69 rows of 6"),
+    (_tall(TALL[0]), "entries are not 69 rows of 6"),  # row 0 twice, none missing
+    (_tall(k8={"copies": 15}), "entries are not 69 rows of 6"),  # row 68 missing
+    (_tall(k8={"stride": 0}), "entries are not 69 rows of 6"),
+    (_tall(k8={"first": -1}), "entries are not 69 rows of 6"),
+    (_tall(k8={"first": 12}), "entries are not 69 rows of 6"),  # rows 12..72; row 8 empty
+    # a line of -1 copies cancels row 0's second copy in the count
+    (_tall(TALL[0], Progression(5, 4, -1, TALL[5].row, TALL[5].shift)),
+     "entries are not 69 rows of 6"),
+    (_tall(k5={"shift": TALL[5].shift[:5]}), "entries are not 69 rows of 6"),
+    (_tall(k5={"row": TALL[5].row[:5]}), "entries are not 69 rows of 6"),
+    # row 4's explicit copy overlaps progression rows 4 + 4i, and rows 8 + 4i stay empty
+    (MagicArray(69, 6, qmr(69, 6).explicit, "qmr", 208, [*TALL[5:8], TALL[8]._replace(first=4)]),
+     "entries are not 69 rows of 6"),
+    (_tall(k5={"shift": (0, *TALL[5].shift[1:])}), "entries are not 1..415 minus 208"),
+    # column 0 of rows 5 + 4i, moved down one step to 212..392: 212 = row 1's
+    (_tall(k5={"row": _bumped(TALL[5].row, 0, -12)}), "entries are not 1..415 minus 208"),
+    # column 0 of rows 6 + 4i made 204 - 12i, 204..24: 204 is row 1's
+    (_tall(k6={"row": _bumped(TALL[6].row, 0, 12)}), "entries are not 1..415 minus 208"),
+    # the same column moved one step either way within itself: 180..0 and 236..416
+    (_tall(k6={"row": _bumped(TALL[6].row, 0, -12)}), "entries are not 1..415 minus 208"),
+    (_tall(k5={"row": _bumped(TALL[5].row, 0, 12)}), "entries are not 1..415 minus 208"),
+    # columns 1 and 2 of rows 8 + 4i made those of rows 6 + 4i
+    (_tall(k8={"row": (187, 225, 190, 183, 234, 181), "shift": (-12, 12, -12, -12, 12, -12)}),
+     "entries are not 1..415 minus 208"),
+    # an explicit entry made 224, the first of column 0 of rows 5 + 4i, or the hole
+    (_tall(k0={"row": (207, 200, 216, 209, 202, 224)}), "entries are not 1..415 minus 208"),
+    (_tall(k0={"row": (207, 200, 216, 209, 202, 208)}), "entries are not 1..415 minus 208"),
+    # row 1's 204 and 205 swapped: only columns 0 and 2 change
+    (_tall(k1={"row": (205, 218, 204, 198, 212, 211)}), "column 0 sums to 14353, expected 14352"),
+    # column 0 of rows 5 + 4i and 6 + 4i swapped: the entries stay, row 5 misses by 32
+    (_tall(k5={"row": (192, 191, 226, 189, 188, 230), "shift": (-12, -12, 12, -12, -12, 12)},
+           k6={"row": (224, 225, 190, 227, 228, 186), "shift": (12, 12, -12, 12, 12, -12)}),
+     "row 5 sums to 1216, expected 1248"),
+])
+def test_qmr_verifier_rejects_broken_progressions(arr, violation):
+    assert verify_qmr(qmr(69, 6)).valid and verify_qmr(_tall()).valid
+    assert _tall().entries == qmr(69, 6).entries
+    assert verify_qmr(arr) == ArrayCheck(False, violation)
+    # rows that tile, with no zero step (no range), write out for the referee
+    if "rows of" not in violation and all(all(line.shift) for line in arr.progressions):
+        assert qmr_violation(arr) == violation
+
+
+def test_qmr_verifier_accepts_row_pairs_as_progressions():
+    # rows i and i + 2 of a QMR are the two copies of row i plus their
+    # difference, whose sum is 0; no mirror cancels that difference in the
+    # column sums, as it does in the constructions' band classes
+    rows = QMR_5_6
+    lines = [Progression(i, 2, 2, rows[i], tuple(map(sub, rows[i + 2], rows[i]))) for i in (0, 1)]
+    arr = MagicArray(5, 6, (), "qmr", 16, [*lines, Progression(4, 1, 1, rows[4])])
+    assert arr.entries == rows and verify_qmr(arr).valid
+
+
+@pytest.mark.parametrize("lines, violation", [
+    # rows 0, 1 and 2, 3 each one progression whose shift moves its row sum:
+    # every line check but the shift sums passes, and no QMR(5, 2) exists
+    ([Progression(0, 1, 2, (7, 5), (3, 6)), Progression(2, 1, 2, (8, 4), (-6, -3)),
+      Progression(4, 1, 1, (3, 9))], "row 1 sums to 21, expected 12"),
+    # QMR(3, 2) with 4, the hole, in a column of rows 0 and 2: the entries are
+    # distinct and lie in 1..7, so only the hole's mark refuses them
+    ([Progression(0, 2, 2, (4, 5), (2, -3)), Progression(1, 1, 1, (7, 3))],
+     "entries are not 1..7 minus 4"),
+])
+def test_qmr_verifier_checks_small_progressions(lines, violation):
+    a = sum(line.copies for line in lines)
+    arr = MagicArray(a, 2, (), "qmr", a + 1, lines)
+    assert verify_qmr(arr) == ArrayCheck(False, violation)
+    assert qmr_violation(arr) == violation
 
 
 @pytest.mark.parametrize("entries", [

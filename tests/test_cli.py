@@ -453,6 +453,21 @@ def test_array_csv_matches_a_per_row_reference(command, a, b):
     assert run_cli(command, str(a), str(b)) == (0, expected, "")
 
 
+@pytest.mark.parametrize("a, b", [
+    (7501, 10), (12577, 6), (12295, 6),  # the benchmark's tall shapes
+    (3, 33332), (5, 20000), (5, 19998), (9, 11106), (12499, 6),  # the entry cap
+])
+def test_printed_qmr_reads_back_as_a_qmr(a, b):
+    # the verifier decides on the row progressions and never reads the rows
+    # the printer writes out: parsed back, they must pass it as explicit rows
+    code, out, _ = run_cli("qmr", str(a), str(b))
+    header, *lines = out.splitlines()
+    ab, d = a * b, a * b // 2 + 1
+    assert code == 0 and header == f"# d={d} rho={b * (ab + 2) // 2} sigma={a * (ab + 2) // 2}"
+    rows = tuple(tuple(map(int, line.split(","))) for line in lines)
+    assert magiclab.verify_qmr(magiclab.MagicArray(a, b, rows, "qmr", d)).valid
+
+
 # sha256 of ``oracle <spec> --max-excess 16`` stdout, pinned before the
 # joint-slot prune: pruning only cuts subtrees without a packing, so the
 # first packing found, and every byte printed, stays the same.
@@ -670,9 +685,9 @@ def test_arrays_failing_their_verifier_exit_7(monkeypatch):
     build = magiclab.arrays._qmr_shifted_banded
 
     def swapped(a, b):
-        rows = build(a, b)
+        rows, lines = build(a, b)
         rows[0] = (rows[0][1], rows[0][0], *rows[0][2:])
-        return rows
+        return rows, lines
 
     monkeypatch.setattr(magiclab.arrays, "_qmr_shifted_banded", swapped)
     code, out, err = run_cli("qmr", "5", "6")
