@@ -40,7 +40,6 @@ from .labelings import (
 )
 from .oracle import oracle_theta_general, oracle_theta_multipartite
 from .tripartite import (
-    TripartiteCase,
     classify_tripartite,
     label_tripartite,
     theta_tripartite,

@@ -28,42 +28,41 @@ count (its docstring shows that this decides the same conditions).
 
 *Row progressions.*  A QMR is held as explicit rows ``0..n-1`` and row
 progressions ``(first, stride, copies, row, shift)``: rows
-``first + i * stride`` hold ``row + i * shift`` for ``i < copies``.  An
-explicit row is a progression of one copy.  The block, QMR(a, 2) and every
-band class with fewer than ``_COLUMN_COPIES`` copies are explicit rows; a
-class with more is one progression and its mirror another (*Shape
-classes*, below).  ``MagicArray.written`` writes the rows out in row
-order, one ``range`` per column of a progression turned into rows by
-``zip``; the CSV printer formats each row as it is written, and
-``entries`` is the written-out rows, on demand.
+``first + i * stride`` hold ``row + i * shift`` for ``i < copies``, with
+at least two copies.  The block, QMR(a, 2) and every band class with fewer
+than ``_COLUMN_COPIES`` copies are explicit rows; a class with more is one
+progression and its mirror another (*Shape classes*, below).
+``MagicArray.written`` writes the rows out in row order, one ``range`` per
+column of a progression turned into rows by ``zip``; the CSV printer
+formats each row as it is written, and ``entries`` is the written-out
+rows, on demand.
 
 ``verify_qmr`` decides on the progressions, never on written-out rows,
 in O(progressions * b + explicit entries) Python steps (the bytearray
 slices below run in C):
 
-* *Tiling.*  Every row and every shift of a multi-copy progression has b
-  entries; every progression's positions lie in ``n..a-1`` (the first
-  ``>= n``, the stride ``>= 1``, ``1 <= copies`` and the last ``< a``); one
-  bytearray slice per progression marks its positions; there are
-  ``a - n`` of them, and every position in ``n..a-1`` is marked.  So no
-  position is marked twice, and the progressions with the explicit rows
-  write out an ``a x b`` array.
+* *Tiling.*  Every row and every shift has b entries; every progression's
+  positions lie in ``n..a-1`` (the first ``>= n``, the stride ``>= 1``,
+  ``2 <= copies`` and the last ``< a``); one bytearray slice per
+  progression marks its positions; there are ``a - n`` of them, and every
+  position in ``n..a-1`` is marked.  So no position is marked twice, and
+  the progressions with the explicit rows write out an ``a x b`` array.
 * *Entries.*  The hole is marked in a bytearray over ``0..ab+1``.  Column
-  j of a multi-copy progression is the arithmetic progression
+  j of a progression is the arithmetic progression
   ``x, x + s, ..., x + (copies-1) s`` with ``x = row[j]`` and
   ``s = shift[j]``.  With ``s != 0`` its values are distinct, its least
   and largest are its two ends, which must lie in ``1..ab+1``, and its
   values are exactly the slice ``lo..hi`` by ``|s|`` of the bytearray.
   That slice must be all zero before it is marked, so the column misses
-  the hole and every column marked before it.  The explicit entries (the
-  explicit rows and one-copy progressions) are one set: as many members
-  as entries, none below 1 or above ``ab + 1``, not the hole, and none
-  marked.  So all ``ab`` entries are distinct members of
-  ``{1..ab+1} minus {d}``, which has ``ab`` members: they are exactly it.
+  the hole and every column marked before it.  The entries of the
+  explicit rows are one set: as many members as entries, none below 1 or
+  above ``ab + 1``, not the hole, and none marked.  So all ``ab`` entries
+  are distinct members of ``{1..ab+1} minus {d}``, which has ``ab``
+  members: they are exactly it.
 * *Rows.*  Row ``first + i * stride`` sums to ``sum(row) + i * sum(shift)``,
-  so every row of a progression sums to ``rho`` iff ``sum(row) = rho`` and,
-  when ``copies > 1``, ``sum(shift) = 0``; the least failing row is the
-  first, or else the second.
+  so every row of a progression sums to ``rho`` iff ``sum(row) = rho`` and
+  ``sum(shift) = 0``; the least failing row is the first, or else the
+  second.
 * *Columns.*  Column j of a progression adds
   ``sum_i (x + i s) = copies * x + copies(copies-1)/2 * s``; with the
   explicit rows these give every column sum, which must be ``sigma``.
@@ -186,23 +185,20 @@ MAX_ARRAY_ENTRIES = 100_000  # largest Kotzig array or QMR the constructions bui
 
 
 class Progression(NamedTuple):
-    """Rows ``first + i * stride`` hold ``row + i * shift``, for ``i < copies``.
-
-    A one-copy progression is an explicit row; its ``shift`` is unused."""
+    """Rows ``first + i * stride`` hold ``row + i * shift``, for ``i < copies``;
+    ``copies`` is at least 2."""
 
     first: int
     stride: int
     copies: int
     row: tuple[int, ...]
-    shift: tuple[int, ...] = ()
+    shift: tuple[int, ...]
 
 
-def _written(line: Progression) -> list[tuple[int, ...]] | zip:
+def _written(line: Progression) -> zip:
     """The rows of one progression: column j is one ``range``, and ``zip``
     turns the ranges into rows."""
     _, _, copies, row, shift = line
-    if copies == 1:
-        return [row]
     stops = map(add, row, map(mul, shift, repeat(copies)))
     return zip(*map(range, row, stops, shift))
 
@@ -210,10 +206,10 @@ def _written(line: Progression) -> list[tuple[int, ...]] | zip:
 class MagicArray:
     """An ``a x b`` Kotzig array or QMR: explicit rows, then row progressions.
 
-    ``MagicArray(rows, cols, entries, kind, hole)`` takes explicit rows;
-    they are rows ``0..len(entries)-1``, one-copy progressions kept as the
-    row tuples given.  ``progressions`` holds the other rows.  ``entries``
-    writes every row out, in row order, on each read.
+    ``MagicArray(rows, cols, entries, kind, hole)`` takes explicit rows,
+    kept as the row tuples given; they are rows ``0..len(entries)-1``.
+    ``progressions`` holds the other rows.  ``entries`` writes every row
+    out, in row order, on each read.
     """
 
     __slots__ = ("rows", "cols", "kind", "hole", "explicit", "progressions")
@@ -291,10 +287,11 @@ def verify_kotzig(arr: MagicArray) -> bool:
 
 def _tiles(rows, lines, a: int, b: int) -> bool:
     """Whether the explicit ``rows`` and the progressions ``lines`` tile
-    ``0..a-1``, each row and each shift of a multi-copy progression ``b``
-    long.  The ``n`` explicit rows are ``0..n-1``; every progression's
-    positions lie in ``n..a-1``, one slice per progression marks them all,
-    and there are ``a - n`` of them, so none is marked twice."""
+    ``0..a-1``, each row and each shift ``b`` long and each progression of
+    at least two copies.  The ``n`` explicit rows are ``0..n-1``; every
+    progression's positions lie in ``n..a-1``, one slice per progression
+    marks them all, and there are ``a - n`` of them, so none is marked
+    twice."""
     n = len(rows)
     if set(map(len, rows)) - {b}:
         return False
@@ -302,9 +299,9 @@ def _tiles(rows, lines, a: int, b: int) -> bool:
         return n == a
     marks = bytearray(a)
     for first, stride, copies, row, shift in lines:
-        if len(row) != b or copies > 1 and len(shift) != b:
+        if len(row) != b or len(shift) != b:
             return False
-        if first < n or stride < 1 or copies < 1 or first + (copies - 1) * stride >= a:
+        if first < n or stride < 1 or copies < 2 or first + (copies - 1) * stride >= a:
             return False
         marks[first:first + copies * stride:stride] = bytes([1]) * copies
     return n + sum([line.copies for line in lines]) == a and 0 not in marks[n:]
@@ -315,38 +312,33 @@ def _fills_but_hole(rows, lines, top: int, hole: int) -> bool:
     ``lines`` are distinct, lie in ``1..top`` and miss ``hole``; tiled into
     ``top - 1`` entries they are then ``1..top`` minus ``hole``.
 
-    Each column of a multi-copy progression is marked with one slice of a
-    bytearray, after a check that none of it was marked before; the hole is
-    marked first.  The explicit entries are one set, checked against the
-    marks.
+    Each column of a progression is marked with one slice of a bytearray,
+    after a check that none of it was marked before; the hole is marked
+    first.  The explicit entries are one set, checked against the marks.
     """
-    explicit = [*rows, *[line.row for line in lines if line.copies == 1]] if lines else rows
-    entries = set(chain.from_iterable(explicit))
-    if len(entries) != sum(map(len, explicit)) or hole in entries:
+    entries = set(chain.from_iterable(rows))
+    if len(entries) != sum(map(len, rows)) or hole in entries:
         return False
     if entries and (min(entries) < 1 or max(entries) > top):
         return False
-    if len(explicit) == len(rows) + len(lines):
-        return True  # no progression has a second copy
+    if not lines:
+        return True
     marks = bytearray(top + 1)
     marks[hole] = 1
-    for first, stride, copies, row, shift in lines:
-        if copies > 1:
-            ones = bytes([1]) * copies
-            for x, s in zip(row, shift):
-                lo, hi = sorted((x, x + (copies - 1) * s))
-                cut = slice(lo, hi + 1, abs(s))
-                if s == 0 or lo < 1 or hi > top or 1 in marks[cut]:
-                    return False
-                marks[cut] = ones
+    for _, _, copies, row, shift in lines:
+        ones = bytes([1]) * copies
+        for x, s in zip(row, shift):
+            lo, hi = sorted((x, x + (copies - 1) * s))
+            cut = slice(lo, hi + 1, abs(s))
+            if s == 0 or lo < 1 or hi > top or 1 in marks[cut]:
+                return False
+            marks[cut] = ones
     return not any(map(marks.__getitem__, entries))
 
 
 def _column_sums(line: Progression):
     """Column j of ``line`` sums to ``copies * row[j] + copies(copies-1)/2 * shift[j]``."""
     _, _, copies, row, shift = line
-    if copies == 1:
-        return row
     return map(add, map(mul, row, repeat(copies)), map(mul, shift, repeat(copies * (copies - 1) // 2)))
 
 
@@ -372,10 +364,10 @@ def verify_qmr(arr: MagicArray) -> ArrayCheck:
     misses = [] if (i := _first_miss(row_sums, rho)) is None else [(i, row_sums[i])]
     # row first + i * stride sums to sum(row) + i * sum(shift): the least
     # failing row of a progression is its first, or else its second
-    for first, stride, copies, row, shift in lines:
+    for first, stride, _, row, shift in lines:
         if (s := sum(row)) != rho:
             misses.append((first, s))
-        elif copies > 1 and (t := sum(shift)):
+        elif t := sum(shift):
             misses.append((first + stride, s + t))
     if misses:
         i, s = min(misses)

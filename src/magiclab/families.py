@@ -74,8 +74,8 @@ def theta_lex_regular(g: Graph, a: int) -> ThetaResult:
     if a % 2 == 0:
         return ThetaResult(lower=0, upper=0, case_tag="lex-dmg")
     if r % 2 == 1:
-        if a % 4 == 1 and b == 2:
-            return ThetaResult(lower=1, upper=None, case_tag="lex-open")
+        # with b = 2, G o E_a is K(a, a), of index 1 by the bipartite theorem
+        # also where no QMR(a, 2) exists (a = 1 mod 4)
         return ThetaResult(lower=1, upper=1, case_tag="lex-qmr")
     if b % 2 == 1:
         return ThetaResult(lower=0, upper=0, case_tag="lex-dmg")

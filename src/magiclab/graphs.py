@@ -205,12 +205,13 @@ def read_adjacency_file(path: str | Path) -> Graph:
     """Read the ``id: n1 n2 ...`` adjacency format.
 
     Ids are 0-based and must be dense; blank lines and ``#`` comments are
-    ignored; the list must describe a symmetric loop-free graph.  Lines are
-    read one at a time, and ``SizeLimitError`` is raised at the first line
-    past ``DEFAULT_MAX_VERTICES`` ids or ``MAX_BLOCK_ADJACENCY`` neighbours,
-    so the memory a read takes does not grow with the file.
+    ignored; the list must describe a symmetric loop-free graph, each
+    neighbour listed once.  Lines are read one at a time, each whole, and
+    ``SizeLimitError`` is raised at the first line past
+    ``DEFAULT_MAX_VERTICES`` ids or ``MAX_BLOCK_ADJACENCY`` listed
+    neighbours, so the memory a read takes does not grow with the file.
     """
-    adj: dict[int, set[int]] = {}
+    adj: dict[int, list[int]] = {}
     entries = 0
     try:
         lines = open(path)
@@ -230,7 +231,7 @@ def read_adjacency_file(path: str | Path) -> Graph:
                 raise GraphSpecError("expected 'id: neighbors' line", position=f"line {lineno}")
             try:
                 u = int(head.strip())
-                nbrs = {int(tok) for tok in tail.split()}
+                nbrs = [int(tok) for tok in tail.split()]
             except ValueError as exc:
                 raise GraphSpecError(f"bad integer: {exc}", position=f"line {lineno}") from None
             if u in adj:

@@ -14,7 +14,8 @@ block's neighbouring blocks (``Graph.neighbour_sums``; in a complete range,
 the range's total less the block's own sum), so a check costs O(n +
 explicit block edges) at any number of parts.  On a graph of singleton
 blocks (cycles, adjacency files) this is the plain explicit-adjacency
-sum.  Every vertex's weight is still compared.
+sum.  Every vertex of a block has its block's weight, so comparing every
+block's weight compares every vertex's.
 
 All arithmetic is exact: Python integers cannot overflow, so every
 certificate this module emits is bit-exact.
@@ -44,7 +45,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 
 from .graphs import Graph
 
@@ -139,11 +140,11 @@ def _unique_keys(pairs) -> dict:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of an S-magic check: all weights, the constant, the outliers."""
+    """Outcome of an S-magic check: the constant, or the outlying vertices
+    with their weights."""
 
     is_magic: bool
     constant: int | None
-    weights: tuple[int, ...]
     violations: tuple[tuple[int, int], ...]
 
     def to_json(self) -> str:
@@ -199,23 +200,30 @@ class ThetaResult:
 
 
 def verify_s_magic(g: Graph, labeling: Labeling) -> VerifyReport:
-    """Check whether every vertex weight equals one constant.
+    """Check whether every vertex weight equals one constant, decided on
+    the block weights (module docstring).
 
-    Violations are reported relative to the modal weight (ties broken toward
-    the smaller weight) so a single mislabeled vertex shows up alone.  Equal
-    weights, the common case, are recognised by one count of the first.
+    Violations are reported relative to the modal weight over the vertices
+    (ties broken toward the smaller weight) so a single mislabeled vertex
+    shows up alone.  Equal weights, the common case, are recognised by one
+    count of the first block's.
     """
     if labeling.n != g.vertex_count:
         raise ValueError(
             f"labeling covers {labeling.n} vertices, graph has {g.vertex_count}"
         )
     labels = iter(labeling.labels)
-    sums = [sum(islice(labels, size)) for size in g.sizes]
-    weights = tuple(chain.from_iterable(map(repeat, g.neighbour_sums(sums), g.sizes)))
+    weights = g.neighbour_sums([sum(islice(labels, size)) for size in g.sizes])
     if weights and weights.count(weights[0]) == len(weights):
-        return VerifyReport(is_magic=True, constant=weights[0], weights=weights, violations=())
-    counts = Counter(weights)
+        return VerifyReport(is_magic=True, constant=weights[0], violations=())
+    counts = Counter()
+    for w, size in zip(weights, g.sizes):
+        counts[w] += size
     mode = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-    violations = tuple((u, w) for u, w in enumerate(weights) if w != mode)
-    return VerifyReport(is_magic=False, constant=None, weights=weights, violations=violations)
+    starts = accumulate(g.sizes, initial=0)
+    violations = tuple(chain.from_iterable(
+        zip(range(start, start + size), repeat(w))
+        for w, size, start in zip(weights, g.sizes, starts) if w != mode
+    ))
+    return VerifyReport(is_magic=False, constant=None, violations=violations)
 

@@ -8,10 +8,9 @@ the labels n+e, n+e-1, ..., 1 in decreasing order and put each into a block
 with an open slot or skip it: e labels are skipped, never n+e.  So when
 label x is next, the unprocessed labels are exactly 1..x, and T(c) = 1 + ...
 + c and T(x) - T(x - c) are the least and the largest sums of c of them.
-With S open slots in all and s skips left, both searches prune by
-
-* Slots.  Each of 1..x fills an open slot or is skipped, and every open
-  slot takes one of them, so x - s <= S <= x.
+With s skips left, S = x - s slots are open in all: at the start x = n + e,
+s = e and S = n, and each label lowers x by one and S (a place) or s (a
+skip) by one.
 
 Complete multipartite graphs: a common part sum.  A vertex of part P has
 weight (total label sum) - l(P), so a labeling is magic exactly when all
@@ -27,8 +26,7 @@ one neighbourhood, so one weight: the sum of the label sums of the block's
 neighbouring blocks.  ``_pack_blocks`` fills the blocks directly, and the
 labels of each block, in block order, are the witness.  A label tries the
 blocks with the least label sum so far first, which finds balanced
-labelings early and cuts no branch.  Besides Slots, one more necessary
-condition prunes:
+labelings early and cuts no branch.  One necessary condition prunes:
 
 * Common weight.  Let the neighbouring blocks of block P hold label sum f
   so far and c open slots.  Those c slots take c distinct labels of 1..x,
@@ -127,21 +125,19 @@ def _pack(sizes, target, e, ticker):
     asc_prefix = list(accumulate(range(top + 1)))  # asc_prefix[k] = 1 + ... + k
     state = [(size, target) for size in sizes]  # open slots, shortfall
     chosen: list[list[int]] = [[] for _ in sizes]
-    slots = sum(sizes)
     skips = e
 
     def rec(label):
         # the unprocessed labels are exactly 1..label
-        nonlocal slots, skips
+        nonlocal skips
         ticker.tick()
-        if not label - skips <= slots <= label:
-            return False
         need = 0
         for c, d in state:
             if not asc_prefix[c] <= d <= asc_prefix[label] - asc_prefix[label - c]:
                 return False
             need += d
-        if not asc_prefix[slots] <= need <= asc_prefix[label] - asc_prefix[label - slots]:
+        # S = label - skips open slots in all, and label - S = skips
+        if not asc_prefix[label - skips] <= need <= asc_prefix[label] - asc_prefix[skips]:
             return False
         if label == 0:
             return True
@@ -151,12 +147,10 @@ def _pack(sizes, target, e, ticker):
                 continue
             seen.add((c, d))
             state[i] = (c - 1, d - label)
-            slots -= 1
             chosen[i].append(label)
             if rec(label - 1):
                 return True
             chosen[i].pop()
-            slots += 1
             state[i] = (c, d)
         if skips > 0 and label != top:
             skips -= 1
@@ -269,12 +263,9 @@ def _pack_blocks(g: Graph, e, ticker):
     near = [sum(sizes[j] for j in adj) for adj in adjacent]  # their open slots
     twin = [adjacent.index(adj) for adj in adjacent]  # first block with these neighbours
     chosen: list[list[int]] = [[] for _ in sizes]
-    slots = sum(sizes)
     skips = e
 
     def place(i, label, step):
-        nonlocal slots
-        slots -= step
         open_slots[i] -= step
         sums[i] += step * label
         for j in adjacent[i]:
@@ -285,8 +276,6 @@ def _pack_blocks(g: Graph, e, ticker):
         # the unprocessed labels are exactly 1..label
         nonlocal skips
         ticker.tick()
-        if not label - skips <= slots <= label:
-            return False
         lo = max(f + asc_prefix[c] for f, c in zip(fixed, near))
         if any(lo > f + asc_prefix[label] - asc_prefix[label - c] for f, c in zip(fixed, near)):
             return False

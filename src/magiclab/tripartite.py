@@ -43,8 +43,6 @@ Case V is ``B <= 3T`` and ``B < 3L``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bipartite import _ceil_div, _shifted_run, label_bipartite, split_equal_sums
 from .errors import DomainError, InternalInconsistencyError
 from .labelings import Labeling, ThetaResult
@@ -57,55 +55,42 @@ def zeta(i: int, j: int) -> int:
     return (j * (j + 1) - (i - 1) * i) // 2
 
 
-@dataclass(frozen=True)
-class TripartiteCase:
-    tag: str  # "I".."V"
-    top3: int  # A
-    total: int  # B
-    bottom3: int  # C
-    residue: int  # 2B mod 6, always 0 or 2
-
-
 def _validate(n1: int, n2: int, n3: int):
     if not 2 <= n1 <= n2 <= n3:
         raise DomainError(f"need 2 <= n1 <= n2 <= n3, got ({n1}, {n2}, {n3})")
 
 
-def classify_tripartite(n1: int, n2: int, n3: int) -> TripartiteCase:
-    """The unique case of (n1, n2, n3); total and exclusive by construction."""
+def classify_tripartite(n1: int, n2: int, n3: int) -> str:
+    """The unique case "I".."V" of (n1, n2, n3); total and exclusive by
+    construction."""
     _validate(n1, n2, n3)
     n = n1 + n2 + n3
-    top3 = 3 * zeta(n - n1 + 1, n)
-    total = zeta(1, n)
-    bottom3 = 3 * zeta(1, n3)
-    residue = (2 * total) % 6
+    top3, total, bottom3 = 3 * zeta(n - n1 + 1, n), zeta(1, n), 3 * zeta(1, n3)  # A, B, C
     if total > top3:
-        tag = "II" if total >= bottom3 else "III"
-    elif total < bottom3:
-        tag = "V"
-    else:
-        tag = "I" if residue == 0 else "IV"
-    return TripartiteCase(tag=tag, top3=top3, total=total, bottom3=bottom3, residue=residue)
+        return "II" if total >= bottom3 else "III"
+    if total < bottom3:
+        return "V"
+    return "I" if (2 * total) % 6 == 0 else "IV"
 
 
 def theta_tripartite(n1: int, n2: int, n3: int) -> ThetaResult:
     """Exact index or bounds for K(n1, n2, n3), by case."""
     case = classify_tripartite(n1, n2, n3)
     n = n1 + n2 + n3
-    tag = f"tripartite-{case.tag}"
-    if case.tag == "I":
+    tag = f"tripartite-{case}"
+    if case == "I":
         return ThetaResult(lower=0, upper=0, case_tag=tag)
-    if case.tag == "II":
+    if case == "II":
         m = n - n1
-        num = 3 * zeta(1, m) - 2 * case.total
+        num = 3 * zeta(1, m) - 2 * zeta(1, n)
         if m % 4 in (1, 2):
             num += 1
         theta = _ceil_div(num, 2 * n1)
         return ThetaResult(lower=theta, upper=theta, case_tag=tag)
-    if case.tag == "III":
+    if case == "III":
         lower = _ceil_div(zeta(1, n3) - zeta(n - n1 + 1, n), n - n3)
         return ThetaResult(lower=lower, upper=None, case_tag=tag)
-    if case.tag == "IV":
+    if case == "IV":
         return ThetaResult(lower=1, upper=n + 1, case_tag=tag)
     theta_h = _ceil_div(2 * zeta(1, n3) - zeta(1, n - n1), n2)  # index of K(n2, n3)
     return ThetaResult(lower=1, upper=theta_h + 1, case_tag=tag)
@@ -168,7 +153,7 @@ def _label_case4(n1, n2, n3):
     """
     n = n1 + n2 + n3
     enlarged = sorted([n1 + 1, n2, n3])
-    if classify_tripartite(*enlarged).tag != "I":  # not distance magic
+    if classify_tripartite(*enlarged) != "I":  # not distance magic
         return None
     idx = enlarged.index(n1 + 1)
     parts = split_equal_sums(range(1, n + 2), enlarged, forced={n + 1: idx})
@@ -189,16 +174,16 @@ def label_tripartite(n1: int, n2: int, n3: int) -> Labeling | None:
     realizes the ``n + 1`` upper bound; cases III and V return ``None``.
     """
     case = classify_tripartite(n1, n2, n3)
-    if case.tag in ("III", "V"):
+    if case in ("III", "V"):
         return None
     n = n1 + n2 + n3
-    if case.tag == "I":
+    if case == "I":
         label_sets = split_equal_sums(range(1, n + 1), (n1, n2, n3))
         if label_sets is None:
             raise InternalInconsistencyError(
                 f"case I instance K({n1},{n2},{n3}) has no equal partition"
             )
-    elif case.tag == "II":
+    elif case == "II":
         label_sets = _label_case2(n1, n2, n3)
     else:
         label_sets = _label_case4(n1, n2, n3)

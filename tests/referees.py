@@ -5,6 +5,9 @@ formulas, kept apart from the package so that a bug in one of its fast
 paths cannot hide in the check of that path.
 
 * ``weight`` sums one vertex's neighbour labels, vertex by vertex.
+* ``modal_report``: the verifier's report from per-vertex weights, by the
+  modal-weight rule, for ``labelings.verify_s_magic``, which decides on
+  block weights.
 * ``g_function`` and ``gap_lower_bound``: the gap polynomial and the index
   lower bound it gives.
 * ``magic_constant_multipartite`` and ``multipartite_distance_magic_check``:
@@ -23,10 +26,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from collections import Counter
 from itertools import accumulate, permutations
 from math import ceil
 
-from magiclab import DomainError, Graph, Labeling
+from magiclab import DomainError, Graph, Labeling, VerifyReport
 
 
 def block_ranges(g: Graph) -> list[range]:
@@ -51,6 +55,15 @@ def weight(g: Graph, labeling: Labeling, u: int) -> int:
         )
     ranges = block_ranges(g)
     return sum(labeling.labels[v] for j in g.neighbours[block_of(g, u)] for v in ranges[j])
+
+
+def modal_report(weights) -> VerifyReport:
+    """The report on the per-vertex ``weights``: the vertices off the modal
+    weight (ties broken toward the smaller weight), one weight at a time."""
+    counts = Counter(weights)
+    mode = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    violations = tuple((u, w) for u, w in enumerate(weights) if w != mode)
+    return VerifyReport(not violations, None if violations else mode, violations)
 
 
 def g_function(n: int, delta: int, Delta: int, x: int) -> Fraction:

@@ -120,7 +120,7 @@ def test_criterion_4_oracle_formula_sweep(tri_oracle):
 def test_criterion_5_characterization_cross_check(tri_oracle):
     results, _ = tri_oracle
     for sizes, oracle_result in results.items():
-        dm = classify_tripartite(*sizes).tag == "I"
+        dm = classify_tripartite(*sizes) == "I"
         assert dm == (oracle_result.theta == 0), sizes
         assert dm == multipartite_distance_magic_check(sizes), sizes
     report("criterion-5", f"{len(results)} instances, both characterizations agree")
@@ -151,7 +151,7 @@ def test_criterion_7_case3_identity(tri_oracle):
         bound = gap_lower_bound(g)
         if bound is not None:
             assert bound <= oracle_result.theta, sizes
-        if classify_tripartite(*sizes).tag != "III":
+        if classify_tripartite(*sizes) != "III":
             continue
         case3 += 1
         g0 = g_function(n, n - n3, n - n1, 0)

@@ -238,20 +238,23 @@ def test_qmr_verifier_names_each_violation(change, violation):
 
 # QMR(69, 6): rows 0..4 explicit (the block and the first band pair), then
 # four band classes of 16 copies, one progression each, at rows 5, 6, 7, 8
-# (mod 4); hole 208, ab + 1 = 415, rho 1248, sigma 14352.  TALL holds every
-# row as a progression, the explicit ones with one copy.
-TALL = [*(Progression(i, 1, 1, row) for i, row in enumerate(qmr(69, 6).explicit)),
-        *qmr(69, 6).progressions]
+# (mod 4); hole 208, ab + 1 = 415, rho 1248, sigma 14352.
+TALL = qmr(69, 6)
+LINES = TALL.progressions
 
 
 def _tall(*lines, **changes):
-    """QMR(69, 6) as the progressions ``TALL``, line ``k`` of
-    ``changes["k<k>"]`` given as its changed fields, and ``lines`` appended."""
-    out = list(TALL)
-    for key, fields in changes.items():
+    """QMR(69, 6) with explicit row ``i`` made ``changes["r<i>"]``,
+    progression ``k`` (at row 5 + k) given the fields ``changes["p<k>"]``,
+    and ``lines`` appended."""
+    rows, out = list(TALL.explicit), list(LINES)
+    for key, change in changes.items():
         k = int(key[1:])
-        out[k] = out[k]._replace(**fields)
-    return MagicArray(69, 6, (), "qmr", 208, [*out, *lines])
+        if key[0] == "r":
+            rows[k] = change
+        else:
+            out[k] = out[k]._replace(**change)
+    return MagicArray(69, 6, rows, "qmr", 208, [*out, *lines])
 
 
 def _bumped(values, j, by):
@@ -260,48 +263,56 @@ def _bumped(values, j, by):
 
 @pytest.mark.parametrize("arr, violation", [
     # rows 7, 11, .. overlap rows 5, 9, ..; rows 7 + 4i stay empty
-    (_tall(k7={"first": 5}), "entries are not 69 rows of 6"),
-    (_tall(TALL[0]), "entries are not 69 rows of 6"),  # row 0 twice, none missing
-    (_tall(k8={"copies": 15}), "entries are not 69 rows of 6"),  # row 68 missing
-    (_tall(k8={"stride": 0}), "entries are not 69 rows of 6"),
-    (_tall(k8={"first": -1}), "entries are not 69 rows of 6"),
-    (_tall(k8={"first": 12}), "entries are not 69 rows of 6"),  # rows 12..72; row 8 empty
-    # a line of -1 copies cancels row 0's second copy in the count
-    (_tall(TALL[0], Progression(5, 4, -1, TALL[5].row, TALL[5].shift)),
-     "entries are not 69 rows of 6"),
-    (_tall(k5={"shift": TALL[5].shift[:5]}), "entries are not 69 rows of 6"),
-    (_tall(k5={"row": TALL[5].row[:5]}), "entries are not 69 rows of 6"),
+    (_tall(p2={"first": 5}), "entries are not 69 rows of 6"),
+    (_tall(LINES[0]), "entries are not 69 rows of 6"),  # rows 5 + 4i twice, none missing
+    (_tall(p3={"copies": 15}), "entries are not 69 rows of 6"),  # row 68 missing
+    (_tall(p3={"stride": 0}), "entries are not 69 rows of 6"),
+    (_tall(p3={"first": -1}), "entries are not 69 rows of 6"),
+    (_tall(p3={"first": 12}), "entries are not 69 rows of 6"),  # rows 12..72; row 8 empty
+    # a line of -16 copies cancels the second copy of rows 5 + 4i in the count
+    (_tall(LINES[0], LINES[0]._replace(copies=-16)), "entries are not 69 rows of 6"),
+    (_tall(p0={"shift": LINES[0].shift[:5]}), "entries are not 69 rows of 6"),
+    (_tall(p0={"row": LINES[0].row[:5]}), "entries are not 69 rows of 6"),
     # row 4's explicit copy overlaps progression rows 4 + 4i, and rows 8 + 4i stay empty
-    (MagicArray(69, 6, qmr(69, 6).explicit, "qmr", 208, [*TALL[5:8], TALL[8]._replace(first=4)]),
-     "entries are not 69 rows of 6"),
-    (_tall(k5={"shift": (0, *TALL[5].shift[1:])}), "entries are not 1..415 minus 208"),
+    (_tall(p3={"first": 4}), "entries are not 69 rows of 6"),
+    (_tall(p0={"shift": (0, *LINES[0].shift[1:])}), "entries are not 1..415 minus 208"),
     # column 0 of rows 5 + 4i, moved down one step to 212..392: 212 = row 1's
-    (_tall(k5={"row": _bumped(TALL[5].row, 0, -12)}), "entries are not 1..415 minus 208"),
+    (_tall(p0={"row": _bumped(LINES[0].row, 0, -12)}), "entries are not 1..415 minus 208"),
     # column 0 of rows 6 + 4i made 204 - 12i, 204..24: 204 is row 1's
-    (_tall(k6={"row": _bumped(TALL[6].row, 0, 12)}), "entries are not 1..415 minus 208"),
+    (_tall(p1={"row": _bumped(LINES[1].row, 0, 12)}), "entries are not 1..415 minus 208"),
     # the same column moved one step either way within itself: 180..0 and 236..416
-    (_tall(k6={"row": _bumped(TALL[6].row, 0, -12)}), "entries are not 1..415 minus 208"),
-    (_tall(k5={"row": _bumped(TALL[5].row, 0, 12)}), "entries are not 1..415 minus 208"),
+    (_tall(p1={"row": _bumped(LINES[1].row, 0, -12)}), "entries are not 1..415 minus 208"),
+    (_tall(p0={"row": _bumped(LINES[0].row, 0, 12)}), "entries are not 1..415 minus 208"),
     # columns 1 and 2 of rows 8 + 4i made those of rows 6 + 4i
-    (_tall(k8={"row": (187, 225, 190, 183, 234, 181), "shift": (-12, 12, -12, -12, 12, -12)}),
+    (_tall(p3={"row": (187, 225, 190, 183, 234, 181), "shift": (-12, 12, -12, -12, 12, -12)}),
      "entries are not 1..415 minus 208"),
     # an explicit entry made 224, the first of column 0 of rows 5 + 4i, or the hole
-    (_tall(k0={"row": (207, 200, 216, 209, 202, 224)}), "entries are not 1..415 minus 208"),
-    (_tall(k0={"row": (207, 200, 216, 209, 202, 208)}), "entries are not 1..415 minus 208"),
+    (_tall(r0=(207, 200, 216, 209, 202, 224)), "entries are not 1..415 minus 208"),
+    (_tall(r0=(207, 200, 216, 209, 202, 208)), "entries are not 1..415 minus 208"),
     # row 1's 204 and 205 swapped: only columns 0 and 2 change
-    (_tall(k1={"row": (205, 218, 204, 198, 212, 211)}), "column 0 sums to 14353, expected 14352"),
+    (_tall(r1=(205, 218, 204, 198, 212, 211)), "column 0 sums to 14353, expected 14352"),
     # column 0 of rows 5 + 4i and 6 + 4i swapped: the entries stay, row 5 misses by 32
-    (_tall(k5={"row": (192, 191, 226, 189, 188, 230), "shift": (-12, -12, 12, -12, -12, 12)},
-           k6={"row": (224, 225, 190, 227, 228, 186), "shift": (12, 12, -12, 12, 12, -12)}),
+    (_tall(p0={"row": (192, 191, 226, 189, 188, 230), "shift": (-12, -12, 12, -12, -12, 12)},
+           p1={"row": (224, 225, 190, 227, 228, 186), "shift": (12, 12, -12, 12, 12, -12)}),
      "row 5 sums to 1216, expected 1248"),
 ])
 def test_qmr_verifier_rejects_broken_progressions(arr, violation):
-    assert verify_qmr(qmr(69, 6)).valid and verify_qmr(_tall()).valid
-    assert _tall().entries == qmr(69, 6).entries
+    assert verify_qmr(TALL).valid and verify_qmr(_tall()).valid
+    assert _tall().entries == TALL.entries
     assert verify_qmr(arr) == ArrayCheck(False, violation)
     # rows that tile, with no zero step (no range), write out for the referee
     if "rows of" not in violation and all(all(line.shift) for line in arr.progressions):
         assert qmr_violation(arr) == violation
+
+
+def test_qmr_verifier_refuses_a_one_copy_progression():
+    # row 4 of QMR(69, 6) as a progression of one copy: every row is in
+    # place and every shift is 6 long, but a progression holds two copies
+    # or more, and an explicit row is kept in ``explicit``
+    one = Progression(4, 1, 1, TALL.explicit[4], LINES[0].shift)
+    arr = MagicArray(69, 6, TALL.explicit[:4], "qmr", 208, [one, *LINES])
+    assert arr.entries == TALL.entries
+    assert verify_qmr(arr) == ArrayCheck(False, "entries are not 69 rows of 6")
 
 
 def test_qmr_verifier_accepts_row_pairs_as_progressions():
@@ -309,24 +320,26 @@ def test_qmr_verifier_accepts_row_pairs_as_progressions():
     # difference, whose sum is 0; no mirror cancels that difference in the
     # column sums, as it does in the constructions' band classes
     rows = QMR_5_6
-    lines = [Progression(i, 2, 2, rows[i], tuple(map(sub, rows[i + 2], rows[i]))) for i in (0, 1)]
-    arr = MagicArray(5, 6, (), "qmr", 16, [*lines, Progression(4, 1, 1, rows[4])])
+    lines = [Progression(i, 2, 2, rows[i], tuple(map(sub, rows[i + 2], rows[i]))) for i in (1, 2)]
+    arr = MagicArray(5, 6, rows[:1], "qmr", 16, lines)
     assert arr.entries == rows and verify_qmr(arr).valid
 
 
 @pytest.mark.parametrize("lines, violation", [
-    # rows 0, 1 and 2, 3 each one progression whose shift moves its row sum:
-    # every line check but the shift sums passes, and no QMR(5, 2) exists
-    ([Progression(0, 1, 2, (7, 5), (3, 6)), Progression(2, 1, 2, (8, 4), (-6, -3)),
-      Progression(4, 1, 1, (3, 9))], "row 1 sums to 21, expected 12"),
-    # QMR(3, 2) with 4, the hole, in a column of rows 0 and 2: the entries are
+    # rows 0, 1 and 2..4 each one progression whose shift moves its row sum:
+    # the entries are 1..11 but 6, and each line's first row sums to 12
+    ([Progression(0, 1, 2, (4, 8), (6, 3)), Progression(2, 1, 3, (3, 9), (-1, -2))],
+     "row 1 sums to 21, expected 12"),
+    # QMR(3, 2) with 4, the hole, in a column of rows 1 and 2: the entries are
     # distinct and lie in 1..7, so only the hole's mark refuses them
-    ([Progression(0, 2, 2, (4, 5), (2, -3)), Progression(1, 1, 1, (7, 3))],
-     "entries are not 1..7 minus 4"),
+    ([(7, 3), Progression(1, 1, 2, (4, 5), (2, -3))], "entries are not 1..7 minus 4"),
 ])
 def test_qmr_verifier_checks_small_progressions(lines, violation):
-    a = sum(line.copies for line in lines)
-    arr = MagicArray(a, 2, (), "qmr", a + 1, lines)
+    # the explicit rows come first, then the progressions
+    rows = [line for line in lines if not isinstance(line, Progression)]
+    lines = lines[len(rows):]
+    a = len(rows) + sum(line.copies for line in lines)
+    arr = MagicArray(a, 2, rows, "qmr", a + 1, lines)
     assert verify_qmr(arr) == ArrayCheck(False, violation)
     assert qmr_violation(arr) == violation
 

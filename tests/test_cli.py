@@ -564,7 +564,7 @@ def test_blow_ups_of_a_complete_file_are_planned_as_their_k_form(tmp_path):
         for command in ("index", "label"):
             blown = run_cli(command, f"LEX(FILE({k2}),E({a}))")
             assert blown == run_cli(command, f"K({a},{a})"), (command, a)
-    # E(9) alone is the lex-open cell of a regular base, with no labeling
+    # E(9) on K_2 has no QMR(9, 2) column labeling; its K form labels it
     spec = f"LEX(LEX(FILE({k2}),E(3)),E(3))"
     code, out, _ = run_cli("label", spec)
     assert code == 0

@@ -8,6 +8,7 @@ from magiclab import (
     disjoint_union,
     label_by_qmr_columns,
     lex_blowup,
+    theta_bipartite,
     theta_K_ab,
     theta_lex_regular,
     theta_mC_lex,
@@ -63,8 +64,8 @@ def test_theta_lex_unresolved_cells():
 
 def test_theta_lex_open_and_uncovered():
     matching = disjoint_union(1, build_complete_multipartite((1, 1)))
-    res = theta_lex_regular(matching, 5)  # a=1 mod 4 with b=2: left open
-    assert (res.lower, res.upper) == (1, None) and res.case_tag == "lex-open"
+    # a = 1 (mod 4) with b = 2: no QMR(5, 2), but K_2 o E_5 is K(5, 5)
+    assert theta_lex_regular(matching, 5).theta == theta_bipartite(5, 5).theta == 1
     with pytest.raises(DomainError):  # the identity blow-up is no family member
         theta_lex_regular(build_cycle(5), 1)
     edgeless = build_complete_multipartite((4,))

@@ -19,6 +19,7 @@ from magiclab import (
 )
 from magiclab.graphs import (
     DEFAULT_MAX_VERTICES,
+    MAX_BLOCK_ADJACENCY,
     CNode,
     FileNode,
     KNode,
@@ -28,7 +29,7 @@ from magiclab.graphs import (
 )
 
 from conftest import degree, neighbour_sets
-from referees import weight
+from referees import modal_report, weight
 
 
 def test_complete_multipartite_shape():
@@ -266,15 +267,18 @@ def test_adjacency_file(tmp_path):
 
 def test_adjacency_file_rejects_asymmetry(tmp_path):
     path = tmp_path / "bad.adj"
-    path.write_text("0: 1\n1:\n")
-    with pytest.raises(GraphSpecError):
-        read_adjacency_file(path)
-    path.write_text("0: 0\n")
-    with pytest.raises(GraphSpecError):
-        read_adjacency_file(path)
-    path.write_text("0: 1\n3: 1\n1: 0 3\n")
-    with pytest.raises(GraphSpecError):
-        read_adjacency_file(path)
+    for text, error, message in [
+        ("0: 1\n1:\n", GraphSpecError, "not symmetric"),
+        ("0: 0\n", GraphSpecError, "self-loop"),
+        ("0: 1\n3: 1\n1: 0 3\n", GraphSpecError, "ids must be exactly 0..2"),
+        # a repeated neighbour is refused as the Graph refuses it, not merged
+        ("0: 1 1\n1: 0\n", GraphSpecError, f"block 0 lists a neighbouring block twice (at {path})"),
+        # and every listed neighbour counts toward the entry cap
+        ("0:" + " 1" * (MAX_BLOCK_ADJACENCY + 1) + "\n1: 0\n", SizeLimitError, "at line 1"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(error, match=re.escape(message)):
+            read_adjacency_file(path)
 
 
 @pytest.mark.parametrize("sizes, adjacent, complete, message", [
@@ -412,9 +416,8 @@ def test_block_weights_agree_with_explicit_adjacency(tmp_path_factory):
         assert [degree(g, u) for u in range(n)] == [len(nbrs) for nbrs in expected]
         assert g.edge_count * 2 == sum(len(nbrs) for nbrs in expected)
         lab = Labeling(tuple(labels))
-        report = verify_s_magic(g, lab)
-        for u in range(n):
-            assert report.weights[u] == sum(lab.labels[v] for v in expected[u]), (node, u)
-            assert weight(g, lab, u) == report.weights[u]
+        weights = [sum(lab.labels[v] for v in expected[u]) for u in range(n)]
+        assert [weight(g, lab, u) for u in range(n)] == weights, node
+        assert verify_s_magic(g, lab) == modal_report(weights), node
 
     check()

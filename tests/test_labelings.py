@@ -1,7 +1,6 @@
 import json
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, islice, permutations
 
@@ -11,10 +10,10 @@ from magiclab import (
     DomainError,
     Graph,
     Labeling,
-    VerifyReport,
     build_complete_multipartite,
     build_cycle,
     label_tripartite,
+    parse_graph_spec,
     verify_s_magic,
 )
 from magiclab.labelings import labels_json
@@ -23,6 +22,7 @@ from referees import (
     g_function,
     gap_lower_bound,
     magic_constant_multipartite,
+    modal_report,
     multipartite_distance_magic_check,
     weight,
 )
@@ -50,7 +50,7 @@ def test_verify_reports_constant_and_violations():
     edge = build_complete_multipartite((1, 1))
     report = verify_s_magic(edge, Labeling((1, 2)))
     assert not report.is_magic and report.constant is None
-    assert report.weights == (2, 1)
+    assert report.violations == ((0, 2),)  # weights 2 and 1 tie: the mode is 1
 
 
 @pytest.mark.parametrize("labels", [(0, 1), (2, -1), (3, 1, 0)])
@@ -60,21 +60,20 @@ def test_labels_must_be_positive(labels):
 
 
 def _reference_report(g, labeling):
-    """The report by the modal-weight rule, one weight at a time."""
-    weights = tuple(weight(g, labeling, u) for u in range(g.vertex_count))
-    counts = Counter(weights)
-    mode = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-    violations = tuple((u, w) for u, w in enumerate(weights) if w != mode)
-    return VerifyReport(not violations, None if violations else mode, weights, violations)
+    """The report by the modal-weight rule on the referee's vertex weights."""
+    return modal_report([weight(g, labeling, u) for u in range(g.vertex_count)])
 
 
 @pytest.mark.parametrize("spec, labels, violations", [
-    ((3, 3), (1, 5, 6, 2, 3, 7), ()),  # magic: both parts sum to 12
-    ((1, 2, 2), (1, 2, 5, 3, 4), ((0, 14),)),  # one vertex off the mode 8
-    ((1, 1), (1, 2), ((0, 2),)),  # weights 2 and 1 tie: the mode is 1
+    ("K(3,3)", (1, 5, 6, 2, 3, 7), ()),  # magic: both parts sum to 12
+    ("K(1,2,2)", (1, 2, 5, 3, 4), ((0, 14),)),  # one vertex off the mode 8
+    ("K(1,1)", (1, 2), ((0, 2),)),  # weights 2 and 1 tie: the mode is 1
+    # weights 16 on two blocks of one vertex, 1 and 3 on two of three: over
+    # the vertices 1 and 3 tie and the mode is 1; over the blocks it is 16
+    ("U(2,K(1,3))", (1, 2, 6, 8, 3, 4, 5, 7), ((0, 16), (4, 16), (5, 3), (6, 3), (7, 3))),
 ])
 def test_verify_report_by_the_modal_weight(spec, labels, violations):
-    g = build_complete_multipartite(spec)
+    g = parse_graph_spec(spec)
     report = verify_s_magic(g, Labeling(labels))
     assert report == _reference_report(g, Labeling(labels))
     assert report.violations == violations

@@ -25,24 +25,26 @@ def test_zeta():
         zeta(0, 3)
 
 
+def _abc(n1, n2, n3):
+    """(A, B, C) of the module docstring: three times the top-n1 sum of
+    {1..n}, the total and three times the bottom-n3 sum."""
+    n = n1 + n2 + n3
+    return 3 * zeta(n - n1 + 1, n), zeta(1, n), 3 * zeta(1, n3)
+
+
 def test_classification_examples():
-    case = classify_tripartite(5, 6, 7)
-    assert case.tag == "I"
-    assert (case.top3, case.total, case.bottom3) == (240, 171, 84)
-    assert case.residue == 0
-    case = classify_tripartite(3, 8, 9)
-    assert case.tag == "II"
-    assert (case.top3, case.total) == (171, 210)
-    assert classify_tripartite(2, 2, 9).tag == "III"
-    assert classify_tripartite(2, 2, 3).tag == "IV"
-    assert classify_tripartite(2, 2, 6).tag == "V"
+    assert classify_tripartite(5, 6, 7) == "I"
+    A, B, C = _abc(5, 6, 7)
+    assert (A, B, C) == (240, 171, 84) and (2 * B) % 6 == 0
+    assert classify_tripartite(3, 8, 9) == "II"
+    assert _abc(3, 8, 9)[:2] == (171, 210)
+    assert classify_tripartite(2, 2, 9) == "III"
+    assert classify_tripartite(2, 2, 3) == "IV"
+    assert classify_tripartite(2, 2, 6) == "V"
 
 
 def _independent_case_conditions(n1, n2, n3):
-    n = n1 + n2 + n3
-    A = 3 * zeta(n - n1 + 1, n)
-    B = zeta(1, n)
-    C = 3 * zeta(1, n3)
+    A, B, C = _abc(n1, n2, n3)
     return [
         A >= B >= C and (2 * B) % 6 == 0,
         B > A and B >= C,
@@ -61,21 +63,22 @@ def test_classification_total_and_single_valued():
                     continue
                 hits = _independent_case_conditions(n1, n2, n3)
                 assert sum(hits) == 1, (n1, n2, n3, hits)
-                assert classify_tripartite(n1, n2, n3).tag == tags[hits.index(True)]
+                assert classify_tripartite(n1, n2, n3) == tags[hits.index(True)]
 
 
 def test_residue_is_never_four():
     for (n1, n2, n3) in tripartite_instances(20):
-        assert classify_tripartite(n1, n2, n3).residue in (0, 2)
+        B = _abc(n1, n2, n3)[1]
+        assert (2 * B) % 6 in (0, 2)
 
 
 def test_distance_magic_examples():
     # distance magic exactly in case I
-    assert classify_tripartite(5, 6, 7).tag == "I"
-    assert classify_tripartite(3, 8, 9).tag != "I"
-    assert classify_tripartite(2, 2, 2).tag == "I"
+    assert classify_tripartite(5, 6, 7) == "I"
+    assert classify_tripartite(3, 8, 9) != "I"
+    assert classify_tripartite(2, 2, 2) == "I"
     for sizes in tripartite_instances(30):
-        is_case_one = classify_tripartite(*sizes).tag == "I"
+        is_case_one = classify_tripartite(*sizes) == "I"
         assert is_case_one == (theta_tripartite(*sizes).theta == 0), sizes
 
 
@@ -105,7 +108,7 @@ def test_rejects_singleton_part():
 def test_case3_bound_is_the_gap_bound():
     # on case III the zeta form of the bound equals ceil(|g(0)|/delta)
     for (n1, n2, n3) in tripartite_instances(30):
-        if classify_tripartite(n1, n2, n3).tag != "III":
+        if classify_tripartite(n1, n2, n3) != "III":
             continue
         n = n1 + n2 + n3
         g0 = g_function(n, n - n3, n - n1, 0)
@@ -181,7 +184,7 @@ def test_case5_exact_branch_is_empty_at_desk_scale():
     # with theta(H) = ceil((L - M) / n2), forces n2 >= 2*n1, which the case-V
     # inequalities exclude (proof in the tripartite docstring)
     for (n1, n2, n3) in tripartite_instances(40):
-        if classify_tripartite(n1, n2, n3).tag != "V":
+        if classify_tripartite(n1, n2, n3) != "V":
             continue
         n = n1 + n2 + n3
         top, mid, bottom = zeta(n - n1 + 1, n), zeta(n3 + 1, n3 + n2), zeta(1, n3)
