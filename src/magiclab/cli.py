@@ -19,13 +19,14 @@ a labeling) goes through ``_emit``.  The JSON writers
 share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 Every command that takes a spec reads it once, through
-``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs, sorts
-K part sizes and writes it in the one flat form ``Spec(base, m, a)``, the
-graph ``U(m,LEX(base,E(a)))``, so nested spellings of one graph get one
-answer.  ``_plan`` is the one place that maps that spec to its closed form
-and its witness; a witness builds its graph before it labels it, so a spec
-over a cap is refused before any labeling is made (a blow-up base built for
-its closed form is blown up, not built again).  Every oracle run goes
+``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs (a
+file of K_n as ``K(1, .., 1)``), sorts K part sizes and writes it in the one
+flat form ``Spec(base, m, a)``, the graph ``U(m,LEX(base,E(a)))``, so nested
+spellings of one graph get one answer.  ``_plan`` is the one place that
+maps that spec to its closed form and its witness; a witness builds its
+graph before it labels it, so a spec over a cap is refused before any
+labeling is made (a blow-up base built for its closed form is blown up,
+not built again).  Every oracle run goes
 through ``_certified_oracle``: ``index --oracle`` runs it on a spec no
 closed form covers, ``label --oracle`` whenever no construction gives a
 labeling.  ``_certify``, the one check of a labeling, passes each printed
@@ -35,11 +36,12 @@ bounds.  ``main`` checks the search flags of ``index``, ``label`` and
 whether or not a search runs.
 
 Exit codes: 0 success; 1 ``verify`` found the labeling not magic; 2
-malformed input (a spec nested too deep included), a missing, unreadable
+malformed input (a spec or a labeling nested too deep included), a missing,
 or malformed file, a domain error, a ``--budget-seconds`` that is not a
 finite number (``nan``, ``inf`` or ``abc``), or a size cap exceeded
-(vertices, block adjacency, QMR or Kotzig array entries, the oracle's 16
-vertices, or a ``--max-excess`` outside 0..16);
+(vertices, block adjacency, the characters of a ``FILE`` line, QMR or
+Kotzig array entries, the oracle's 16 vertices, or a ``--max-excess``
+outside 0..16);
 3 family not covered by a closed form (rerun with ``--oracle``); 4 no
 labeling found; 5 the requested array provably does not exist;
 6 an exhaustive search ran out of its time budget; 7 a construction or an
@@ -95,9 +97,9 @@ def _plan(spec):
     It reads (base, m, a) once, with no recursion.  With a = 1: the K
     closed forms for one copy, ``theta_mK_ab`` for m > 1 copies of a K with
     equal parts, no closed form otherwise.  With a > 1: ``theta_mC_lex`` on
-    a cycle base, else ``theta_lex_regular`` on the built G = U(m, base),
-    except that a complete multipartite G (only a ``FILE`` of K_n is one)
-    blows up to K(a, .., a) and takes the K closed forms."""
+    a cycle base, else ``theta_lex_regular`` on the built G = U(m, base).
+    Every K shape is decided by the parser, which reads a ``FILE`` of K_n as
+    K(1, .., 1) and a one-copy blow-up of a K as a K."""
     base = None  # the built U(m, base) of a blow-up, once its closed form has built it
 
     def witnessed(result, label):
@@ -122,12 +124,9 @@ def _plan(spec):
         if isinstance(node, CNode):
             return qmr_columns(families.theta_mC_lex(m, a, node.b), a)
         base = build_from_ast(Spec(node, m))
-        if not base.is_complete_multipartite:
-            if not base.is_regular:
-                raise _Unsupported("blow-up base graph is not regular")
-            return qmr_columns(families.theta_lex_regular(base, a), a)
-        # a FILE of K_n, one vertex per block: the blow-up is K(a, .., a)
-        node = KNode((a,) * len(base.sizes))
+        if not base.is_regular:
+            raise _Unsupported("blow-up base graph is not regular")
+        return qmr_columns(families.theta_lex_regular(base, a), a)
     if m > 1:
         if isinstance(node, KNode) and len(set(node.sizes)) == 1 and node.sizes[0] >= 2:
             sizes = node.sizes

@@ -9,7 +9,8 @@ explicit block edges), never per vertex pair:
 
 * ``K(n1..nr)`` is one complete range of r blocks, one per part;
 * ``C(b)`` and ``FILE(...)`` have one singleton block per vertex, so their
-  block adjacency is the explicit adjacency list;
+  block adjacency is the explicit adjacency list, except that a ``FILE``
+  of K_n is read as ``K(1, .., 1)``;
 * ``U(m, G)`` is ``m`` offset copies of the blocks and ranges of ``G``;
 * ``LEX(G, E(a))`` is ``G`` with every block size scaled by ``a``.
 
@@ -28,14 +29,18 @@ The closed spec grammar::
 
 ``parse_spec_ast`` is the one pass that decides what a spec is.  Each node
 checks its own integers when it closes, and ``FILE`` is read there, under
-the vertex and block adjacency caps.  Every spec parses to one flat form,
-``Spec(base, m, a)``, which means ``U(m,LEX(base,E(a)))`` with a K, C or
-FILE base: ``U(m,Spec(b,k,a))`` is Spec(b, m * k, a) and
+the vertex and block adjacency caps, into the ``Graph`` that is its base.
+Every spec parses to one flat form, ``Spec(base, m, a)``, which means
+``U(m,LEX(base,E(a)))`` with a K or C base or a file's ``Graph``:
+``U(m,Spec(b,k,a))`` is Spec(b, m * k, a) and
 ``LEX(Spec(b,m,a'),E(a))`` is Spec(b, m, a' * a).  Both keep the graph
 and its vertex ids: ``LEX(U(m,G),E(a))`` and ``U(m,LEX(G,E(a)))`` send
 vertex v of copy c to c*n*a + v*a + i, and ``LEX(LEX(G,E(a)),E(b))`` is
-LEX(G, E(a * b)).  Two K rules also hold: ``LEX(K(s),E(a))`` with one copy
-is K(s * a), and ``U(m,K(s))`` with one part is the edgeless K(m * s).  A
+LEX(G, E(a * b)).  Three K rules also hold, and they are the only ones: a
+``FILE`` whose graph is complete, K_n, is K(1, .., 1), vertex v in part v;
+``LEX(K(s),E(a))`` with one copy is K(s * a); and ``U(m,K(s))`` with one
+part is the edgeless K(m * s).  So no later layer asks whether a base came
+from a file, and ``LEX(FILE(k2.adj),E(5))`` is K(5,5).  A
 K under a union keeps its layers: ``LEX(U(2,K(3,3)),E(3))`` is
 Spec(K(3,3), 2, 3), not U(2,K(9,9)), although both are one graph: its
 labeling comes from the blow-up form, QMR(3, 12) columns one per layer,
@@ -59,6 +64,13 @@ DEFAULT_MAX_VERTICES = 100_000
 # only FILE(...) and unions of it store over 2n block adjacency entries (a
 # cycle 2 per vertex, K none); a dense file's union could reach gigabytes
 MAX_BLOCK_ADJACENCY = 1_000_000
+# characters of one adjacency file line: 8 per allowed entry, while an id
+# under the vertex cap and its separating space take at most 6, so only a
+# line padded with blanks or a comment is refused below the entry cap
+MAX_LINE_CHARS = 8 * MAX_BLOCK_ADJACENCY
+# the characters that end a line for str.splitlines ("\r" and "\r\n" reach
+# it as "\n" in text mode)
+_LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # the parser recurses twice per nested U( or LEX( (the builders do not);
 # 200 levels stay well inside Python's default recursion limit of 1 000
 MAX_SPEC_DEPTH = 200
@@ -201,15 +213,44 @@ def lex_blowup(g: Graph, a: int) -> Graph:
     return Graph(tuple(size * a for size in g.sizes), g.adjacent, g.complete)
 
 
+def _lines(file):
+    """The lines of the text ``file`` as ``str.splitlines`` breaks them, read
+    at most ``MAX_LINE_CHARS + 1`` characters at a time: a line of more than
+    ``MAX_LINE_CHARS`` characters raises ``SizeLimitError`` with its number
+    before the rest of it is read."""
+    count, carry = 0, ""
+    while chunk := carry + file.readline(MAX_LINE_CHARS + 1 - len(carry)):
+        rows = chunk.splitlines()
+        carry = ""
+        if len(chunk) > MAX_LINE_CHARS and chunk[-1] not in _LINE_BREAKS:
+            carry = rows.pop()  # the read may have stopped inside this line
+            if not rows:
+                raise SizeLimitError(
+                    f"adjacency file line {count + 1} is over the cap of "
+                    f"{MAX_LINE_CHARS} characters"
+                )
+        count += len(rows)
+        yield from rows
+
+
+def _over_cap(lineno: int):
+    raise SizeLimitError(
+        f"adjacency file exceeds the cap of {DEFAULT_MAX_VERTICES} vertices or "
+        f"{MAX_BLOCK_ADJACENCY} block adjacency entries at line {lineno}"
+    )
+
+
 def read_adjacency_file(path: str | Path) -> Graph:
     """Read the ``id: n1 n2 ...`` adjacency format.
 
     Ids are 0-based and must be dense; blank lines and ``#`` comments are
     ignored; the list must describe a symmetric loop-free graph, each
-    neighbour listed once.  Lines are read one at a time, each whole, and
-    ``SizeLimitError`` is raised at the first line past
-    ``DEFAULT_MAX_VERTICES`` ids or ``MAX_BLOCK_ADJACENCY`` listed
-    neighbours, so the memory a read takes does not grow with the file.
+    neighbour listed once.  Lines are read one at a time, each of at most
+    ``MAX_LINE_CHARS`` characters, and ``SizeLimitError`` is raised at the
+    first line past that, past ``DEFAULT_MAX_VERTICES`` ids or past
+    ``MAX_BLOCK_ADJACENCY`` listed neighbours, the last before any of the
+    line's neighbours is converted, so the memory a read takes is bounded
+    whatever the file holds.
     """
     adj: dict[int, list[int]] = {}
     entries = 0
@@ -220,29 +261,28 @@ def read_adjacency_file(path: str | Path) -> Graph:
             f"cannot read adjacency file: {exc.strerror}", position=str(path)
         ) from None
     with lines:
-        # splitlines on each line read keeps the line breaks of str.splitlines
-        rows = (row for line in lines for row in line.splitlines())
-        for lineno, raw in enumerate(rows, start=1):
+        for lineno, raw in enumerate(_lines(lines), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             head, sep, tail = line.partition(":")
             if not sep:
                 raise GraphSpecError("expected 'id: neighbors' line", position=f"line {lineno}")
+            left = MAX_BLOCK_ADJACENCY - entries
+            tokens = tail.split(maxsplit=left)  # a token past ``left`` is over the cap
+            if len(tokens) > left:
+                _over_cap(lineno)
             try:
                 u = int(head.strip())
-                nbrs = [int(tok) for tok in tail.split()]
+                nbrs = [int(tok) for tok in tokens]
             except ValueError as exc:
                 raise GraphSpecError(f"bad integer: {exc}", position=f"line {lineno}") from None
             if u in adj:
                 raise GraphSpecError(f"duplicate vertex {u}", position=f"line {lineno}")
             adj[u] = nbrs
             entries += len(nbrs)
-            if len(adj) > DEFAULT_MAX_VERTICES or entries > MAX_BLOCK_ADJACENCY:
-                raise SizeLimitError(
-                    f"adjacency file exceeds the cap of {DEFAULT_MAX_VERTICES} vertices or "
-                    f"{MAX_BLOCK_ADJACENCY} block adjacency entries at line {lineno}"
-                )
+            if len(adj) > DEFAULT_MAX_VERTICES:
+                _over_cap(lineno)
     if not adj:
         raise GraphSpecError("empty adjacency file", position=str(path))
     n = len(adj)
@@ -269,16 +309,12 @@ class CNode:
 
 
 @dataclass(frozen=True)
-class FileNode:
-    path: str
-    graph: Graph  # read when the spec is parsed
-
-
-@dataclass(frozen=True)
 class Spec:
-    """The spec ``U(m,LEX(base,E(a)))``: the one form every spec parses to."""
+    """The spec ``U(m,LEX(base,E(a)))``: the one form every spec parses to.
+    A ``FILE`` base is the ``Graph`` read from the file, or a ``KNode`` of
+    ones when that graph is complete."""
 
-    base: KNode | CNode | FileNode
+    base: KNode | CNode | Graph
     m: int = 1
     a: int = 1
 
@@ -381,14 +417,18 @@ class _Parser:
     def _file(self) -> Spec:
         path = self.path()
         self.expect(")")
-        return Spec(FileNode(path, read_adjacency_file(path)))
+        graph = read_adjacency_file(path)
+        if graph.is_complete_multipartite:  # K_n: vertex v is block v, part v
+            return Spec(KNode(graph.sizes))
+        return Spec(graph)
 
 
 def parse_spec_ast(text: str) -> Spec:
     """The flat ``Spec`` of ``text``, checked, with ``FILE`` graphs read and
     K part sizes sorted.  ``U(m,Spec(b,k,a))`` is read as Spec(b, m * k, a)
-    and ``LEX(Spec(b,m,a'),E(a))`` as Spec(b, m, a' * a); over a K base,
-    ``LEX`` with one copy is K(s * a) and ``U`` of one part is K(m * s).
+    and ``LEX(Spec(b,m,a'),E(a))`` as Spec(b, m, a' * a); a ``FILE`` of K_n
+    is K(1, .., 1), and over a K base, ``LEX`` with one copy is K(s * a) and
+    ``U`` of one part is K(m * s).
     Each rewrite denotes the same graph with the same vertex ids."""
     parser = _Parser(text)
     spec = parser.spec()
@@ -405,7 +445,7 @@ def _ast_size(spec: Spec) -> tuple[int, int]:
     elif isinstance(base, CNode):
         vertices, entries = base.b, 2 * base.b
     else:
-        vertices, entries = base.graph.vertex_count, sum(map(len, base.graph.adjacent))
+        vertices, entries = base.vertex_count, sum(map(len, base.adjacent))
     return spec.m * spec.a * vertices, spec.m * entries
 
 
@@ -414,9 +454,7 @@ def check_caps(spec: Spec, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
     block adjacency cap; nothing is built."""
     vertices, entries = _ast_size(spec)
     if vertices > max_vertices:
-        bare_file = isinstance(spec.base, FileNode) and spec.m == spec.a == 1
-        what = "graph has" if bare_file else "spec declares"
-        raise SizeLimitError(f"{what} {vertices} vertices, cap is {max_vertices}")
+        raise SizeLimitError(f"spec declares {vertices} vertices, cap is {max_vertices}")
     if entries > MAX_BLOCK_ADJACENCY:
         raise SizeLimitError(
             f"spec declares {entries} block adjacency entries, cap is {MAX_BLOCK_ADJACENCY}"
@@ -433,7 +471,7 @@ def build_from_ast(spec: Spec, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     elif isinstance(base, CNode):
         graph = build_cycle(base.b)
     else:
-        graph = base.graph
+        graph = base
     if spec.m > 1:
         graph = disjoint_union(spec.m, graph)
     if spec.a > 1:

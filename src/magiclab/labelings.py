@@ -112,7 +112,10 @@ class Labeling:
         """The labeling of ``{"labels": {"0": l0, ..., "<n-1>": l}}``.  The ids
         must be exactly the canonical decimals 0..n-1, each once, and every
         label a JSON integer; anything else raises ``ValueError``."""
-        payload = json.loads(text, object_pairs_hook=_unique_keys)
+        try:
+            payload = json.loads(text, object_pairs_hook=_unique_keys)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError("labeling JSON nests too deep") from None
         mapping = payload.get("labels") if isinstance(payload, dict) else None
         if not isinstance(mapping, dict):
             raise ValueError('labeling JSON needs a "labels" object mapping ids to ints')

@@ -556,10 +556,29 @@ def test_disguised_cycle_blowups_are_planned_as_their_literal_form(disguised, li
 
 
 def test_blow_ups_of_a_complete_file_are_planned_as_their_k_form(tmp_path):
-    # a built base that is complete multipartite gets the K rule: only a
-    # FILE of K_n can be one, and its blow-up by E(a) is K(a, .., a)
+    # the parser reads a FILE of K_n as K(1, .., 1), so any spelling over it
+    # answers as the same spelling over K(1, .., 1), on every command
+    for n in range(1, 5):
+        path = tmp_path / f"k{n}.adj"
+        path.write_text("".join(
+            f"{u}: " + " ".join(str(v) for v in range(n) if v != u) + "\n" for u in range(n)
+        ))
+        k = "K(" + ",".join(["1"] * n) + ")"
+        for spec in _wrapped(f"FILE({path})", 2, (1, 2, 3)):
+            twin = spec.replace(f"FILE({path})", k)
+            commands = [("index",), ("label",)]
+            if _ast_size(parse_spec_ast(twin))[0] <= 16:
+                commands.append(("oracle", "--max-excess", "2"))
+            for argv in commands:
+                assert run_cli(argv[0], spec, *argv[1:]) == run_cli(argv[0], twin, *argv[1:]), (
+                    argv, spec)
+    # U(4,K(3,3,3)), the same graph with the same vertex ids, takes mK(a,b)
+    k3 = tmp_path / "k3.adj"
+    for command in ("index", "label"):
+        code, out, err = run_cli(command, f"U(2,U(2,LEX(FILE({k3}),E(3))))")
+        assert (code, out, err) == run_cli(command, "U(4,K(3,3,3))") and code == 0, command
+    assert json.loads(out)["eta"] == 37  # n + theta: 36 vertices, theta 1
     k2 = tmp_path / "k2.adj"
-    k2.write_text("0: 1\n1: 0\n")
     for a in range(2, 7):
         for command in ("index", "label"):
             blown = run_cli(command, f"LEX(FILE({k2}),E({a}))")
@@ -574,13 +593,14 @@ def test_blow_ups_of_a_complete_file_are_planned_as_their_k_form(tmp_path):
     assert code == 0 and json.loads(out)["is_magic"]
 
 
-def _wrapped(spec, levels):
-    """``spec`` under at most ``levels`` of U(m,.) and LEX(.,E(a)), m, a in 2..4."""
+def _wrapped(spec, levels, factors=(2, 3, 4)):
+    """``spec`` under at most ``levels`` of U(m,.) and LEX(.,E(a)), m and a
+    drawn from ``factors``."""
     yield spec
     if levels:
-        for f in (2, 3, 4):
-            yield from _wrapped(f"U({f},{spec})", levels - 1)
-            yield from _wrapped(f"LEX({spec},E({f}))", levels - 1)
+        for f in factors:
+            yield from _wrapped(f"U({f},{spec})", levels - 1, factors)
+            yield from _wrapped(f"LEX({spec},E({f}))", levels - 1, factors)
 
 
 def test_index_bounds_hold_the_oracle_theta_on_nested_specs(tmp_path):
@@ -904,13 +924,42 @@ def test_oracle_caps_reject_before_building(command, flags):
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
 
 
+def test_unbounded_inputs_exit_2_without_a_traceback(tmp_path):
+    # a FILE line with no end and a labeling nested 200 000 levels deep are
+    # refused, not read until the address space or the stack runs out
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"labels": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    for argv, message in [
+        (("index", "FILE(/dev/zero)"), "adjacency file line 1 is over the cap of 8000000 characters"),
+        (("verify", "K(1)", str(deep)), "labeling JSON nests too deep"),
+    ]:
+        start = time.perf_counter()
+        code, out, err, rss_mb = _run_child(*argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out, err) == (2, "", f"error: {message}"), (code, err[-300:])
+        assert elapsed < 3 and rss_mb < 60, (argv, elapsed, rss_mb)
+
+
+def test_a_long_file_line_is_refused_before_its_integers(tmp_path):
+    # 3 000 000 neighbours on one 6 MB line: the line is split only up to the
+    # entries left under the cap, and refused before any of them is converted
+    path = tmp_path / "long.adj"
+    path.write_text("0:" + " 1" * 3_000_000 + "\n1: 0\n")
+    code, out, err, rss_mb = _run_child("index", f"FILE({path})")
+    assert code == 2 and out == "" and rss_mb < 60, (code, err, rss_mb)
+    assert err.endswith("block adjacency entries at line 1"), err
+
+
 def test_block_adjacency_cap_rejects_before_building(tmp_path):
     # only FILE graphs and unions of them store more than 2n block adjacency
-    # entries: 12 copies of K_300 as a file are 3 600 vertices, inside the
-    # vertex cap, but 12 * 89 700 = 1 076 400 entries, refused unbuilt
-    dense = tmp_path / "k300.adj"
+    # entries: 12 copies of K_300 less a perfect matching (u is adjacent to
+    # every v but u and u ^ 1) as a file are 3 600 vertices, inside the
+    # vertex cap, but 12 * 89 400 = 1 072 800 entries, refused unbuilt; a
+    # file of K_300 itself would be read as K(1, .., 1), which stores none
+    dense = tmp_path / "k300-matching.adj"
     dense.write_text("".join(
-        f"{u}: " + " ".join(str(v) for v in range(300) if v != u) + "\n" for u in range(300)
+        f"{u}: " + " ".join(str(v) for v in range(300) if v not in (u, u ^ 1)) + "\n"
+        for u in range(300)
     ))
     labfile = tmp_path / "labels.json"
     labfile.write_text(json.dumps({"labels": {"0": 1}}))
@@ -918,7 +967,7 @@ def test_block_adjacency_cap_rejects_before_building(tmp_path):
     code, out, err, rss_mb = _run_child("verify", f"U(12,FILE({dense}))", str(labfile))
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and elapsed < 0.5 and rss_mb < 60, (code, elapsed, rss_mb)
-    assert "spec declares 1076400 block adjacency entries" in err, err
+    assert "spec declares 1072800 block adjacency entries" in err, err
 
 
 def test_label_k_with_20000_parts_in_linear_time_and_memory(tmp_path):

@@ -21,7 +21,6 @@ from magiclab.graphs import (
     DEFAULT_MAX_VERTICES,
     MAX_BLOCK_ADJACENCY,
     CNode,
-    FileNode,
     KNode,
     Spec,
     build_from_ast,
@@ -185,8 +184,8 @@ def test_rewrites_keep_the_graph(tmp_path):
     path = tmp_path / "p3.adj"
     path.write_text("0: 1\n1: 0 2\n2: 1\n")
     spec = parse_spec_ast(f"U(1,FILE({path}))")
-    assert spec == Spec(FileNode(str(path), read_adjacency_file(path)))
-    assert build_from_ast(spec) is spec.base.graph
+    assert spec == Spec(read_adjacency_file(path))
+    assert build_from_ast(spec) is spec.base
 
 
 @pytest.mark.parametrize("text, message", [
@@ -279,6 +278,18 @@ def test_adjacency_file_rejects_asymmetry(tmp_path):
         path.write_text(text)
         with pytest.raises(error, match=re.escape(message)):
             read_adjacency_file(path)
+
+
+def test_adjacency_file_lines_are_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr("magiclab.graphs.MAX_LINE_CHARS", 8)
+    path = tmp_path / "p3.adj"
+    # 17 characters before the newline, read 9 at a time: three str.splitlines
+    # lines, each within the bound
+    path.write_text("0: 1\x0c1: 0 2\x0c2: 1\n")
+    assert read_adjacency_file(path) == Graph.from_neighbors([(1,), (0, 2), (1,)])
+    path.write_text("0: 1\n1:  0   2\n2: 1\n")  # 9 characters on line 2
+    with pytest.raises(SizeLimitError, match="line 2 is over the cap of 8 characters$"):
+        read_adjacency_file(path)
 
 
 @pytest.mark.parametrize("sizes, adjacent, complete, message", [

@@ -209,6 +209,9 @@ def test_labels_json_matches_sorted_json_dumps_on_random_sizes():
     ('{"labels": [1, 4, 2, 3]}', '"labels" object'),
     ('[1, 4, 2, 3]', '"labels" object'),
     ('{"weights": {}}', '"labels" object'),
+    # the decoder recurses per level: past the stack, a ValueError, not RecursionError
+    pytest.param('{"labels": ' + "[" * 200_000 + "]" * 200_000 + "}", "nests too deep",
+                 id="nested-200000-deep"),
 ])
 def test_from_json_takes_only_canonical_ids_and_integer_labels(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
