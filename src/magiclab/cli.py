@@ -20,13 +20,13 @@ share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 Every command that takes a spec reads it once, through
 ``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs (a
-file of K_n as ``K(1, .., 1)``), sorts K part sizes and writes it in the one
-flat form ``Spec(base, m, a)``, the graph ``U(m,LEX(base,E(a)))``, so nested
-spellings of one graph get one answer.  ``_plan`` is the one place that
-maps that spec to its closed form and its witness; a witness builds its
-graph before it labels it, so a spec over a cap is refused before any
-labeling is made (a blow-up base built for its closed form is blown up,
-not built again).  Every oracle run goes
+file of K_n, like ``C(3)``, as ``K(1, .., 1)``), builds its K base with the
+part sizes sorted and writes it in the one flat form ``Spec(base, m, a)``,
+the graph ``U(m,LEX(base,E(a)))``, so nested spellings of one graph get one
+answer.  ``_plan`` is the one place that maps that spec to its closed form
+and its witness; the closed forms take numbers, so only the witness builds
+the graph, before it labels it, and a spec over a cap is refused before
+any labeling is made.  Every oracle run goes
 through ``_certified_oracle``: ``index --oracle`` runs it on a spec no
 closed form covers, ``label --oracle`` whenever no construction gives a
 labeling.  ``_certify``, the one check of a labeling, passes each printed
@@ -63,7 +63,7 @@ from . import families
 from .arrays import _line_sums, kotzig_array, qmr
 from .bipartite import label_bipartite, theta_bipartite
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError, MagiclabError
-from .graphs import CNode, KNode, Spec, build_from_ast, check_caps, lex_blowup, parse_spec_ast
+from .graphs import CNode, build_from_ast, parse_spec_ast
 from .labelings import SORTED_JSON, Labeling, ThetaResult, labels_json, verify_s_magic
 from .oracle import BUDGET_SECONDS, MAX_EXCESS, MAX_N, check_search_flags
 from .oracle import oracle_theta_general, oracle_theta_multipartite
@@ -94,22 +94,21 @@ def _plan(spec):
     the construction finds none) and the graph; ``witness`` is None
     otherwise.
 
-    It reads (base, m, a) once, with no recursion.  With a = 1: the K
-    closed forms for one copy, ``theta_mK_ab`` for m > 1 copies of a K with
-    equal parts, no closed form otherwise.  With a > 1: ``theta_mC_lex`` on
-    a cycle base, else ``theta_lex_regular`` on the built G = U(m, base).
-    Every K shape is decided by the parser, which reads a ``FILE`` of K_n as
+    It reads (base, m, a) once, with no recursion, and every closed form
+    takes numbers, so nothing is built before the witness runs.  A cycle
+    base with a > 1 takes ``theta_mC_lex``.  A K base with equal parts
+    K(s^r) under m > 1 copies is mK(s * a, r), as each part of
+    U(m,LEX(K(s^r),E(a))) is s * a twins: ``theta_mK_ab``, its witness one
+    QMR column per layer (per part when a = 1).  Any other base with a > 1
+    takes ``theta_lex_regular``, as U(m, G) is r-regular exactly when G is.
+    With a = 1 and one copy, the K closed forms.  Every other K shape is
+    decided by the parser, which reads ``C(3)`` and a ``FILE`` of K_n as
     K(1, .., 1) and a one-copy blow-up of a K as a K."""
-    base = None  # the built U(m, base) of a blow-up, once its closed form has built it
 
     def witnessed(result, label):
         """``result`` with the witness that labels the graph by ``label(graph)``."""
         def witness():
-            if base is None:
-                graph = build_from_ast(spec)
-            else:  # blow up the built base rather than build it again
-                check_caps(spec)
-                graph = lex_blowup(base, spec.a)
+            graph = build_from_ast(spec)
             return label(graph), graph
         return result, witness
 
@@ -120,19 +119,21 @@ def _plan(spec):
         return witnessed(result, lambda graph: families.label_by_qmr_columns(graph, group))
 
     node, m, a = spec.base, spec.m, spec.a
-    if a > 1:
-        if isinstance(node, CNode):
+    if isinstance(node, CNode):
+        if a > 1:
             return qmr_columns(families.theta_mC_lex(m, a, node.b), a)
-        base = build_from_ast(Spec(node, m))
-        if not base.is_regular:
+    elif m > 1 and node.is_complete_multipartite and len(set(node.sizes)) == 1:
+        s, r = node.sizes[0], len(node.sizes)
+        if s * a >= 2:
+            return qmr_columns(families.theta_mK_ab(m, s * a, r), a if a > 1 else s)
+    elif a > 1:
+        if not node.is_regular:
             raise _Unsupported("blow-up base graph is not regular")
-        return qmr_columns(families.theta_lex_regular(base, a), a)
+        b = m * node.vertex_count
+        return qmr_columns(families.theta_lex_regular(node.max_degree, b, a), a)
     if m > 1:
-        if isinstance(node, KNode) and len(set(node.sizes)) == 1 and node.sizes[0] >= 2:
-            sizes = node.sizes
-            return qmr_columns(families.theta_mK_ab(m, sizes[0], len(sizes)), sizes[0])
         raise _Unsupported("no closed form for this disjoint union")
-    if not isinstance(node, KNode):
+    if isinstance(node, CNode) or not node.is_complete_multipartite:
         raise _Unsupported("no closed form for this spec")
     sizes = node.sizes
     r = len(sizes)

@@ -56,19 +56,19 @@ def theta_mC_lex(m: int, a: int, b: int) -> ThetaResult:
     return ThetaResult(lower=1, upper=1, case_tag="mClex-otherwise")
 
 
-def theta_lex_regular(g: Graph, a: int) -> ThetaResult:
-    """Index of G o E_a for a regular graph G on b vertices.
+def theta_lex_regular(r: int, b: int, a: int) -> ThetaResult:
+    """Index of G o E_a for an r-regular graph G on b vertices.
 
-    The open parameter cells are surfaced as explicit [0, 1] bounds (the
-    column construction still caps the index at 1 for odd ``a``) rather
-    than guessed.
+    It takes the numbers, as the other closed forms do, so no graph is
+    built to find the index: U(m, G) of an r-regular G on n vertices is
+    r-regular on m * n.  The open parameter cells are surfaced as explicit
+    [0, 1] bounds (the column construction still caps the index at 1 for
+    odd ``a``) rather than guessed.
     """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
-    if not g.is_regular:
-        raise DomainError("base graph must be regular")
-    r = g.max_degree
-    b = g.vertex_count
+    if not 0 <= r < b or r * b % 2:
+        raise DomainError(f"no {r}-regular graph on {b} vertices")
     if r == 0:
         return ThetaResult(lower=0, upper=0, case_tag="lex-edgeless")
     if a % 2 == 0:

@@ -9,8 +9,8 @@ explicit block edges), never per vertex pair:
 
 * ``K(n1..nr)`` is one complete range of r blocks, one per part;
 * ``C(b)`` and ``FILE(...)`` have one singleton block per vertex, so their
-  block adjacency is the explicit adjacency list, except that a ``FILE``
-  of K_n is read as ``K(1, .., 1)``;
+  block adjacency is the explicit adjacency list, except that ``C(3)`` and
+  a ``FILE`` of K_n are read as ``K(1, .., 1)``;
 * ``U(m, G)`` is ``m`` offset copies of the blocks and ranges of ``G``;
 * ``LEX(G, E(a))`` is ``G`` with every block size scaled by ``a``.
 
@@ -31,25 +31,29 @@ The closed spec grammar::
 checks its own integers when it closes, and ``FILE`` is read there, under
 the vertex and block adjacency caps, into the ``Graph`` that is its base.
 Every spec parses to one flat form, ``Spec(base, m, a)``, which means
-``U(m,LEX(base,E(a)))`` with a K or C base or a file's ``Graph``:
-``U(m,Spec(b,k,a))`` is Spec(b, m * k, a) and
+``U(m,LEX(base,E(a)))``: its base is a ``Graph``, built in O(parts) for a
+K and read for a ``FILE``, or the symbolic ``CNode`` of a cycle of four or
+more vertices, as building C(b) costs O(b) and its closed forms take only
+b.  ``U(m,Spec(b,k,a))`` is Spec(b, m * k, a) and
 ``LEX(Spec(b,m,a'),E(a))`` is Spec(b, m, a' * a).  Both keep the graph
 and its vertex ids: ``LEX(U(m,G),E(a))`` and ``U(m,LEX(G,E(a)))`` send
 vertex v of copy c to c*n*a + v*a + i, and ``LEX(LEX(G,E(a)),E(b))`` is
-LEX(G, E(a * b)).  Three K rules also hold, and they are the only ones: a
-``FILE`` whose graph is complete, K_n, is K(1, .., 1), vertex v in part v;
+LEX(G, E(a * b)).  A K base is a ``Graph`` that
+``Graph.is_complete_multipartite`` accepts, held as one complete range,
+and four K rules hold, the only ones: ``C(3)`` is K(1,1,1) and a ``FILE``
+whose graph is complete, K_n, is K(1, .., 1), vertex v in part v;
 ``LEX(K(s),E(a))`` with one copy is K(s * a); and ``U(m,K(s))`` with one
 part is the edgeless K(m * s).  So no later layer asks whether a base came
-from a file, and ``LEX(FILE(k2.adj),E(5))`` is K(5,5).  A
+from a file or a cycle, and ``LEX(FILE(k2.adj),E(5))`` is K(5,5).  A
 K under a union keeps its layers: ``LEX(U(2,K(3,3)),E(3))`` is
-Spec(K(3,3), 2, 3), not U(2,K(9,9)), although both are one graph: its
-labeling comes from the blow-up form, QMR(3, 12) columns one per layer,
-while U(2,K(9,9)) takes the mK(a,b) form and QMR(9, 4) columns, a
-different labeling of the same vertices.  So every spec's
-size is known unbuilt, and ``build_from_ast`` checks both caps before it
-builds anything.  The parser is also the one place that orders K parts:
-every ``KNode`` holds its part sizes nondecreasing, and no later layer
-sorts them.
+Spec(K(3,3), 2, 3), not U(2,K(9,9)), although both are one graph with
+one index, that of mK(a,b): its labeling takes QMR(3, 12) columns, one per
+layer, while U(2,K(9,9)) takes QMR(9, 4) columns, a different labeling of
+the same vertices.  So every
+spec's size is known unbuilt, and ``build_from_ast`` checks both caps
+before it builds more than the base.  The parser is also the one place
+that orders K parts: every K base holds its part sizes nondecreasing, and
+no later layer sorts them.
 """
 
 from __future__ import annotations
@@ -105,6 +109,8 @@ class Graph:
             if any(self.adjacent[lo:hi]):
                 raise ValueError(f"complete range [{lo}, {hi}) lists explicit neighbours")
             end = hi
+        if not any(self.adjacent):  # no explicit entries to check, as in a K
+            return
         sets = [frozenset(adj) for adj in self.adjacent]
         for i, adj in enumerate(self.adjacent):
             if len(sets[i]) != len(adj):
@@ -167,10 +173,12 @@ class Graph:
     def is_regular(self) -> bool:
         return self.min_degree == self.max_degree
 
-    @cached_property
+    @property
     def is_complete_multipartite(self) -> bool:
         """True when every block is adjacent to every other block: the graph
-        is then complete multipartite, one part per block of ``sizes``."""
+        is then complete multipartite, one part per block of ``sizes``.  A
+        K holds one complete range, so the test is one comparison there, and
+        on other graphs it stops at the first block of too few neighbours."""
         k = len(self.sizes)
         # a block lists no duplicate and not itself
         return self.complete == ((0, k),) or all(len(adj) == k - 1 for adj in self.adjacent)
@@ -299,11 +307,6 @@ def read_adjacency_file(path: str | Path) -> Graph:
 
 
 @dataclass(frozen=True)
-class KNode:
-    sizes: tuple[int, ...]  # nondecreasing: the parser sorts the written parts
-
-
-@dataclass(frozen=True)
 class CNode:
     b: int
 
@@ -311,12 +314,20 @@ class CNode:
 @dataclass(frozen=True)
 class Spec:
     """The spec ``U(m,LEX(base,E(a)))``: the one form every spec parses to.
-    A ``FILE`` base is the ``Graph`` read from the file, or a ``KNode`` of
-    ones when that graph is complete."""
+    A ``K(...)`` base is its built ``Graph``, one complete range with the
+    part sizes nondecreasing, and so is a ``FILE`` of K_n and ``C(3)``; any
+    other ``FILE`` base is the ``Graph`` read from the file.  Only a cycle
+    of four or more vertices stays symbolic, as building C(b) is O(b)."""
 
-    base: KNode | CNode | Graph
+    base: CNode | Graph
     m: int = 1
     a: int = 1
+
+
+def _is_k(base: CNode | Graph) -> bool:
+    """True when the spec base ``base`` is a K: a complete multipartite
+    ``Graph``, which the parser holds as one complete range."""
+    return isinstance(base, Graph) and base.is_complete_multipartite
 
 
 class _Parser:
@@ -380,13 +391,15 @@ class _Parser:
         self.expect(")")
         if any(s < 1 for s in sizes):
             raise GraphSpecError(f"part sizes must be >= 1, got {tuple(sizes)}")
-        return Spec(KNode(tuple(sorted(sizes))))
+        return Spec(build_complete_multipartite(tuple(sorted(sizes))))
 
     def _c(self) -> Spec:
         b = self.integer()
         self.expect(")")
         if b < 3:
             raise GraphSpecError(f"cycles need at least 3 vertices, got {b}")
+        if b == 3:  # C(3) is K_3: vertex v is part v
+            return Spec(build_complete_multipartite((1, 1, 1)))
         return Spec(CNode(b))
 
     def _u(self) -> Spec:
@@ -397,8 +410,8 @@ class _Parser:
         if m < 1:
             raise GraphSpecError(f"unions need at least one copy, got {m}")
         base = inner.base
-        if isinstance(base, KNode) and len(base.sizes) == 1:  # U(m,K(s)) is K(m * s)
-            return Spec(KNode((m * base.sizes[0],)))
+        if _is_k(base) and len(base.sizes) == 1:  # U(m,K(s)) is K(m * s)
+            return Spec(build_complete_multipartite((m * base.sizes[0],)))
         return Spec(base, m * inner.m, inner.a)
 
     def _lex(self) -> Spec:
@@ -410,8 +423,8 @@ class _Parser:
         if a < 1:
             raise GraphSpecError(f"layers need at least one vertex, got {a}")
         base = inner.base
-        if isinstance(base, KNode) and inner.m == 1:  # LEX(K(s),E(a)) is K(s * a)
-            return Spec(KNode(tuple(size * a for size in base.sizes)))
+        if _is_k(base) and inner.m == 1:  # LEX(K(s),E(a)) is K(s * a)
+            return Spec(lex_blowup(base, a))
         return Spec(base, inner.m, inner.a * a)
 
     def _file(self) -> Spec:
@@ -419,16 +432,16 @@ class _Parser:
         self.expect(")")
         graph = read_adjacency_file(path)
         if graph.is_complete_multipartite:  # K_n: vertex v is block v, part v
-            return Spec(KNode(graph.sizes))
+            return Spec(build_complete_multipartite(graph.sizes))
         return Spec(graph)
 
 
 def parse_spec_ast(text: str) -> Spec:
     """The flat ``Spec`` of ``text``, checked, with ``FILE`` graphs read and
-    K part sizes sorted.  ``U(m,Spec(b,k,a))`` is read as Spec(b, m * k, a)
-    and ``LEX(Spec(b,m,a'),E(a))`` as Spec(b, m, a' * a); a ``FILE`` of K_n
-    is K(1, .., 1), and over a K base, ``LEX`` with one copy is K(s * a) and
-    ``U`` of one part is K(m * s).
+    K bases built, their part sizes sorted.  ``U(m,Spec(b,k,a))`` is read as
+    Spec(b, m * k, a) and ``LEX(Spec(b,m,a'),E(a))`` as Spec(b, m, a' * a);
+    ``C(3)`` and a ``FILE`` of K_n are K(1, .., 1), and over a K base,
+    ``LEX`` with one copy is K(s * a) and ``U`` of one part is K(m * s).
     Each rewrite denotes the same graph with the same vertex ids."""
     parser = _Parser(text)
     spec = parser.spec()
@@ -440,11 +453,9 @@ def parse_spec_ast(text: str) -> Spec:
 def _ast_size(spec: Spec) -> tuple[int, int]:
     """(vertices, block adjacency entries) of the graph ``spec`` builds."""
     base = spec.base
-    if isinstance(base, KNode):
-        vertices, entries = sum(base.sizes), 0  # one complete range, no entries
-    elif isinstance(base, CNode):
+    if isinstance(base, CNode):
         vertices, entries = base.b, 2 * base.b
-    else:
+    else:  # a K's complete range lists no entries
         vertices, entries = base.vertex_count, sum(map(len, base.adjacent))
     return spec.m * spec.a * vertices, spec.m * entries
 
@@ -466,12 +477,7 @@ def build_from_ast(spec: Spec, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     its base, then ``m`` copies of it, then each vertex blown up to ``a``."""
     check_caps(spec, max_vertices)
     base = spec.base
-    if isinstance(base, KNode):
-        graph = build_complete_multipartite(base.sizes)
-    elif isinstance(base, CNode):
-        graph = build_cycle(base.b)
-    else:
-        graph = base
+    graph = build_cycle(base.b) if isinstance(base, CNode) else base
     if spec.m > 1:
         graph = disjoint_union(spec.m, graph)
     if spec.a > 1:

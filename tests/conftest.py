@@ -142,7 +142,7 @@ def check_decision_table_row(row) -> int:
             return 1
         g = regular_example(row["r"], row["b"])
         for a in condition_values(row["a"], range(2, 6)):
-            result = theta_lex_regular(g, a)
+            result = theta_lex_regular(g.max_degree, g.vertex_count, a)
             if row["verdict"] == "not":
                 assert result.lower >= 1, (row, a)
             else:

@@ -66,6 +66,8 @@ def test_index_exit_codes():
     assert code == 3 and "--oracle" in err
     code, out, _ = run_cli("index", "C(4)", "--oracle")
     assert code == 0 and json.loads(out)["provenance"] == "oracle"
+    code, out, err = run_cli("index", "LEX(U(2,K(1,2)),E(3))")
+    assert code == 3 and out == "" and "blow-up base graph is not regular" in err
 
 
 def test_single_copy_and_single_layer_dispatch_inward():
@@ -148,7 +150,8 @@ def test_label_lex_blowup_builds_its_base_once(monkeypatch):
     monkeypatch.setattr(magiclab.graphs, "build_complete_multipartite", counting_build_k)
     code, out, _ = run_cli("label", "LEX(U(3,C(10)),E(3))")
     assert code == 0 and json.loads(out)["eta"] == 91 and builds == [10]
-    # the closed form builds the base U(2,K(3,3)); the witness blows it up
+    # the parser builds K(3,3) once, as the spec's base; the closed form
+    # builds nothing, and the witness makes U(2,K(3,3)) and its blow-up from it
     builds.clear()
     code, out, _ = run_cli("label", "LEX(U(2,K(3,3)),E(3))")
     assert code == 0 and json.loads(out)["eta"] == 37 and builds == [(3, 3)]
@@ -530,6 +533,7 @@ def test_disguised_complete_multipartite_specs_match_their_k_form(disguised, lit
     ("U(3,K(4))", "K(12)"),
     ("LEX(U(3,K(1)),E(2))", "K(6)"),
     ("U(2,U(3,K(3,3)))", "U(6,K(3,3))"),
+    ("LEX(C(3),E(2))", "K(2,2,2)"),  # C(3) is K(1,1,1)
 ])
 def test_disguised_k_specs_are_planned_as_their_k_form(disguised, literal):
     for command in ("index", "label"):
@@ -626,6 +630,73 @@ def test_index_bounds_hold_the_oracle_theta_on_nested_specs(tmp_path):
                 assert index["lower"] <= found["theta"], spec
                 assert upper is None or found["theta"] <= upper, spec
     assert checked >= 50
+
+
+def _c3_spellings():
+    """Every spelling of C(3) under one or two wrappers, m and a in 1..4."""
+    yield "C(3)"
+    for a in range(1, 5):
+        yield f"LEX(C(3),E({a}))"
+        for m in range(1, 5):
+            yield f"U({m},LEX(C(3),E({a})))"
+            yield f"LEX(U({m},C(3)),E({a}))"
+
+
+@pytest.mark.parametrize("spec", list(_c3_spellings()))
+def test_c3_spellings_print_their_k111_spelling(spec):
+    # C(3) is K_3, vertex v in part v, so it is read as K(1,1,1)
+    twin = spec.replace("C(3)", "K(1,1,1)")
+    commands = [("index",), ("label",)]
+    if _ast_size(parse_spec_ast(twin))[0] <= 16:
+        commands.append(("oracle", "--max-excess", "2"))
+    for argv in commands:
+        assert run_cli(argv[0], spec, *argv[1:]) == run_cli(argv[0], twin, *argv[1:]), argv
+
+
+def _uniform_k_union_blow_ups(max_n):
+    """(spec, m, s, r, a) of every LEX(U(m,K(s^r)),E(a)) with m, r, a >= 2
+    on at most ``max_n`` vertices."""
+    for m in range(2, max_n // 4 + 1):
+        for s in range(1, max_n // (4 * m) + 1):
+            for r in range(2, max_n // (2 * m * s) + 1):
+                for a in range(2, max_n // (m * s * r) + 1):
+                    parts = ",".join([str(s)] * r)
+                    yield f"LEX(U({m},K({parts})),E({a}))", m, s, r, a
+
+
+def test_uniform_k_union_blow_ups_take_the_mk_form(tmp_path):
+    # U(m,LEX(K(s^r),E(a))) is mK(s * a, r): each part is s * a twins
+    cells = oracle_checked = witnesses = 0
+    for spec, m, s, r, a in _uniform_k_union_blow_ups(64):
+        expected = magiclab.theta_mK_ab(m, s * a, r)
+        code, out, _ = run_cli("index", spec)
+        index = json.loads(out)
+        assert code == 0 and index["theta"] == expected.theta, spec
+        assert index["case"] == expected.case_tag, spec
+        cells += 1
+        if m * r * s * a <= 16:
+            found = json.loads(run_cli("oracle", spec, "--max-excess", "2")[1])
+            assert found["exact"] and found["theta"] == expected.theta, spec
+            oracle_checked += 1
+        if expected.theta == 1:
+            code, out, _ = run_cli("label", spec)
+            assert code == 0, spec
+            labfile = tmp_path / "labels.json"
+            labfile.write_text(out)
+            code, out, _ = run_cli("verify", spec, str(labfile))
+            assert code == 0 and json.loads(out)["is_magic"], spec
+            witnesses += 1
+    assert (cells, oracle_checked, witnesses) == (212, 8, 51)
+
+
+@pytest.mark.parametrize("spec, case, theta", [
+    ("LEX(U(4,C(3)),E(3))", "mKab-otherwise", 1),  # 4K(3,3,3)
+    ("LEX(U(2,LEX(K(1,1),E(2))),E(3))", "mKab-dmg", 0),  # U(2,K(6,6))
+])
+def test_uniform_k_union_blow_up_pins(spec, case, theta):
+    code, out, _ = run_cli("index", spec)
+    payload = json.loads(out)
+    assert code == 0 and (payload["case"], payload["theta"]) == (case, theta)
 
 
 def _nested(depth):

@@ -16,7 +16,7 @@ from magiclab import (
     verify_s_magic,
 )
 
-from conftest import check_decision_table_row, circulant, petersen
+from conftest import check_decision_table_row, petersen
 
 
 def test_theta_K_ab_examples():
@@ -44,32 +44,50 @@ def test_theta_mC_lex_examples():
 
 
 def test_theta_lex_regular_examples():
-    assert theta_lex_regular(petersen(), 3).theta == 1
-    assert theta_lex_regular(petersen(), 2).theta == 0
-    four_regular_odd = circulant(7, (1, 2))
-    assert theta_lex_regular(four_regular_odd, 3).theta == 0
-    with pytest.raises(DomainError):
-        theta_lex_regular(build_complete_multipartite((1, 2)), 3)
+    assert theta_lex_regular(3, 10, 3).theta == 1  # the Petersen graph
+    assert theta_lex_regular(3, 10, 2).theta == 0
+    assert theta_lex_regular(4, 7, 3).theta == 0  # a 4-regular circulant on 7
+    for r, b in ((3, 5), (5, 5), (-1, 4)):  # no r-regular graph on b vertices
+        with pytest.raises(DomainError):
+            theta_lex_regular(r, b, 3)
 
 
 def test_theta_lex_unresolved_cells():
-    res = theta_lex_regular(circulant(8, (1, 2)), 3)  # r=4, b=0 mod 4
+    res = theta_lex_regular(4, 8, 3)  # r=4, b=0 mod 4
     assert (res.lower, res.upper) == (0, 1)
     assert res.case_tag == "lex-unsolved"
-    res = theta_lex_regular(build_cycle(8), 3)  # r=2, b=0 mod 4
+    res = theta_lex_regular(2, 8, 3)  # r=2, b=0 mod 4
     assert (res.lower, res.upper) == (0, 1)
-    res = theta_lex_regular(build_cycle(6), 3)  # r=2, b=2 mod 4: solved
+    res = theta_lex_regular(2, 6, 3)  # r=2, b=2 mod 4: solved
     assert res.theta == 1
 
 
 def test_theta_lex_open_and_uncovered():
-    matching = disjoint_union(1, build_complete_multipartite((1, 1)))
     # a = 1 (mod 4) with b = 2: no QMR(5, 2), but K_2 o E_5 is K(5, 5)
-    assert theta_lex_regular(matching, 5).theta == theta_bipartite(5, 5).theta == 1
+    assert theta_lex_regular(1, 2, 5).theta == theta_bipartite(5, 5).theta == 1
     with pytest.raises(DomainError):  # the identity blow-up is no family member
-        theta_lex_regular(build_cycle(5), 1)
-    edgeless = build_complete_multipartite((4,))
-    assert theta_lex_regular(edgeless, 3).theta == 0
+        theta_lex_regular(2, 5, 1)
+    assert theta_lex_regular(0, 4, 3).theta == 0  # edgeless
+
+
+def test_uniform_k_union_blow_up_refines_lex_regular():
+    # U(m,LEX(K(s^r),E(a))) is G o E_a for G = U(m,K(s^r)), which is
+    # (r-1)s-regular on mrs vertices, and also mK(s*a, r): the two forms
+    # agree wherever G o E_a is exact, and mK(a,b) decides its open cells
+    exact = decided = 0
+    for s in range(1, 8):
+        for r in range(2, 7):
+            for m in range(2, 9):
+                for a in range(2, 10):
+                    lex = theta_lex_regular((r - 1) * s, m * r * s, a)
+                    mk = theta_mK_ab(m, s * a, r)
+                    if lex.exact:
+                        assert mk.theta == lex.theta, (s, r, m, a)
+                        exact += 1
+                    else:
+                        assert (lex.lower, lex.upper) == (0, 1) and mk.exact, (s, r, m, a)
+                        decided += 1
+    assert (exact, decided) == (1444, 516)
 
 
 def test_every_decision_table_cell():

@@ -21,13 +21,14 @@ from magiclab.graphs import (
     DEFAULT_MAX_VERTICES,
     MAX_BLOCK_ADJACENCY,
     CNode,
-    KNode,
     Spec,
     build_from_ast,
     parse_spec_ast,
 )
 
 from conftest import degree, neighbour_sets
+
+K = build_complete_multipartite  # a K base is its built graph
 from referees import modal_report, weight
 
 
@@ -128,7 +129,7 @@ def test_degree_sum_is_twice_edges():
 def test_parser_shapes():
     spec = parse_spec_ast("U(2,K(3,3))")
     assert (spec.m, spec.a) == (2, 1)
-    assert isinstance(spec.base, KNode) and spec.base.sizes == (3, 3)
+    assert spec.base == K((3, 3))
     spec = parse_spec_ast("LEX(C(10),E(3))")
     assert (spec.m, spec.a) == (1, 3)
     assert isinstance(spec.base, CNode) and spec.base.b == 10
@@ -137,26 +138,30 @@ def test_parser_shapes():
 @pytest.mark.parametrize("text, literal", [
     ("U(1,C(4))", Spec(CNode(4))),
     ("LEX(C(4),E(1))", Spec(CNode(4))),
-    ("LEX(K(1,2),E(3))", Spec(KNode((3, 6)))),
+    ("LEX(K(1,2),E(3))", Spec(K((3, 6)))),
     ("LEX(U(1,C(4)),E(3))", Spec(CNode(4), 1, 3)),
     ("LEX(LEX(C(6),E(1)),E(3))", Spec(CNode(6), 1, 3)),
     ("U(2,LEX(U(1,C(6)),E(3)))", Spec(CNode(6), 2, 3)),
-    ("U(3,LEX(U(1,LEX(K(2,1),E(2))),E(3)))", Spec(KNode((6, 12)), 3)),
-    ("U(1,U(1,LEX(K(2),E(1))))", Spec(KNode((2,)))),
+    ("U(3,LEX(U(1,LEX(K(2,1),E(2))),E(3)))", Spec(K((6, 12)), 3)),
+    ("U(1,U(1,LEX(K(2),E(1))))", Spec(K((2,)))),
     ("LEX(U(2,C(5)),E(2))", Spec(CNode(5), 2, 2)),  # one union of blow-ups
-    ("U(3,K(4))", Spec(KNode((12,)))),
-    ("LEX(U(3,K(1)),E(2))", Spec(KNode((6,)))),
-    ("U(2,LEX(U(3,K(1)),E(2)))", Spec(KNode((12,)))),
-    ("U(2,K(1,1))", Spec(KNode((1, 1)), 2)),  # two parts: no K rule
-    ("U(2,U(2,K(2,2)))", Spec(KNode((2, 2)), 4)),
+    ("U(3,K(4))", Spec(K((12,)))),
+    ("LEX(U(3,K(1)),E(2))", Spec(K((6,)))),
+    ("U(2,LEX(U(3,K(1)),E(2)))", Spec(K((12,)))),
+    ("U(2,K(1,1))", Spec(K((1, 1)), 2)),  # two parts: no K rule
+    ("U(2,U(2,K(2,2)))", Spec(K((2, 2)), 4)),
     ("U(2,U(3,C(5)))", Spec(CNode(5), 6)),
-    ("U(2,U(1,U(3,K(2,1))))", Spec(KNode((1, 2)), 6)),
+    ("U(2,U(1,U(3,K(2,1))))", Spec(K((1, 2)), 6)),
     ("U(2,LEX(U(2,U(3,C(4))),E(2)))", Spec(CNode(4), 12, 2)),
-    ("U(2,U(2,K(3)))", Spec(KNode((12,)))),
+    ("U(2,U(2,K(3)))", Spec(K((12,)))),
     ("LEX(LEX(C(4),E(2)),E(3))", Spec(CNode(4), 1, 6)),
     # a K under a union keeps its layers, not U(2,K(9,9))
-    ("LEX(U(2,K(3,3)),E(3))", Spec(KNode((3, 3)), 2, 3)),
-    ("U(2,LEX(U(2,K(3,3)),E(3)))", Spec(KNode((3, 3)), 4, 3)),
+    ("LEX(U(2,K(3,3)),E(3))", Spec(K((3, 3)), 2, 3)),
+    ("U(2,LEX(U(2,K(3,3)),E(3)))", Spec(K((3, 3)), 4, 3)),
+    # C(3) is K_3, vertex v in part v, so the K rules reach it
+    ("C(3)", Spec(K((1, 1, 1)))),
+    ("LEX(C(3),E(2))", Spec(K((2, 2, 2)))),
+    ("LEX(U(2,C(3)),E(2))", Spec(K((1, 1, 1)), 2, 2)),
 ])
 def test_parser_rewrites_at_every_level(text, literal):
     assert parse_spec_ast(text) == literal
@@ -226,9 +231,9 @@ def test_parser_accepts_unsorted_sizes():
     g = parse_graph_spec("K(7,6,5)")
     assert g.is_complete_multipartite and g.sizes == (5, 6, 7)
     # the parser is the one place that orders K parts, at every level
-    assert parse_spec_ast("K(3,2)") == Spec(KNode((2, 3)))
-    assert parse_spec_ast("U(2,K(3,2))") == Spec(KNode((2, 3)), 2)
-    assert parse_spec_ast("LEX(K(3,1),E(2))") == Spec(KNode((2, 6)))
+    assert parse_spec_ast("K(3,2)") == Spec(K((2, 3)))
+    assert parse_spec_ast("U(2,K(3,2))") == Spec(K((2, 3)), 2)
+    assert parse_spec_ast("LEX(K(3,1),E(2))") == Spec(K((2, 6)))
 
 
 def test_parser_errors_carry_position():
