@@ -20,14 +20,16 @@ share one sorted-key encoder, ``labelings.SORTED_JSON``.
 
 Every command that takes a spec reads it once, through
 ``graphs.parse_spec_ast``, which checks it, reads its ``FILE`` graphs (a
-file of K_n, like ``C(3)``, as ``K(1, .., 1)``), builds its K base with the
-part sizes sorted and writes it in the one flat form ``Spec(base, m, a)``,
-the graph ``U(m,LEX(base,E(a)))``, so nested spellings of one graph get one
-answer.  ``_plan`` is the one place that maps that spec to its closed form
-and its witness; the closed forms take numbers, so only the witness builds
-the graph, before it labels it, and a spec over a cap is refused before
-any labeling is made.  Every oracle run goes
-through ``_certified_oracle``: ``index --oracle`` runs it on a spec no
+file of K_n, like ``C(3)``, as ``K(1, .., 1)``, an edgeless file on n
+vertices as ``K(n)``), builds its K base with the part sizes sorted and
+writes it in the one flat form ``Spec(base, m, a)``, the graph
+``U(m,LEX(base,E(a)))``, so nested spellings of one graph get one answer.
+``_plan`` is the one place that maps that spec to its closed form and its
+witness; the closed forms take numbers, so only the witness builds the
+graph, before it labels it, and a spec over a cap is refused before any
+labeling is made.  Every oracle run goes through
+``_certified_oracle``, which calls the one oracle the CLI imports,
+``oracle_theta_general``: ``index --oracle`` runs it on a spec no
 closed form covers, ``label --oracle`` whenever no construction gives a
 labeling.  ``_certify``, the one check of a labeling, passes each printed
 one once: it must be magic, with top label n + e for e within the result's
@@ -65,8 +67,7 @@ from .bipartite import label_bipartite, theta_bipartite
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError, MagiclabError
 from .graphs import CNode, build_from_ast, parse_spec_ast
 from .labelings import SORTED_JSON, Labeling, ThetaResult, labels_json, verify_s_magic
-from .oracle import BUDGET_SECONDS, MAX_EXCESS, MAX_N, check_search_flags
-from .oracle import oracle_theta_general, oracle_theta_multipartite
+from .oracle import BUDGET_SECONDS, MAX_EXCESS, MAX_N, check_search_flags, oracle_theta_general
 from .tripartite import label_tripartite, theta_tripartite
 
 EXIT_OK = 0
@@ -154,12 +155,11 @@ def _certified_oracle(args, spec):
     """(result, report): the oracle's result on the graph of ``spec`` up to
     ``--max-excess``, a spec over its vertex cap rejected unbuilt, and
     ``_certify``'s report on its witness, or None without one.  The one
-    place the CLI runs an oracle: the multipartite one on a complete
-    multipartite graph, however the spec wrote it, the general one on any
-    other."""
+    place the CLI runs an oracle, ``oracle_theta_general``, which packs
+    equal part sums on a K or a union of copies of one and searches the
+    blocks of any other graph."""
     graph = build_from_ast(spec, max_vertices=MAX_N)
-    oracle = oracle_theta_multipartite if graph.is_complete_multipartite else oracle_theta_general
-    result = oracle(graph, args.max_excess, args.budget_seconds)
+    result = oracle_theta_general(graph, args.max_excess, args.budget_seconds)
     report = None if result.witness is None else _certify(graph, result.witness, result)
     return result, report
 

@@ -2,16 +2,19 @@
 
 Vertices are dense integers ``0..n-1``.  A graph is stored as *blocks*:
 runs of consecutive ids, given by their sizes, each an independent set
-whose vertices share one neighbourhood, plus the neighbouring blocks of
-each block, or, for the parts of a complete multipartite component, one
-block range.  Every family of the spec language is built in O(#blocks +
-explicit block edges), never per vertex pair:
+whose vertices share one neighbourhood, in one of two forms: the
+neighbouring blocks of each block, or consecutive groups of r blocks, each
+group the r parts of a complete multipartite component.  Every family of
+the spec language is built in O(#blocks + explicit block edges), never
+per vertex pair:
 
-* ``K(n1..nr)`` is one complete range of r blocks, one per part;
+* ``K(n1..nr)`` is one group of r blocks, one per part;
 * ``C(b)`` and ``FILE(...)`` have one singleton block per vertex, so their
   block adjacency is the explicit adjacency list, except that ``C(3)`` and
-  a ``FILE`` of K_n are read as ``K(1, .., 1)``;
-* ``U(m, G)`` is ``m`` offset copies of the blocks and ranges of ``G``;
+  a ``FILE`` of K_n are read as ``K(1, .., 1)`` and an edgeless ``FILE`` on
+  n vertices as ``K(n)``;
+* ``U(m, G)`` is ``m`` offset copies of the blocks of ``G``, and of its
+  groups of parts;
 * ``LEX(G, E(a))`` is ``G`` with every block size scaled by ``a``.
 
 No other vertex layout is kept: a witness labeling lists its labels block
@@ -39,18 +42,18 @@ b.  ``U(m,Spec(b,k,a))`` is Spec(b, m * k, a) and
 and its vertex ids: ``LEX(U(m,G),E(a))`` and ``U(m,LEX(G,E(a)))`` send
 vertex v of copy c to c*n*a + v*a + i, and ``LEX(LEX(G,E(a)),E(b))`` is
 LEX(G, E(a * b)).  A K base is a ``Graph`` that
-``Graph.is_complete_multipartite`` accepts, held as one complete range,
-and four K rules hold, the only ones: ``C(3)`` is K(1,1,1) and a ``FILE``
-whose graph is complete, K_n, is K(1, .., 1), vertex v in part v;
-``LEX(K(s),E(a))`` with one copy is K(s * a); and ``U(m,K(s))`` with one
-part is the edgeless K(m * s).  So no later layer asks whether a base came
-from a file or a cycle, and ``LEX(FILE(k2.adj),E(5))`` is K(5,5).  A
-K under a union keeps its layers: ``LEX(U(2,K(3,3)),E(3))`` is
-Spec(K(3,3), 2, 3), not U(2,K(9,9)), although both are one graph with
-one index, that of mK(a,b): its labeling takes QMR(3, 12) columns, one per
-layer, while U(2,K(9,9)) takes QMR(9, 4) columns, a different labeling of
-the same vertices.  So every
-spec's size is known unbuilt, and ``build_from_ast`` checks both caps
+``Graph.is_complete_multipartite`` accepts, held as one group of parts,
+and five K rules hold, the only ones: ``C(3)`` is K(1,1,1) and a ``FILE``
+whose graph is complete, K_n, is K(1, .., 1), vertex v in part v; an
+edgeless ``FILE`` on n vertices is K(n); ``LEX(K(s),E(a))`` with one copy
+is K(s * a); and ``U(m,K(s))`` with one part is the edgeless K(m * s).
+So no later layer asks whether a base came from a file or a cycle, and
+``LEX(FILE(k2.adj),E(5))`` is K(5,5).  A K under a union keeps its layers:
+``LEX(U(2,K(3,3)),E(3))`` is Spec(K(3,3), 2, 3), not U(2,K(9,9)), although
+both are one graph with one index, that of mK(a,b): its labeling takes
+QMR(3, 12) columns, one per layer, while U(2,K(9,9)) takes QMR(9, 4)
+columns, a different labeling of the same vertices.  So every spec's size
+is known unbuilt, and ``build_from_ast`` checks both caps
 before it builds more than the base.  The parser is also the one place
 that orders K parts: every K base holds its part sizes nondecreasing, and
 no later layer sorts them.
@@ -83,18 +86,19 @@ MAX_SPEC_DEPTH = 200
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph stored as blocks of vertices with one shared
-    neighbourhood.
+    neighbourhood, in one of two forms.
 
-    Block ``i`` is the next ``sizes[i]`` ids.  ``adjacent[i]`` lists the
-    blocks every vertex of block ``i`` is adjacent to.  ``complete`` lists
-    the block ranges ``(lo, hi)``, in order and disjoint, of complete
-    multipartite components: each block of ``[lo, hi)`` is adjacent to every
-    other block of the range and to no other, and its ``adjacent`` is empty.
+    Block ``i`` is the next ``sizes[i]`` ids.  With ``parts = 0``,
+    ``adjacent[i]`` lists the blocks every vertex of block ``i`` is adjacent
+    to.  With ``parts = r >= 1``, every ``adjacent`` entry is empty and the
+    blocks fall into consecutive groups of r, each a complete multipartite
+    component: a block is adjacent to every other block of its group and to
+    no other.  ``U(m,K(n1..nr))`` is m groups of r.
     """
 
     sizes: tuple[int, ...]
     adjacent: tuple[tuple[int, ...], ...]
-    complete: tuple[tuple[int, int], ...] = ()
+    parts: int = 0
 
     def __post_init__(self):
         if min(self.sizes, default=1) < 1:
@@ -102,15 +106,12 @@ class Graph:
         k = len(self.sizes)
         if len(self.adjacent) != k:
             raise ValueError(f"{len(self.adjacent)} adjacency lists for {k} blocks")
-        end = 0
-        for lo, hi in self.complete:
-            if not end <= lo < hi <= k:
-                raise ValueError(f"complete range [{lo}, {hi}) is empty, out of order or overlaps")
-            if any(self.adjacent[lo:hi]):
-                raise ValueError(f"complete range [{lo}, {hi}) lists explicit neighbours")
-            end = hi
+        if self.parts < 0 or self.parts and k % self.parts:
+            raise ValueError(f"{k} blocks do not split into groups of {self.parts} parts")
         if not any(self.adjacent):  # no explicit entries to check, as in a K
             return
+        if self.parts:
+            raise ValueError(f"groups of {self.parts} parts list explicit neighbours")
         sets = [frozenset(adj) for adj in self.adjacent]
         for i, adj in enumerate(self.adjacent):
             if len(sets[i]) != len(adj):
@@ -135,22 +136,17 @@ class Graph:
 
     def neighbour_sums(self, values) -> list:
         """Per block, the sum of ``values`` (one per block) over its neighbouring
-        blocks: in O(blocks + explicit entries), as a complete range's blocks
-        take one total less their own value."""
-        sums = [sum(map(values.__getitem__, adj)) for adj in self.adjacent]
-        for lo, hi in self.complete:
-            total = sum(values[lo:hi])
-            sums[lo:hi] = [total - value for value in values[lo:hi]]
+        blocks: in O(blocks + explicit entries), as the blocks of a group of
+        complete parts take the group's total less their own value."""
+        r = self.parts
+        if not r:
+            return [sum(map(values.__getitem__, adj)) for adj in self.adjacent]
+        sums = []
+        for lo in range(0, len(values), r):
+            group = values[lo:lo + r]
+            total = sum(group)
+            sums += [total - value for value in group]
         return sums
-
-    @cached_property
-    def neighbours(self) -> tuple[tuple[int, ...], ...]:
-        """``adjacent`` with the complete ranges written out: quadratic in a
-        range's length, so only the searches, on small graphs, read it."""
-        neighbours = list(self.adjacent)
-        for lo, hi in self.complete:
-            neighbours[lo:hi] = [tuple(j for j in range(lo, hi) if j != i) for i in range(lo, hi)]
-        return tuple(neighbours)
 
     @cached_property
     def _block_degrees(self) -> tuple[int, ...]:
@@ -177,17 +173,18 @@ class Graph:
     def is_complete_multipartite(self) -> bool:
         """True when every block is adjacent to every other block: the graph
         is then complete multipartite, one part per block of ``sizes``.  A
-        K holds one complete range, so the test is one comparison there, and
-        on other graphs it stops at the first block of too few neighbours."""
+        K is one group of parts, so the test is one comparison there, and on
+        other graphs it stops at the first block of too few neighbours."""
         k = len(self.sizes)
         # a block lists no duplicate and not itself
-        return self.complete == ((0, k),) or all(len(adj) == k - 1 for adj in self.adjacent)
+        return self.parts == k or all(len(adj) == k - 1 for adj in self.adjacent)
 
 
 def build_complete_multipartite(sizes: tuple[int, ...]) -> Graph:
-    """Complete multipartite graph: one complete range, part ``i`` block ``i``."""
-    r = len(sizes)
-    return Graph(sizes, ((),) * r, ((0, r),))
+    """Complete multipartite graph: one group of parts, part ``i`` block ``i``."""
+    if not sizes:
+        raise ValueError("a complete multipartite graph needs at least one part")
+    return Graph(sizes, ((),) * len(sizes), len(sizes))
 
 
 def build_cycle(b: int) -> Graph:
@@ -204,7 +201,7 @@ def disjoint_union(m: int, g: Graph) -> Graph:
     return Graph(
         g.sizes * m,
         tuple(tuple(j + c * k for j in adj) for c in range(m) for adj in g.adjacent),
-        tuple((lo + c * k, hi + c * k) for c in range(m) for lo, hi in g.complete),
+        g.parts,
     )
 
 
@@ -214,11 +211,11 @@ def lex_blowup(g: Graph, a: int) -> Graph:
     Vertex ``u`` of ``g`` becomes the independent layer ``{u*a, .., u*a+a-1}``;
     two vertices are adjacent iff their layers' originals were.  Twins stay
     twins, so block ``i`` of ``g`` becomes a block ``a`` times its size, with
-    the same neighbouring blocks and complete ranges.
+    the same neighbouring blocks and groups of parts.
     """
     if a < 1:
         raise ValueError(f"layer size must be >= 1, got {a}")
-    return Graph(tuple(size * a for size in g.sizes), g.adjacent, g.complete)
+    return Graph(tuple(size * a for size in g.sizes), g.adjacent, g.parts)
 
 
 def _lines(file):
@@ -314,10 +311,11 @@ class CNode:
 @dataclass(frozen=True)
 class Spec:
     """The spec ``U(m,LEX(base,E(a)))``: the one form every spec parses to.
-    A ``K(...)`` base is its built ``Graph``, one complete range with the
-    part sizes nondecreasing, and so is a ``FILE`` of K_n and ``C(3)``; any
-    other ``FILE`` base is the ``Graph`` read from the file.  Only a cycle
-    of four or more vertices stays symbolic, as building C(b) is O(b)."""
+    A ``K(...)`` base is its built ``Graph``, one group of parts with the
+    part sizes nondecreasing, and so is ``C(3)``, a ``FILE`` of K_n and an
+    edgeless ``FILE``; any other ``FILE`` base is the ``Graph`` read from
+    the file.  Only a cycle of four or more vertices stays symbolic, as
+    building C(b) is O(b)."""
 
     base: CNode | Graph
     m: int = 1
@@ -326,7 +324,7 @@ class Spec:
 
 def _is_k(base: CNode | Graph) -> bool:
     """True when the spec base ``base`` is a K: a complete multipartite
-    ``Graph``, which the parser holds as one complete range."""
+    ``Graph``, which the parser holds as one group of parts."""
     return isinstance(base, Graph) and base.is_complete_multipartite
 
 
@@ -433,6 +431,8 @@ class _Parser:
         graph = read_adjacency_file(path)
         if graph.is_complete_multipartite:  # K_n: vertex v is block v, part v
             return Spec(build_complete_multipartite(graph.sizes))
+        if not any(graph.adjacent):  # edgeless: one part of n vertices
+            return Spec(build_complete_multipartite((graph.vertex_count,)))
         return Spec(graph)
 
 
@@ -440,8 +440,9 @@ def parse_spec_ast(text: str) -> Spec:
     """The flat ``Spec`` of ``text``, checked, with ``FILE`` graphs read and
     K bases built, their part sizes sorted.  ``U(m,Spec(b,k,a))`` is read as
     Spec(b, m * k, a) and ``LEX(Spec(b,m,a'),E(a))`` as Spec(b, m, a' * a);
-    ``C(3)`` and a ``FILE`` of K_n are K(1, .., 1), and over a K base,
-    ``LEX`` with one copy is K(s * a) and ``U`` of one part is K(m * s).
+    ``C(3)`` and a ``FILE`` of K_n are K(1, .., 1), an edgeless ``FILE`` on
+    n vertices is K(n), and over a K base, ``LEX`` with one copy is
+    K(s * a) and ``U`` of one part is K(m * s).
     Each rewrite denotes the same graph with the same vertex ids."""
     parser = _Parser(text)
     spec = parser.spec()
@@ -455,7 +456,7 @@ def _ast_size(spec: Spec) -> tuple[int, int]:
     base = spec.base
     if isinstance(base, CNode):
         vertices, entries = base.b, 2 * base.b
-    else:  # a K's complete range lists no entries
+    else:  # a K's group of parts lists no entries
         vertices, entries = base.vertex_count, sum(map(len, base.adjacent))
     return spec.m * spec.a * vertices, spec.m * entries
 

@@ -10,12 +10,12 @@ partite sets carry equal label sums, in which case the constant is
 labeling, and ``cli._certify`` passes every labeling through it before
 printing.  It works on the block structure of ``graphs.Graph``: it sums the
 labels of each block once, and a vertex's weight is the sum over its
-block's neighbouring blocks (``Graph.neighbour_sums``; in a complete range,
-the range's total less the block's own sum), so a check costs O(n +
-explicit block edges) at any number of parts.  On a graph of singleton
-blocks (cycles, adjacency files) this is the plain explicit-adjacency
-sum.  Every vertex of a block has its block's weight, so comparing every
-block's weight compares every vertex's.
+block's neighbouring blocks (``Graph.neighbour_sums``; in a group of
+complete parts, the group's total less the block's own sum), so a check
+costs O(n + explicit block edges) at any number of parts.  On a graph of
+singleton blocks (cycles, adjacency files) this is the plain
+explicit-adjacency sum.  Every vertex of a block has its block's weight,
+so comparing every block's weight compares every vertex's.
 
 All arithmetic is exact: Python integers cannot overflow, so every
 certificate this module emits is bit-exact.

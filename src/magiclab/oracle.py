@@ -12,21 +12,26 @@ With s skips left, S = x - s slots are open in all: at the start x = n + e,
 s = e and S = n, and each label lowers x by one and S (a place) or s (a
 skip) by one.
 
-Complete multipartite graphs: a common part sum.  A vertex of part P has
-weight (total label sum) - l(P), so a labeling is magic exactly when all
-parts have one label sum t.  ``_pack`` fixes t (from the admissible range
-of ``_candidate_targets``) and fills the parts; a part with c open slots
-still short of d needs T(c) <= d <= T(x) - T(x - c), and the S open slots
-of all parts, short of D in all, need T(S) <= D <= T(x) - T(x - S).  Parts
-with the same (open slots, shortfall) are interchangeable, so only one of
-them takes a label.
+Complete multipartite graphs, and unions of them: a common part sum.  A
+vertex of part P has weight (total label sum) - l(P), so a labeling is
+magic exactly when all parts have one label sum t, and in m copies of a
+graph with r >= 2 parts exactly when all m * r parts do
+(``oracle_theta_multipartite``).  ``_pack`` fixes t (from the admissible
+range of ``_candidate_targets``) and fills the parts; a part with c open
+slots still short of d needs T(c) <= d <= T(x) - T(x - c), and the S open
+slots of all parts, short of D in all, need T(S) <= D <= T(x) - T(x - S).
+Parts with the same (open slots, shortfall) are interchangeable, so only
+one of them takes a label.
 
-Any graph: block packing.  All vertices of a block of ``graphs.Graph`` have
-one neighbourhood, so one weight: the sum of the label sums of the block's
-neighbouring blocks.  ``_pack_blocks`` fills the blocks directly, and the
-labels of each block, in block order, are the witness.  A label tries the
-blocks with the least label sum so far first, which finds balanced
-labelings early and cuts no branch.  One necessary condition prunes:
+Any other graph: block packing.  All vertices of a block of ``graphs.Graph``
+have one neighbourhood, so one weight: the sum of the label sums of the
+block's neighbouring blocks, which ``Graph.adjacent`` lists explicitly on
+every graph ``oracle_theta_general`` searches (``Graph.parts`` at most 1,
+where a group of one part is an edgeless block).  ``_pack_blocks`` fills
+the blocks directly, and the labels of each block, in block order, are
+the witness.  A label tries the blocks with the least label sum so far
+first, which finds balanced labelings early and cuts no branch.  One
+necessary condition prunes:
 
 * Common weight.  Let the neighbouring blocks of block P hold label sum f
   so far and c open slots.  Those c slots take c distinct labels of 1..x,
@@ -226,15 +231,25 @@ def oracle_theta_multipartite(
     max_excess: int,
     budget_seconds: float = BUDGET_SECONDS,
 ) -> ThetaResult:
-    """Exact index of a complete multipartite graph by one equal-sum packing
-    of its blocks, its parts, per excess level.
+    """Exact index of a complete multipartite graph, or of m copies of one
+    with r >= 2 parts (``Graph.parts`` >= 2), by one equal-sum packing of
+    its blocks, its m * r parts, per excess level.
+
+    The union has the magic condition of K with all m * r parts.  In copy
+    c, with total label sum T_c, a vertex of part P has weight T_c - l(P).
+    If every weight is w, each part P of copy c has l(P) = T_c - w = t_c,
+    so T_c = r * t_c and w = (r - 1) * t_c; as r >= 2, t_c = w / (r - 1) is
+    one sum t for every copy.  Conversely, if every part sums to t, every
+    weight is (r - 1) * t.  Two singleton parts anywhere would carry label
+    t twice, so such a shape has no labeling at any excess.
 
     Scans excess 0..max_excess; returns the first feasible level with a
     witness, its labels block by block, else the exhausted bounds
-    ``[max_excess+1, infinity)``.  Raises ``DomainError`` when ``g`` is not
-    complete multipartite (``Graph.is_complete_multipartite``).
+    ``[max_excess+1, infinity)``.  Raises ``DomainError`` when ``g`` is
+    neither complete multipartite (``Graph.is_complete_multipartite``) nor
+    such a union.
     """
-    if not g.is_complete_multipartite:
+    if not (g.parts >= 2 or g.is_complete_multipartite):
         raise DomainError("multipartite oracle needs a complete multipartite graph")
     sizes = list(g.sizes)
     return _scan_levels(
@@ -250,11 +265,12 @@ def oracle_theta_multipartite(
 
 
 def _pack_blocks(g: Graph, e, ticker):
-    """Labels of each block of the first S-magic labeling of ``g`` whose
-    label set has top label n+e, or None (module docstring: block packing).
+    """Labels of each block of the first S-magic labeling of ``g``, given by
+    its explicit ``adjacent``, whose label set has top label n+e, or None
+    (module docstring: block packing).
     """
     sizes = list(g.sizes)
-    adjacent = g.neighbours
+    adjacent = g.adjacent
     top = sum(sizes) + e
     asc_prefix = list(accumulate(range(top + 1)))  # asc_prefix[k] = 1 + ... + k
     open_slots = sizes[:]
@@ -310,11 +326,11 @@ def _refuted_by_neighbourhoods(g: Graph) -> bool:
     are single vertices.  Such a graph has no S-magic labeling at any excess.
 
     Vertices of one block have equal neighbourhoods, so only pairs of blocks
-    P != Q are compared: for u in P and v in Q, N(u) - N(v) is the union of
-    the blocks next to P and not next to Q.
+    P != Q of the explicit ``adjacent`` are compared: for u in P and v in Q,
+    N(u) - N(v) is the union of the blocks next to P and not next to Q.
     """
     sizes = g.sizes
-    near = [frozenset(adj) for adj in g.neighbours]
+    near = [frozenset(adj) for adj in g.adjacent]
     for p, q in combinations(range(len(sizes)), 2):
         only_p = sum(sizes[j] for j in near[p] - near[q])
         only_q = sum(sizes[j] for j in near[q] - near[p])
@@ -328,7 +344,12 @@ def oracle_theta_general(
     max_excess: int,
     budget_seconds: float = BUDGET_SECONDS,
 ) -> ThetaResult:
-    """Exact index of an arbitrary graph by one block packing per excess level."""
+    """Exact index of any graph: of a graph of groups of two or more complete
+    parts by ``oracle_theta_multipartite``, which proves its common part
+    sum exact there, and of any other, whose ``adjacent`` is explicit, by
+    one block packing per excess level."""
+    if g.parts >= 2:
+        return oracle_theta_multipartite(g, max_excess, budget_seconds)
     return _scan_levels(
         "general", g.vertex_count, max_excess, budget_seconds,
         lambda: _refuted_by_neighbourhoods(g),

@@ -7,7 +7,7 @@ from magiclab import (
 )
 from magiclab.graphs import Graph
 
-from referees import block_of, block_ranges
+from referees import block_neighbours, block_of, block_ranges
 
 
 def tripartite_instances(max_n=13):
@@ -53,16 +53,16 @@ def petersen() -> Graph:
 
 def neighbour_sets(g: Graph) -> tuple[frozenset[int], ...]:
     """Per-vertex neighbour sets, read off the explicit blocks of ``g``."""
-    ranges = block_ranges(g)
+    ranges, nbrs = block_ranges(g), block_neighbours(g)
     return tuple(
-        frozenset(v for j in g.neighbours[block_of(g, u)] for v in ranges[j])
+        frozenset(v for j in nbrs[block_of(g, u)] for v in ranges[j])
         for u in range(g.vertex_count)
     )
 
 
 def degree(g: Graph, v: int) -> int:
     """The degree of vertex ``v``: the sizes of its block's neighbouring blocks."""
-    return sum(g.sizes[j] for j in g.neighbours[block_of(g, v)])
+    return sum(g.sizes[j] for j in block_neighbours(g)[block_of(g, v)])
 
 
 def circulant(b: int, jumps) -> Graph:

@@ -4,6 +4,9 @@ None of these is reached from the CLI: they are slow searches and textbook
 formulas, kept apart from the package so that a bug in one of its fast
 paths cannot hide in the check of that path.
 
+* ``block_neighbours``: each block's neighbouring blocks, with every group
+  of complete parts written out, for ``Graph.neighbour_sums``, which sums
+  a group without listing it.
 * ``weight`` sums one vertex's neighbour labels, vertex by vertex.
 * ``modal_report``: the verifier's report from per-vertex weights, by the
   modal-weight rule, for ``labelings.verify_s_magic``, which decides on
@@ -46,15 +49,27 @@ def block_of(g: Graph, v: int) -> int:
     return bisect_right(list(accumulate(g.sizes)), v)
 
 
+def block_neighbours(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The neighbouring blocks of each block of ``g``: its ``adjacent``, or,
+    in groups of ``g.parts`` complete parts, every other block of the group."""
+    r = g.parts
+    if not r:
+        return g.adjacent
+    return tuple(
+        tuple(j for j in range(i - i % r, i - i % r + r) if j != i) for i in range(len(g.sizes))
+    )
+
+
 def weight(g: Graph, labeling: Labeling, u: int) -> int:
     """Sum of the labels on the neighbors of ``u`` (0 for an isolated vertex),
-    over the explicit neighbouring blocks ``g.neighbours``."""
+    over the explicit neighbouring blocks ``block_neighbours(g)``."""
     if labeling.n != g.vertex_count:
         raise ValueError(
             f"labeling covers {labeling.n} vertices, graph has {g.vertex_count}"
         )
     ranges = block_ranges(g)
-    return sum(labeling.labels[v] for j in g.neighbours[block_of(g, u)] for v in ranges[j])
+    nbrs = block_neighbours(g)[block_of(g, u)]
+    return sum(labeling.labels[v] for j in nbrs for v in ranges[j])
 
 
 def modal_report(weights) -> VerifyReport:

@@ -21,6 +21,7 @@ from magiclab.errors import InternalInconsistencyError
 from magiclab.graphs import MAX_SPEC_DEPTH, _ast_size, build_from_ast, parse_spec_ast
 
 from conftest import petersen
+from referees import block_neighbours
 from test_cli_fuzz import _files, command_lines
 
 
@@ -597,6 +598,78 @@ def test_blow_ups_of_a_complete_file_are_planned_as_their_k_form(tmp_path):
     assert code == 0 and json.loads(out)["is_magic"]
 
 
+def test_edgeless_files_are_planned_as_their_k_form(tmp_path):
+    # the parser reads an edgeless FILE on n vertices as K(n), one part with
+    # the same vertex ids, so any spelling over it answers as over K(n)
+    for n in range(2, 5):
+        path = tmp_path / f"e{n}.adj"
+        path.write_text("".join(f"{v}:\n" for v in range(n)))
+        for spec in _wrapped(f"FILE({path})", 2, (1, 2, 3)):
+            twin = spec.replace(f"FILE({path})", f"K({n})")
+            commands = [("index",), ("label",)]
+            if _ast_size(parse_spec_ast(twin))[0] <= 16:
+                commands.append(("oracle",))
+            for argv in commands:
+                got = run_cli(argv[0], spec, *argv[1:])
+                assert got == run_cli(argv[0], twin, *argv[1:]) and got[0] == 0, (argv, spec)
+    code, out, _ = run_cli("index", f"FILE({tmp_path / 'e3.adj'})")
+    assert code == 0 and json.loads(out)["case"] == "edgeless"
+
+
+# every U(m,K(S)) with m >= 2 copies, r >= 2 parts and at most 16 vertices
+_UNION_SHAPES = [
+    (m, sizes)
+    for r in range(2, 9)
+    for sizes in combinations_with_replacement(range(1, 8), r)
+    for m in range(2, 16 // sum(sizes) + 1)
+]
+
+
+def test_union_of_ks_has_the_magic_condition_of_k_with_all_parts():
+    # m copies of K(S) with r >= 2 parts are magic exactly when all m * r
+    # parts carry one label sum: the oracle's bounds are those of K(S^m)
+    assert len(_UNION_SHAPES) == 84
+    witnessed = 0
+    for m, sizes in _UNION_SHAPES:
+        spec = f"U({m},K({','.join(map(str, sizes))}))"
+        code, out, _ = run_cli("oracle", spec, "--max-excess", "16", "--budget-seconds", "5")
+        found = json.loads(out)
+        flat = magiclab.oracle_theta_multipartite(
+            magiclab.build_complete_multipartite(tuple(sorted(sizes * m))), 16)
+        assert code == 0 and (found["lower"], found["upper"]) == (flat.lower, flat.upper), spec
+        graph = magiclab.parse_graph_spec(spec)
+        if found["exact"]:
+            labeling = magiclab.Labeling.from_json(json.dumps(found["witness"]))
+            assert magiclab.verify_s_magic(graph, labeling).is_magic, spec
+            witnessed += 1
+        if graph.vertex_count <= 8:
+            # the block search on the explicit form, which no part sum guides
+            explicit = magiclab.Graph(graph.sizes, block_neighbours(graph))
+            slow = magiclab.oracle_theta_general(explicit, 16)
+            assert (slow.lower, slow.upper) == (found["lower"], found["upper"]), spec
+    assert witnessed > 0
+
+
+@pytest.mark.parametrize("spec", [
+    "U(2,K(1,2,2))", "U(3,K(1,2,2))", "U(2,K(1,2,3))", "U(2,K(1,2,4))", "U(2,K(1,3,3))",
+    "U(2,K(1,2,2,2))", "U(2,K(1,2,5))", "U(2,K(1,3,4))", "U(2,K(1,2,2,3))",
+])
+def test_unions_with_two_singleton_parts_have_no_labeling(spec):
+    # two singleton parts would carry the common part sum as one label twice
+    code, out, _ = run_cli("oracle", spec, "--max-excess", "16", "--budget-seconds", "1")
+    assert code == 0 and json.loads(out) == {
+        "case": "oracle-exhausted", "exact": False, "lower": 17, "provenance": "oracle",
+        "theta": None, "upper": None}
+
+
+def test_union_with_index_one_is_found_within_a_second():
+    code, out, _ = run_cli("oracle", "U(2,K(2,3,3))", "--max-excess", "16", "--budget-seconds", "1")
+    found = json.loads(out)
+    assert code == 0 and found["theta"] == 1
+    code, out, _ = run_cli("label", "U(2,K(2,3,3))", "--oracle", "--budget-seconds", "1")
+    assert code == 0 and json.loads(out)["eta"] == 17
+
+
 def _wrapped(spec, levels, factors=(2, 3, 4)):
     """``spec`` under at most ``levels`` of U(m,.) and LEX(.,E(a)), m and a
     drawn from ``factors``."""
@@ -813,7 +886,7 @@ def test_witness_outside_claimed_bounds_exits_7(monkeypatch, lower, upper):
 
 @pytest.mark.parametrize("argv", [
     ("oracle", "C(5)", "--max-excess", "2"),  # the general oracle
-    ("oracle", "K(2,3)", "--max-excess", "3"),  # the multipartite oracle
+    ("oracle", "K(2,3)", "--max-excess", "3"),  # part sums, inside the one oracle
     ("index", "C(4)", "--oracle", "--max-excess", "2"),
 ])
 def test_oracle_witness_is_certified_before_printing(monkeypatch, argv):
@@ -825,7 +898,6 @@ def test_oracle_witness_is_certified_before_printing(monkeypatch, argv):
         )
 
     monkeypatch.setattr(cli, "oracle_theta_general", wrong)
-    monkeypatch.setattr(cli, "oracle_theta_multipartite", wrong)
     code, out, err = run_cli(*argv)
     assert code == 7 and out == "" and "failed verification" in err
 
@@ -986,8 +1058,8 @@ def test_cap_scale_label_and_verify_in_bounded_memory(tmp_path, spec, groups):
 
 @pytest.mark.parametrize("command, flags", [("oracle", ()), ("label", ("--oracle",))])
 def test_oracle_caps_reject_before_building(command, flags):
-    # 3 000 parts: the searches' explicit Graph.neighbours would list r(r-1)
-    # block pairs; the declared vertex count is refused first, unbuilt
+    # 3 000 parts, 6 000 vertices: the declared vertex count is refused
+    # before the oracle's 16-vertex graph is built
     spec = "K(" + ",".join(["2"] * 3000) + ")"
     start = time.perf_counter()
     code, out, _, rss_mb = _run_child(command, spec, *flags)
@@ -1042,7 +1114,7 @@ def test_block_adjacency_cap_rejects_before_building(tmp_path):
 
 
 def test_label_k_with_20000_parts_in_linear_time_and_memory(tmp_path):
-    # 60 000 vertices in 20 000 parts: one complete range, so building and
+    # 60 000 vertices in 20 000 parts: one group of parts, so building and
     # verifying are O(n) at any part count
     spec = "K(" + ",".join(["3"] * 20000) + ")"
     start = time.perf_counter()
@@ -1104,7 +1176,7 @@ def test_file_specs_past_the_caps_exit_2_unbuilt(path_files, argv):
 
 
 def test_labeling_size_rejected_after_a_build_linear_in_the_parts(tmp_path):
-    # 1 500 parts: one complete range, built in O(r), then refused for its size
+    # 1 500 parts: one group of parts, built in O(r), then refused for its size
     spec = "K(" + ",".join(["2"] * 1500) + ")"
     labfile = tmp_path / "labels.json"
     labfile.write_text(json.dumps({"labels": {"0": 1}}))

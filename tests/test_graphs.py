@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -29,7 +30,7 @@ from magiclab.graphs import (
 from conftest import degree, neighbour_sets
 
 K = build_complete_multipartite  # a K base is its built graph
-from referees import modal_report, weight
+from referees import block_neighbours, modal_report, weight
 
 
 def test_complete_multipartite_shape():
@@ -297,25 +298,30 @@ def test_adjacency_file_lines_are_bounded(tmp_path, monkeypatch):
         read_adjacency_file(path)
 
 
-@pytest.mark.parametrize("sizes, adjacent, complete, message", [
-    ((1, 0), ((), ()), (), "block sizes must be >= 1, got 0"),
-    ((1, 1, 1), ((), (), ()), ((0, 2), (1, 3)), "range [1, 3) is empty, out of order or overlaps"),
-    ((1, 1, 1), ((), (), ()), ((1, 3), (0, 1)), "range [0, 1) is empty, out of order or overlaps"),
-    ((1, 1), ((1,), (0,)), ((0, 2),), "complete range [0, 2) lists explicit neighbours"),
-    ((1, 1, 1), ((), (), (0,)), ((0, 2),), "not symmetric between blocks 2 and 0"),
-    ((1, 1), ((1, 1), (0,)), (), "block 0 lists a neighbouring block twice"),
-], ids=["size-0", "overlapping", "out-of-order", "edge-inside-range", "edge-into-range",
-        "duplicate"])
-def test_graph_constructor_refuses_bad_blocks(sizes, adjacent, complete, message):
+# a group of complete parts is a range of ``parts`` consecutive blocks
+@pytest.mark.parametrize("sizes, adjacent, parts, message", [
+    ((1, 0), ((), ()), 0, "block sizes must be >= 1, got 0"),
+    ((1, 1, 1), ((), (), ()), 2, "3 blocks do not split into groups of 2 parts"),
+    ((1, 1), ((), ()), -1, "2 blocks do not split into groups of -1 parts"),
+    ((1, 1), ((1,), (0,)), 2, "groups of 2 parts list explicit neighbours"),
+    ((1, 1, 1, 1), ((), (2,), (1,), ()), 2, "groups of 2 parts list explicit neighbours"),
+    ((1, 1, 1), ((), (), (0,)), 0, "not symmetric between blocks 2 and 0"),
+    ((1, 1), ((1, 1), (0,)), 0, "block 0 lists a neighbouring block twice"),
+], ids=["size-0", "partial-group", "negative-parts", "edge-inside-range", "edge-into-range",
+        "asymmetric", "duplicate"])
+def test_graph_constructor_refuses_bad_blocks(sizes, adjacent, parts, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        Graph(sizes, adjacent, complete)
+        Graph(sizes, adjacent, parts)
 
 
 def test_complete_ranges_are_written_out_only_on_request():
+    # a graph is explicit blocks or groups of complete parts, never both;
+    # only the referee lists a group's block pairs
+    assert [field.name for field in fields(Graph)] == ["sizes", "adjacent", "parts"]
     g = parse_graph_spec("U(2,K(1,2))")
-    assert g.sizes == (1, 2, 1, 2) and g.complete == ((0, 2), (2, 4))
+    assert g.sizes == (1, 2, 1, 2) and g.parts == 2
     assert g.adjacent == ((),) * 4
-    assert g.neighbours == ((1,), (0,), (3,), (2,))
+    assert block_neighbours(g) == ((1,), (0,), (3,), (2,))
     assert g.neighbour_sums([5, 7, 11, 13]) == [7, 5, 13, 11]
 
 
@@ -415,7 +421,7 @@ def test_block_weights_agree_with_explicit_adjacency(tmp_path_factory):
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(_graph_and_labels())
-    # complete ranges offset by U and scaled by LEX, whatever the draws
+    # groups of parts repeated by U and scaled by LEX, whatever the draws
     @example((("U", 2, ("K", (1, 2))), [6, 1, 5, 2, 4, 3]))
     @example((("LEX", ("U", 3, ("K", (2, 2))), 2), list(range(24, 0, -1))))
     @example((("U", 2, ("LEX", ("K", (1, 1, 2)), 2)), list(range(3, 51, 3))))
