@@ -60,6 +60,14 @@ def neighbour_sets(g: Graph) -> tuple[frozenset[int], ...]:
     )
 
 
+def explicit(g: Graph) -> Graph:
+    """``g`` with its groups of complete parts written out as explicit block
+    adjacency: the one form ``_pack_blocks`` and the neighbourhood lemma
+    read, and one that ``oracle_theta_general`` searches by blocks, not by
+    part sums."""
+    return Graph(g.sizes, block_neighbours(g))
+
+
 def degree(g: Graph, v: int) -> int:
     """The degree of vertex ``v``: the sizes of its block's neighbouring blocks."""
     return sum(g.sizes[j] for j in block_neighbours(g)[block_of(g, v)])

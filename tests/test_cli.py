@@ -20,8 +20,7 @@ from magiclab.cli import main
 from magiclab.errors import InternalInconsistencyError
 from magiclab.graphs import MAX_SPEC_DEPTH, _ast_size, build_from_ast, parse_spec_ast
 
-from conftest import petersen
-from referees import block_neighbours
+from conftest import explicit, petersen
 from test_cli_fuzz import _files, command_lines
 
 
@@ -644,8 +643,7 @@ def test_union_of_ks_has_the_magic_condition_of_k_with_all_parts():
             witnessed += 1
         if graph.vertex_count <= 8:
             # the block search on the explicit form, which no part sum guides
-            explicit = magiclab.Graph(graph.sizes, block_neighbours(graph))
-            slow = magiclab.oracle_theta_general(explicit, 16)
+            slow = magiclab.oracle_theta_general(explicit(graph), 16)
             assert (slow.lower, slow.upper) == (found["lower"], found["upper"]), spec
     assert witnessed > 0
 

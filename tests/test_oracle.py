@@ -22,15 +22,8 @@ from magiclab.families import theta_K_ab
 from magiclab.graphs import Graph
 from magiclab.oracle import _pack, _pack_blocks, _refuted_by_neighbourhoods, _scan_level, _Ticker
 
-from conftest import neighbour_sets, petersen, tripartite_instances
-from referees import block_neighbours, equal_sum_partition
-
-
-def _explicit(g):
-    """``g`` with its groups of complete parts written out as explicit block
-    adjacency: the one form ``_pack_blocks`` and the lemma read, and one that
-    ``oracle_theta_general`` searches by blocks, not part sums."""
-    return Graph(g.sizes, block_neighbours(g))
+from conftest import explicit, neighbour_sets, petersen, tripartite_instances
+from referees import equal_sum_partition
 
 
 def test_equal_sum_partition_examples():
@@ -224,11 +217,11 @@ def test_adjacent_closed_twin_prune(monkeypatch):
     refuted = twins + ["C(5)", "C(6)"]
     admitted = ["C(4)", "K(2,2)", "K(1,2)", "K(1,2,3)", "LEX(C(3),E(2))"]
     for text in refuted:
-        assert oracle._refuted_by_neighbourhoods(_explicit(parse_graph_spec(text))), text
+        assert oracle._refuted_by_neighbourhoods(explicit(parse_graph_spec(text))), text
     for text in admitted:
-        assert not oracle._refuted_by_neighbourhoods(_explicit(parse_graph_spec(text))), text
+        assert not oracle._refuted_by_neighbourhoods(explicit(parse_graph_spec(text))), text
     specs = ["C(4)", "C(5)", "C(6)", "K(1,1)", "K(1,1,1)", "K(1,1,2)", "K(1,1,3)", "K(1,1,4)"]
-    graphs = [_explicit(parse_graph_spec(t)) for t in specs]
+    graphs = [explicit(parse_graph_spec(t)) for t in specs]
     pruned = [oracle_theta_general(g, 3) for g in graphs]
     monkeypatch.setattr(oracle, "_refuted_by_neighbourhoods", lambda g: False)
     full = [oracle_theta_general(g, 3) for g in graphs]
@@ -255,7 +248,7 @@ def _graph(n, edges):
     # an isolated vertex beside an edge: N(2) is empty, N(0) is not
     (_graph(3, [(0, 1)]), True),
     (build_cycle(4), False),
-    (_explicit(parse_graph_spec("K(3,3)")), False),
+    (explicit(parse_graph_spec("K(3,3)")), False),
     (petersen(), False),
 ])
 def test_neighbourhood_lemma_cases(graph, refuted):
@@ -329,9 +322,9 @@ def test_general_oracle_matches_brute_force(graph):
 
     levels = _brute_levels(graph, 2)
     n = graph.vertex_count
-    explicit = _explicit(graph)
+    blocks = explicit(graph)
     for e in range(3):
-        parts = _pack_blocks(explicit, e, _Ticker(time.monotonic() + 60))
+        parts = _pack_blocks(blocks, e, _Ticker(time.monotonic() + 60))
         assert (parts is not None) == (e in levels), e
         if parts is not None:
             assert max(max(labels, default=0) for labels in parts) == n + e
@@ -339,7 +332,7 @@ def test_general_oracle_matches_brute_force(graph):
     pruned = oracle_theta_general(graph, 2)
     # the block search alone must prove what the lemma refutes
     with mock.patch.object(oracle, "_refuted_by_neighbourhoods", return_value=False):
-        unpruned = oracle_theta_general(explicit, 2)
+        unpruned = oracle_theta_general(blocks, 2)
     for res in (pruned, unpruned):
         if not levels:
             assert (res.lower, res.upper, res.witness) == (3, None, None)
@@ -359,7 +352,7 @@ def test_block_lemma_matches_the_vertex_lemma(graph):
     for u, v in combinations(range(len(nbrs)), 2):
         only_u, only_v = len(nbrs[u] - nbrs[v]), len(nbrs[v] - nbrs[u])
         refuted |= (only_u == 0) != (only_v == 0) or only_u == only_v == 1
-    assert oracle._refuted_by_neighbourhoods(_explicit(graph)) is refuted
+    assert oracle._refuted_by_neighbourhoods(explicit(graph)) is refuted
 
 
 def test_two_singleton_parts_match_the_unpruned_scan():
@@ -387,9 +380,9 @@ def test_two_oracles_agree_on_multipartite():
             for sizes in _partitions(n, r):
                 g = build_complete_multipartite(sizes)
                 # the two refutation rules: two singleton parts, and the lemma
-                assert _refuted_by_neighbourhoods(_explicit(g)) == (sizes.count(1) >= 2), sizes
+                assert _refuted_by_neighbourhoods(explicit(g)) == (sizes.count(1) >= 2), sizes
                 fast = oracle_theta_multipartite(g, 6)
-                slow = oracle_theta_general(_explicit(g), 6)
+                slow = oracle_theta_general(explicit(g), 6)
                 assert (fast.lower, fast.upper) == (slow.lower, slow.upper), sizes
 
 
